@@ -15,7 +15,10 @@ are verified before returning.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from .core import (
     Bounds,
@@ -23,14 +26,17 @@ from .core import (
     ExtInt,
     NEG_INF,
     POS_INF,
-    all_subsets,
-    cut_in_sum,
     cut_net,
-    cut_out_sum,
     is_finite,
     node_net_inflow,
 )
-from .setfn import BaseOracle, separating_masks
+from .setfn import (
+    BaseOracle,
+    ExtArray,
+    int_dtype,
+    separating_masks,
+    subset_sums,
+)
 
 
 class Infeasible(Exception):
@@ -67,6 +73,12 @@ class Instance:
                 raise ValueError(f"focus arc id {e} out of range")
         if self.cost is not None and len(self.cost) != self.digraph.arc_count:
             raise ValueError("cost length must match arc count")
+
+    @cached_property
+    def slack(self) -> ExtArray:
+        """Feasibility slack of every subset: upper in-cut - lower out-cut - p."""
+        b = self.bounds
+        return (-self.base.values).plus_cut(self.digraph, b.upper, b.lower)
 
     def with_bounds(self, bounds: Bounds) -> "Instance":
         return Instance(self.digraph, bounds, self.base, self.focus, self.cost)
@@ -110,19 +122,17 @@ class DualPotential:
 
 def cut_slack(inst: Instance, zmask: int) -> ExtInt:
     """Feasibility slack of one subset: upper in-cut - lower out-cut - p."""
-    d, b = inst.digraph, inst.bounds
-    return (cut_in_sum(d, b.upper, zmask)
-            - cut_out_sum(d, b.lower, zmask)
-            - inst.base.p(zmask))
+    return inst.slack.value(zmask)
 
 
 def find_violator(inst: Instance) -> Optional[Tuple[int, ExtInt]]:
     """First (lowest-mask) subset with negative feasibility slack, if any."""
-    for zmask in all_subsets(inst.digraph.node_count):
-        s = cut_slack(inst, zmask)
-        if s < 0:
-            return zmask, s
-    return None
+    s = inst.slack
+    bad = s.neg | ((s.pos == 0) & (s.fin < 0))
+    zmask = int(bad.argmax())
+    if not bad[zmask]:
+        return None
+    return zmask, s.value(zmask)
 
 
 def check_feasible(inst: Instance) -> FeasCert:
@@ -139,9 +149,8 @@ def membership(inst: Instance, x: Sequence[int]) -> bool:
     for e in range(inst.digraph.arc_count):
         if not (b.lower[e] <= x[e] <= b.upper[e]):
             return False
-    p = inst.base.p
-    d = inst.digraph
-    return all(cut_net(d, x, z) >= p(z) for z in all_subsets(d.node_count))
+    # the net in-flow of a set sums its nodes' net in-flows (inner arcs cancel)
+    return inst.base.contains(node_net_inflow(inst.digraph, x))
 
 
 def find_feasible(inst: Instance) -> tuple:
@@ -152,45 +161,51 @@ def find_feasible(inst: Instance) -> tuple:
     criterion with e's contribution separated out; we pick 0 clamped into
     that interval, then freeze the arc and continue.  Exactness of the
     interval makes the procedure never backtrack.
+
+    The slack vector of the instance is kept up to date as arcs are fixed:
+    fixing e touches only the subsets e enters or leaves, so each arc costs
+    O(2^n) and the whole pass O(m 2^n).
     """
     hit = find_violator(inst)
     if hit is not None:
         raise Infeasible(*hit)
     d = inst.digraph
-    n = d.node_count
     lower = list(inst.bounds.lower)
     upper = list(inst.bounds.upper)
-    p = inst.base.p
-    for e in range(d.arc_count):
+    shape = (2,) * d.node_count
+    slack = inst.slack
+    bound = slack.bound
+    fin = slack.fin.copy()
+    fin_view = fin.reshape(shape)
+    # +inf terms per subset, None when there are none; p(z) = -inf counts
+    # as one (no p(z) = +inf survives find_violator)
+    infs = slack.pos.reshape(shape).copy() if slack.pos.any() else None
+    for e, (enter, leave) in enumerate(d.arc_views):
         if lower[e] == upper[e]:
             continue
-        t_arc, h_arc = d.arcs[e]
         lo: ExtInt = lower[e]
         hi: ExtInt = upper[e]
-        for z in all_subsets(n):
-            zin_h = (z >> h_arc) & 1
-            zin_t = (z >> t_arc) & 1
-            if zin_h == zin_t:
-                continue
-            pz = p(z)
-            if pz is NEG_INF:
-                continue
-            rest = 0
-            for e2, (t2, h2) in enumerate(d.arcs):
-                if e2 == e:
-                    continue
-                if (z >> h2) & 1 and not (z >> t2) & 1:
-                    rest = rest + upper[e2]
-                elif (z >> t2) & 1 and not (z >> h2) & 1:
-                    rest = rest - lower[e2]
-            if zin_h:  # e enters z: t >= p(z) - rest
-                cand = pz - rest
-                if cand > lo:
-                    lo = cand
-            else:  # e leaves z: t <= rest - p(z)
-                cand = rest - pz
-                if cand < hi:
-                    hi = cand
+        hi_inf, lo_inf = hi is POS_INF, lo is NEG_INF
+        hi_fin, lo_fin = (0 if hi_inf else hi), (0 if lo_inf else lo)
+        # Only subsets whose sole infinite term is e's own bound constrain
+        # t; `none` exceeds every |slack| and marks that there is none.
+        none = bound + 1
+        # e enters z: t >= p(z) - rest = upper[e] - slack(z)
+        least = np.minimum.reduce(
+            fin_view[enter], None, initial=none,
+            where=True if infs is None else infs[enter] == hi_inf)
+        if least < none:
+            c = hi_fin - int(least)
+            if c > lo:
+                lo = c
+        # e leaves z: t <= rest - p(z) = slack(z) + lower[e]
+        least = np.minimum.reduce(
+            fin_view[leave], None, initial=none,
+            where=True if infs is None else infs[leave] == lo_inf)
+        if least < none:
+            c = lo_fin + int(least)
+            if c < hi:
+                hi = c
         if not lo <= hi:
             raise CertificateError("coordinate-fixing interval collapsed on a feasible instance")
         if lo is NEG_INF and hi is POS_INF:
@@ -202,6 +217,18 @@ def find_feasible(inst: Instance) -> tuple:
         else:
             val = min(max(0, lo), hi)
         lower[e] = upper[e] = val
+        bound += max(abs(val - hi_fin), abs(lo_fin - val))
+        if int_dtype(bound) is object and fin.dtype != object:
+            fin = fin.astype(object)
+            fin_view = fin.reshape(shape)
+        if val != hi_fin:
+            fin_view[enter] += val - hi_fin
+        if val != lo_fin:
+            fin_view[leave] += lo_fin - val
+        if hi_inf:
+            infs[enter] -= 1
+        if lo_inf:
+            infs[leave] -= 1
     x = tuple(lower)
     if not membership(inst, x):
         raise CertificateError("constructed flow failed membership check")
@@ -217,7 +244,7 @@ def exchange_capacity(base: BaseOracle, y: Sequence[int], s: int, t: int) -> Ext
     if s == t:
         raise ValueError("exchange endpoints must differ")
     best: ExtInt = POS_INF
-    sums = _prefix_sums(y)
+    sums = subset_sums(y).tolist()
     p = base.p
     for m in separating_masks(base.n, s, t):
         pz = p(m)
@@ -229,15 +256,6 @@ def exchange_capacity(base: BaseOracle, y: Sequence[int], s: int, t: int) -> Ext
     return best
 
 
-def _prefix_sums(vec: Sequence[int]) -> list:
-    n = len(vec)
-    sums = [0] * (1 << n)
-    for m in range(1, 1 << n):
-        low = m & (-m)
-        sums[m] = sums[m ^ low] + vec[low.bit_length() - 1]
-    return sums
-
-
 # --- minimum-cost flow -----------------------------------------------------
 
 def _blocked_exchange_pairs(base: BaseOracle, psi: Sequence[int]) -> set:
@@ -247,18 +265,16 @@ def _blocked_exchange_pairs(base: BaseOracle, psi: Sequence[int]) -> set:
     avoiding s, so the move is blocked iff one of them is tight.
     """
     blocked = set()
-    sums = _prefix_sums(psi)
-    p = base.p
+    p = base.values
+    tight = (subset_sums(psi) == p.fin) & ~p.pos & ~p.neg
     n = base.n
     nodes = range(n)
-    for m in all_subsets(n):
-        pz = p(m)
-        if is_finite(pz) and sums[m] == pz and 0 < m < (1 << n) - 1:
-            inside = [v for v in nodes if (m >> v) & 1]
-            outside = [v for v in nodes if not (m >> v) & 1]
-            for t in inside:
-                for s in outside:
-                    blocked.add((s, t))
+    for m in (np.flatnonzero(tight[1:-1]) + 1).tolist():  # proper nonempty
+        inside = [v for v in nodes if (m >> v) & 1]
+        outside = [v for v in nodes if not (m >> v) & 1]
+        for t in inside:
+            for s in outside:
+                blocked.add((s, t))
     return blocked
 
 

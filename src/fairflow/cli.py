@@ -73,6 +73,14 @@ def _parse_extint(v, where: str):
     raise ParseError(f"{where}: expected integer, '-inf' or '+inf', got {v!r}")
 
 
+def _parse_names(names, where: str) -> List[str]:
+    if (not isinstance(names, list) or not names
+            or any(not isinstance(s, str) or not s for s in names)
+            or len(set(names)) != len(names)):
+        raise ParseError(f"{where}: expected a nonempty list of distinct nonempty names")
+    return names
+
+
 def _dump_extint(v):
     if is_finite(v):
         return v
@@ -104,11 +112,7 @@ class ParsedInstance:
 def parse_instance(doc: dict) -> ParsedInstance:
     _expect_keys(doc, ("nodes", "arcs", "F", "base"),
                  ("mixed_graph", "k"), "instance")
-    names = doc["nodes"]
-    if (not isinstance(names, list) or not names
-            or any(not isinstance(s, str) for s in names)
-            or len(set(names)) != len(names)):
-        raise ParseError("nodes: expected a list of distinct names")
+    names = _parse_names(doc["nodes"], "nodes")
     node_index = {s: i for i, s in enumerate(names)}
     if not isinstance(doc["arcs"], list):
         raise ParseError("arcs: expected a list")
@@ -230,9 +234,7 @@ def _parse_mixed(doc: dict) -> Tuple[MixedGraph, List[str], Optional[dict]]:
     _expect_keys(doc, ("mixed_graph",), ("k", "nodes", "arcs", "F", "base"), "orient input")
     mg_doc = doc["mixed_graph"]
     _expect_keys(mg_doc, ("nodes", "edges"), ("arcs", "degree_bounds"), "mixed_graph")
-    names = mg_doc["nodes"]
-    if not isinstance(names, list) or any(not isinstance(s, str) for s in names):
-        raise ParseError("mixed_graph.nodes: expected a list of names")
+    names = _parse_names(mg_doc["nodes"], "mixed_graph.nodes")
     index = {s: i for i, s in enumerate(names)}
 
     def pairs(key):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Union
 
 MAX_NODES = 20
@@ -93,10 +94,6 @@ def is_finite(v: ExtInt) -> bool:
     return isinstance(v, int)
 
 
-def bit(v: int) -> int:
-    return 1 << v
-
-
 def mask_nodes(mask: int) -> Iterator[int]:
     """Yield node ids set in a bitmask, ascending."""
     v = 0
@@ -105,13 +102,6 @@ def mask_nodes(mask: int) -> Iterator[int]:
             yield v
         mask >>= 1
         v += 1
-
-
-def mask_from_nodes(nodes: Iterable[int]) -> int:
-    m = 0
-    for v in nodes:
-        m |= 1 << v
-    return m
 
 
 def all_subsets(n: int) -> range:
@@ -145,6 +135,21 @@ class Digraph:
 
     def arc_ids(self) -> range:
         return range(len(self.arcs))
+
+    @cached_property
+    def arc_views(self) -> tuple:
+        """Per arc, the index of the subsets it enters and of those it
+        leaves, into an all-subsets array reshaped to (2,) * node_count.
+        Slicing with either gives a view, not a copy."""
+        n = self.node_count
+
+        def crossing(inside: int, outside: int) -> tuple:
+            index = [slice(None)] * n
+            index[n - 1 - inside] = slice(1, 2)  # bit v is axis n - 1 - v
+            index[n - 1 - outside] = slice(0, 1)
+            return tuple(index)
+
+        return tuple((crossing(h, t), crossing(t, h)) for t, h in self.arcs)
 
 
 @dataclass(frozen=True)

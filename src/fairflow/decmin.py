@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .core import Bounds, Chain, chain_classify, cut_in_sum, cut_out_sum, is_finite
+from .core import Bounds, Chain, chain_classify, is_finite
 from .baseflow import (
     CertificateError,
     Infeasible,
@@ -25,7 +25,7 @@ from .baseflow import (
     min_cost_flow,
 )
 from .lupmin import lupmin_solve
-from .setfn import SetFn, brute_extremize
+from .setfn import SetFn, brute_extremize, cut_difference
 
 
 @dataclass(frozen=True)
@@ -133,14 +133,14 @@ def compute_beta(inst: Instance) -> Tuple[Optional[int], Instance]:
         f1 = max(bounds.lower[e] for e in focus)
         top = {e for e in focus if bounds.upper[e] == g1}
         beta1 = max(f1, gvals[1]) if len(gvals) >= 2 else f1
-        probe = bounds.with_upper({e: beta1 for e in top})
-        if _feasible_with(inst, probe):
-            bounds = probe
+        probe = inst.with_bounds(bounds.with_upper({e: beta1 for e in top}))
+        if find_violator(probe) is None:
+            bounds = probe.bounds
             beta = beta1
             tight = {e for e in focus if bounds.is_tight(e)}
             focus -= tight
             continue
-        mu, _ = newton_dinkelbach(_nd_slack_fn(inst, probe), _nd_entering_fn(inst, top))
+        mu, _ = newton_dinkelbach(_nd_slack_fn(probe), _nd_entering_fn(inst, top))
         beta = beta1 + mu
         bounds = bounds.with_upper({e: beta for e in top})
         if not _feasible_with(inst, bounds):
@@ -151,31 +151,20 @@ def compute_beta(inst: Instance) -> Tuple[Optional[int], Instance]:
     return beta, inst.with_bounds(bounds).with_focus(focus)
 
 
-def _nd_slack_fn(inst: Instance, probe: Bounds) -> SetFn:
-    """Base function minus the probe's cut difference; positive values mark
-    the sets a uniform raise on the top level must cover."""
-    d = inst.digraph
-    p = inst.base.p
-
-    def h(m: int):
-        return p(m) - cut_in_sum(d, probe.upper, m) + cut_out_sum(d, probe.lower, m)
-
-    return SetFn(d.node_count, fn=h)
+def _nd_slack_fn(probe: Instance) -> SetFn:
+    """Base function minus the probe's cut difference (the negated slack
+    vector); positive values mark the sets a uniform raise on the top level
+    must cover."""
+    return SetFn(probe.digraph.node_count, table=(-probe.slack).tolist())
 
 
 def _nd_entering_fn(inst: Instance, top) -> SetFn:
+    """Number of top-level arcs entering each set: the cut difference of
+    unit upper bounds on the top level and zero elsewhere."""
     d = inst.digraph
-    arcs = sorted(top)
-
-    def b(m: int):
-        count = 0
-        for e in arcs:
-            t, h = d.arcs[e]
-            if (m >> h) & 1 and not (m >> t) & 1:
-                count += 1
-        return count
-
-    return SetFn(d.node_count, fn=b)
+    zero = (0,) * d.arc_count
+    unit = tuple(int(e in top) for e in d.arc_ids())
+    return cut_difference(d, Bounds(zero, unit))
 
 
 def predecmin_phase(inst: Instance) -> Tuple[PhaseTrace, Instance]:

@@ -20,15 +20,14 @@ from .core import (
     Digraph,
     chain_classify,
     chain_entering_count,
-    cut_in_sum,
     cut_net,
-    cut_out_sum,
     is_finite,
 )
 from .baseflow import (
     CertificateError,
     DualPotential,
     Instance,
+    cut_slack,
     membership,
     min_cost_flow,
 )
@@ -151,12 +150,9 @@ def derive_bounds(inst: Instance, L, chain: Chain) -> Bounds:
 
 def chain_value(inst: Instance, L, chain: Chain) -> int:
     """Dual value of a feasible chain: entering L-arcs minus total slack."""
-    d = inst.digraph
-    b = inst.bounds
-    p = inst.base.p
-    total = chain_entering_count(d, chain, sorted(L))
+    total = chain_entering_count(inst.digraph, chain, sorted(L))
     for c in chain:
-        slack = cut_in_sum(d, b.upper, c) - cut_out_sum(d, b.lower, c) - p(c)
+        slack = cut_slack(inst, c)
         if not is_finite(slack):
             raise ValueError("chain is not feasible: infinite slack term")
         total -= slack

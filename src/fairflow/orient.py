@@ -16,10 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import Bounds, Digraph, all_subsets
+import numpy as np
+
+from .core import Bounds, Digraph, cut_in_count, cut_out_count
 from .baseflow import Instance
 from .decmin import solve_decmin, solve_min_cost_decmin
-from .setfn import BaseOracle
+from .setfn import BaseOracle, subset_sums
 
 
 class OrientationInfeasible(Exception):
@@ -57,15 +59,13 @@ class OrientEncoding:
     indeg_arcs: tuple  # arc id per original node
 
 
-def _inside_counts(mg: MixedGraph) -> list:
+def _inside_counts(mg: MixedGraph) -> np.ndarray:
     """Arcs plus edges with both endpoints inside each node subset."""
-    n = mg.node_count
-    counts = [0] * (1 << n)
+    masks = np.arange(1 << mg.node_count)
+    counts = np.zeros(1 << mg.node_count, dtype=np.int64)
     for u, v in mg.arcs + mg.edges:
         pair = (1 << u) | (1 << v)
-        for m in all_subsets(n):
-            if m & pair == pair:
-                counts[m] += 1
+        counts += (masks & pair) == pair
     return counts
 
 
@@ -96,11 +96,10 @@ def cut_certificate(mg: MixedGraph) -> Optional[int]:
     infeasibility.  Necessary condition only; None does not imply a
     feasible orientation exists.
     """
-    n = mg.node_count
-    full = (1 << n) - 1
-    for m in range(1, full):
-        rho = sum(1 for u, v in mg.arcs if (m >> v) & 1 and not (m >> u) & 1)
-        delta = sum(1 for u, v in mg.arcs if (m >> u) & 1 and not (m >> v) & 1)
+    fixed = Digraph(mg.node_count, mg.arcs)
+    for m in range(1, (1 << mg.node_count) - 1):
+        rho = cut_in_count(fixed, fixed.arc_ids(), m)
+        delta = cut_out_count(fixed, fixed.arc_ids(), m)
         cross = sum(1 for u, v in mg.edges if ((m >> u) & 1) != ((m >> v) & 1))
         if cross < max(0, mg.k - rho) + max(0, mg.k - delta):
             return m
@@ -117,14 +116,9 @@ def encode(mg: MixedGraph, degree_bounds: Optional[Dict[int, Tuple[int, int]]] =
     inside = _inside_counts(mg)
     dref = _ref_indegrees(mg)
     feasible_indegs = set()
-    full = (1 << n) - 1
     for flips in range(1 << len(mg.edges)):
         h = _orientation_indegrees(mg, flips)
-        hsum = [0] * (1 << n)
-        for m in range(1, 1 << n):
-            low = m & (-m)
-            hsum[m] = hsum[m ^ low] + h[low.bit_length() - 1]
-        if all(hsum[m] - inside[m] >= mg.k for m in range(1, full)):
+        if np.all((subset_sums(h) - inside)[1:-1] >= mg.k):
             feasible_indegs.add(h)
     if not feasible_indegs:
         raise OrientationInfeasible(

@@ -6,25 +6,118 @@ the cut-difference function of a bounded digraph, exhaustive extremization
 (the swap-ready stand-in for a submodular-function-minimization routine),
 the pointwise-minimum envelope of an enumerated base polyhedron, and face
 contraction of a base oracle along a chain.
+
+Whole-table computations (subset sums, cut values, slacks) run on numpy
+arrays indexed by bitmask: see `subset_sums` and `ExtArray`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
+
+import numpy as np
 
 from .core import (
     MAX_NODES,
+    NEG_INF,
+    POS_INF,
     Bounds,
     Chain,
     Digraph,
     ExtInt,
     all_subsets,
-    cut_in_sum,
-    cut_out_sum,
     is_finite,
     mask_nodes,
 )
+
+# Arrays stay int64 while every intermediate is provably below this
+# magnitude; otherwise the same code runs on Python ints (dtype=object).
+_INT64_SAFE = 1 << 62
+
+
+def int_dtype(bound: int):
+    """int64 when values of magnitude up to `bound` cannot overflow it."""
+    return np.int64 if bound < _INT64_SAFE else object
+
+
+def subset_sums(vec: Sequence[int]) -> np.ndarray:
+    """Sum of `vec` over every subset, indexed by bitmask (bit v = vec[v])."""
+    sums = np.zeros(1 << len(vec), dtype=int_dtype(sum(abs(x) for x in vec)))
+    for v, x in enumerate(vec):
+        if x:
+            sums.reshape(-1, 2, 1 << v)[:, 1] += x  # the subsets holding v
+    return sums
+
+
+class ExtArray:
+    """Exact extended-integer values over all 2^n subsets.
+
+    `fin` is the finite part (0 where an infinity is present); `pos` and
+    `neg` count the +inf and -inf terms summed into each entry, so no
+    Infinity object ever sits in an array.  `bound` bounds |fin| and picks
+    the dtype: int64 below 2^62, Python ints above.
+    """
+
+    __slots__ = ("fin", "pos", "neg", "bound")
+
+    def __init__(self, fin: np.ndarray, pos: np.ndarray, neg: np.ndarray, bound: int):
+        self.fin, self.pos, self.neg, self.bound = fin, pos, neg, bound
+
+    @classmethod
+    def from_values(cls, values: Sequence[ExtInt]) -> "ExtArray":
+        fin = [v if is_finite(v) else 0 for v in values]
+        bound = max(map(abs, fin))
+        return cls(np.array(fin, dtype=int_dtype(bound)),
+                   np.array([v is POS_INF for v in values]),
+                   np.array([v is NEG_INF for v in values]), bound)
+
+    def __neg__(self) -> "ExtArray":
+        return ExtArray(-self.fin, self.neg, self.pos, self.bound)
+
+    def plus_cut(self, digraph: Digraph, upper: Sequence[ExtInt],
+                 lower: Sequence[ExtInt]) -> "ExtArray":
+        """A new array: this one plus Z -> (upper in-cut) - (lower out-cut).
+
+        Each arc adds its upper bound to the subsets it enters and subtracts
+        its lower bound from the subsets it leaves, both strided views of
+        the table: O(m) array operations in all.  A +inf upper or -inf lower
+        bound adds to the +inf count instead.
+        """
+        shape = (2,) * digraph.node_count
+        bound = self.bound + sum(abs(v) for v in (*upper, *lower) if is_finite(v))
+        fin = self.fin.astype(int_dtype(bound))
+        pos = self.pos.astype(np.int64)
+        fin_view, pos_view = fin.reshape(shape), pos.reshape(shape)
+        for (enter, leave), hi, lo in zip(digraph.arc_views, upper, lower):
+            if hi is POS_INF:
+                pos_view[enter] += 1
+            elif hi:
+                fin_view[enter] += hi
+            if lo is NEG_INF:
+                pos_view[leave] += 1
+            elif lo:
+                fin_view[leave] -= lo
+        return ExtArray(fin, pos, self.neg, bound)
+
+    def value(self, mask: int) -> ExtInt:
+        """One entry as an exact extended integer.  Infinities of both signs
+        in one entry raise, as the scalar arithmetic does."""
+        pos, neg = self.pos[mask], self.neg[mask]
+        if pos and neg:
+            raise ArithmeticError("cannot add infinities of opposite sign")
+        if pos:
+            return POS_INF
+        if neg:
+            return NEG_INF
+        return int(self.fin[mask])
+
+    def tolist(self) -> list:
+        values = self.fin.tolist()
+        for m in np.flatnonzero(self.pos | self.neg).tolist():
+            values[m] = self.value(m)
+        return values
 
 
 class SetFn:
@@ -66,12 +159,7 @@ class SetFn:
 
     @classmethod
     def modular(cls, vec: Sequence[int]) -> "SetFn":
-        n = len(vec)
-        table = [0] * (1 << n)
-        for m in range(1, 1 << n):
-            low = m & (-m)
-            table[m] = table[m ^ low] + vec[low.bit_length() - 1]
-        return cls(n, table=table)
+        return cls(len(vec), table=subset_sums(vec).tolist())
 
 
 def _check_pairwise(fn: SetFn, supermodular: bool):
@@ -150,9 +238,8 @@ def complement(fn: SetFn) -> SetFn:
 def cut_difference(digraph: Digraph, bounds: Bounds) -> SetFn:
     """The fully submodular function Z -> (upper in-cut) - (lower out-cut)."""
     n = digraph.node_count
-    table = [cut_in_sum(digraph, bounds.upper, m) - cut_out_sum(digraph, bounds.lower, m)
-             for m in all_subsets(n)]
-    return SetFn(n, table=table)
+    zero = ExtArray.from_values([0] * (1 << n))
+    return SetFn(n, table=zero.plus_cut(digraph, bounds.upper, bounds.lower).tolist())
 
 
 def brute_extremize(fn: SetFn, mode: str = "max",
@@ -208,7 +295,10 @@ def envelope_setfn(points: Sequence[Sequence[int]], n: int) -> SetFn:
     base polyhedron whose integral points are exactly the ones given."""
     if not points:
         raise ValueError("empty point list")
-    return SetFn(n, table=[envelope_value(points, m) for m in all_subsets(n)])
+    table = subset_sums(points[0])
+    for pt in points[1:]:
+        table = np.minimum(table, subset_sums(pt))
+    return SetFn(n, table=table.tolist())
 
 
 @dataclass(frozen=True)
@@ -240,14 +330,18 @@ class BaseOracle:
     def from_points(cls, points: Sequence[Sequence[int]], n: int) -> "BaseOracle":
         return cls(n, envelope_setfn(points, n))
 
+    @cached_property
+    def values(self) -> ExtArray:
+        """The bounding function as an exact array, built once per oracle."""
+        return ExtArray.from_values(self.p.densify().table)
+
     def contains(self, vec: Sequence[int]) -> bool:
         """Integral membership: zero total and every subset sum at or above
         the bounding function."""
         if sum(vec) != 0:
             return False
-        prefix = _subset_sums(vec)
-        p = self.p
-        return all(prefix[m] >= p(m) for m in all_subsets(self.n))
+        p = self.values
+        return not p.pos.any() and bool(np.all((subset_sums(vec) >= p.fin) | p.neg))
 
     def face_contract(self, chain: Chain) -> "BaseOracle":
         """Restrict to the face where every chain member is tight.
@@ -281,12 +375,3 @@ class BaseOracle:
             table.append(total)
         face = SetFn(self.n, table=table)
         return BaseOracle(self.n, face, self.face_chains + (chain,))
-
-
-def _subset_sums(vec: Sequence[int]) -> list:
-    n = len(vec)
-    sums = [0] * (1 << n)
-    for m in range(1, 1 << n):
-        low = m & (-m)
-        sums[m] = sums[m ^ low] + vec[low.bit_length() - 1]
-    return sums

@@ -141,6 +141,17 @@ class TestOrient:
         code, _ = run(capsys, "orient", path("triangle.json"), "--k", "2")
         assert code == EXIT_INFEASIBLE
 
+    @pytest.mark.parametrize("nodes", [["a", "b", "a"], ["a", "", "c"], []])
+    def test_bad_node_names_rejected(self, capsys, tmp_path, nodes):
+        # a repeated name used to collapse two nodes into one and report a
+        # wrong cut certificate with exit 3
+        doc = {"mixed_graph": {"nodes": nodes, "edges": [["a", "c"]] if "c" in nodes
+                               else [["a", "b"]]}}
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(doc))
+        code, _ = run(capsys, "orient", str(src))
+        assert code == EXIT_INPUT
+
 
 class TestVerify:
     @pytest.mark.parametrize("name", ["i1.json", "i6.json", "points.json"])

@@ -1,0 +1,286 @@
+"""The all-subsets cut layer against the per-subset loops it replaced.
+
+The reference functions below are the scalar scans the engine used before
+the layer existed: one cut sum per subset for the violator scan, the
+O(m^2 2^n) coordinate-fixing loop, and membership by one net cut per
+subset.  Results must be identical, including the exception raised, on
+random digraphs with infinite bounds, -inf base values and magnitudes of
+2^63 and more (which force the Python-int path).
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fairflow.core import (
+    Bounds,
+    Digraph,
+    NEG_INF,
+    POS_INF,
+    cut_in_sum,
+    cut_net,
+    cut_out_sum,
+)
+from fairflow.baseflow import (
+    CertificateError,
+    Infeasible,
+    Instance,
+    exchange_capacity,
+    find_feasible,
+    find_violator,
+    membership,
+)
+from fairflow.decmin import _nd_entering_fn, _nd_slack_fn
+from fairflow.setfn import (
+    BaseOracle,
+    SetFn,
+    cut_difference,
+    envelope_setfn,
+    envelope_value,
+    subset_sums,
+)
+
+HUGE = 1 << 63
+
+
+# --- reference loops -------------------------------------------------------
+
+def ref_cut_slack(inst, z):
+    d, b = inst.digraph, inst.bounds
+    return cut_in_sum(d, b.upper, z) - cut_out_sum(d, b.lower, z) - inst.base.p(z)
+
+
+def ref_find_violator(inst):
+    for z in range(1 << inst.digraph.node_count):
+        s = ref_cut_slack(inst, z)
+        if s < 0:
+            return z, s
+    return None
+
+
+def ref_membership(inst, x):
+    b = inst.bounds
+    for e in range(inst.digraph.arc_count):
+        if not (b.lower[e] <= x[e] <= b.upper[e]):
+            return False
+    p = inst.base.p
+    d = inst.digraph
+    return all(cut_net(d, x, z) >= p(z) for z in range(1 << d.node_count))
+
+
+def ref_find_feasible(inst):
+    hit = ref_find_violator(inst)
+    if hit is not None:
+        raise Infeasible(*hit)
+    d = inst.digraph
+    lower = list(inst.bounds.lower)
+    upper = list(inst.bounds.upper)
+    p = inst.base.p
+    for e in range(d.arc_count):
+        if lower[e] == upper[e]:
+            continue
+        t_arc, h_arc = d.arcs[e]
+        lo, hi = lower[e], upper[e]
+        for z in range(1 << d.node_count):
+            zin_h = (z >> h_arc) & 1
+            zin_t = (z >> t_arc) & 1
+            if zin_h == zin_t:
+                continue
+            pz = p(z)
+            if pz is NEG_INF:
+                continue
+            rest = 0
+            for e2, (t2, h2) in enumerate(d.arcs):
+                if e2 == e:
+                    continue
+                if (z >> h2) & 1 and not (z >> t2) & 1:
+                    rest = rest + upper[e2]
+                elif (z >> t2) & 1 and not (z >> h2) & 1:
+                    rest = rest - lower[e2]
+            if zin_h:
+                cand = pz - rest
+                if cand > lo:
+                    lo = cand
+            else:
+                cand = rest - pz
+                if cand < hi:
+                    hi = cand
+        if not lo <= hi:
+            raise CertificateError("coordinate-fixing interval collapsed on a feasible instance")
+        if lo is NEG_INF and hi is POS_INF:
+            val = 0
+        elif lo is NEG_INF:
+            val = min(0, hi)
+        elif hi is POS_INF:
+            val = max(0, lo)
+        else:
+            val = min(max(0, lo), hi)
+        lower[e] = upper[e] = val
+    x = tuple(lower)
+    if not ref_membership(inst, x):
+        raise CertificateError("constructed flow failed membership check")
+    return x
+
+
+def outcome(fn, *args):
+    """Result, or the exception type and its exact payload."""
+    try:
+        return ("ok", fn(*args))
+    except Infeasible as exc:
+        return ("infeasible", exc.violator, exc.deficit)
+    except (CertificateError, ArithmeticError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+# --- random instances --------------------------------------------------------
+
+finite = st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(lambda v: v * HUGE + v))
+
+# Base values, weighted toward -inf and small values so that about half
+# of the instances are feasible and the fixing loop runs to the end.
+BASE_VALUES = (NEG_INF, NEG_INF, NEG_INF, -2, -1, 0, 1, -HUGE - 1, -3 * HUGE, HUGE, POS_INF)
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = draw(st.lists(st.sampled_from(pairs), max_size=8)) if pairs else []
+    lower, upper = [], []
+    for _ in arcs:
+        a, b = sorted((draw(finite), draw(finite)))
+        lower.append(NEG_INF if draw(st.integers(0, 5)) == 0 else a)
+        upper.append(POS_INF if draw(st.integers(0, 5)) == 0 else b)
+    # one draw for the whole table keeps generation cheap at 2^6 entries
+    rng = random.Random(draw(st.integers(0, 1 << 32)))
+    table = [0] * (1 << n)
+    for m in range(1, (1 << n) - 1):
+        table[m] = rng.choice(BASE_VALUES)
+    return Instance(Digraph(n, tuple(arcs)), Bounds(tuple(lower), tuple(upper)),
+                    BaseOracle.from_table(n, table))
+
+
+def fresh(inst):
+    """Same instance without the cached slack vector."""
+    return Instance(inst.digraph, inst.bounds, inst.base, inst.focus)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(instances(), st.randoms(use_true_random=False))
+def test_scans_match_reference(inst, rng):
+    assert outcome(find_violator, fresh(inst)) == outcome(ref_find_violator, inst)
+    got = outcome(find_feasible, fresh(inst))
+    assert got == outcome(ref_find_feasible, inst)
+    m = inst.digraph.arc_count
+    candidates = [tuple(rng.choice((-1, 0, 1, HUGE)) for _ in range(m))]
+    if got[0] == "ok":
+        x = got[1]
+        candidates.append(x)
+        for e in range(m):
+            candidates.append(x[:e] + (x[e] + rng.choice((-1, 1)),) + x[e + 1:])
+    for x in candidates:
+        assert membership(inst, x) == ref_membership(inst, x)
+
+
+# --- fixed cases ------------------------------------------------------------
+
+def ring(n, lower, upper):
+    d = Digraph(n, tuple((v, (v + 1) % n) for v in range(n)))
+    return d, Bounds((lower,) * n, (upper,) * n)
+
+
+class TestExactness:
+    def test_huge_bounds_take_python_ints(self):
+        d, b = ring(4, -HUGE, 3 * HUGE)
+        inst = Instance(d, b, BaseOracle.from_table(4, [0] + [-HUGE] * 14 + [0]))
+        assert inst.slack.fin.dtype == object
+        assert find_violator(inst) is None
+        x = find_feasible(inst)
+        assert x == ref_find_feasible(inst)
+        assert all(type(v) is int for v in x)
+
+    def test_huge_base_values_match(self):
+        d, b = ring(3, 0, 1)
+        table = [0, HUGE, -HUGE, 0, 0, 5 * HUGE, 0, 0]
+        inst = Instance(d, b, BaseOracle.from_table(3, table))
+        assert find_violator(inst) == ref_find_violator(inst) == (0b001, 1 - HUGE)
+
+    def test_small_values_stay_int64(self):
+        d, b = ring(5, 0, 2)
+        inst = Instance(d, b, BaseOracle.zero(5))
+        assert inst.slack.fin.dtype == np.int64
+
+    def test_fixing_promotes_when_values_grow(self):
+        # the first fixed value is about -2^61, which pushes the bound on
+        # the slack vector past int64 before the second arc is fixed
+        a = HUGE >> 2
+        d = Digraph(2, ((1, 0), (0, 1)))
+        inst = Instance(d, Bounds((NEG_INF, 0), (POS_INF, 5)),
+                        BaseOracle.from_table(2, [0, -a, a, 0]))
+        assert inst.slack.fin.dtype == np.int64
+        assert find_feasible(inst) == ref_find_feasible(inst) == (5 - a, 5)
+
+    def test_opposite_infinities_raise_like_scalars(self):
+        d = Digraph(2, ((0, 1),))
+        inst = Instance(d, Bounds((0,), (POS_INF,)),
+                        BaseOracle.from_table(2, [0, 0, POS_INF, 0]))
+        with pytest.raises(ArithmeticError):
+            ref_find_violator(inst)
+        with pytest.raises(ArithmeticError):
+            find_violator(inst)
+
+
+class TestTables:
+    def test_subset_sums_match_loop(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            vec = [rng.choice((-2, 0, 3, HUGE, -HUGE)) for _ in range(rng.randint(0, 6))]
+            expected = [sum(vec[v] for v in range(len(vec)) if (m >> v) & 1)
+                        for m in range(1 << len(vec))]
+            assert subset_sums(vec).tolist() == expected
+
+    def test_cut_difference_matches_sums(self):
+        rng = random.Random(6)
+        for _ in range(50):
+            n = rng.randint(1, 5)
+            pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            arcs = tuple(rng.choice(pairs) for _ in range(rng.randint(0, 7))) if pairs else ()
+            lower = tuple(rng.choice((NEG_INF, -1, 0, -HUGE)) for _ in arcs)
+            upper = tuple(rng.choice((POS_INF, 1, 2, HUGE)) for _ in arcs)
+            d = Digraph(n, arcs)
+            fn = cut_difference(d, Bounds(lower, upper))
+            for z in range(1 << n):
+                want = cut_in_sum(d, upper, z) - cut_out_sum(d, lower, z)
+                assert fn(z) == want and type(fn(z)) is type(want)
+
+    def test_envelope_matches_pointwise_minimum(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            pts = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(1, 6))]
+            env = envelope_setfn(pts, n)
+            assert all(env(m) == envelope_value(pts, m) for m in range(1 << n))
+
+    def test_newton_tables_match_scalar_definitions(self):
+        rng = random.Random(8)
+        for _ in range(30):
+            n = rng.randint(2, 5)
+            arcs = tuple((u, v) for u in range(n) for v in range(n) if u != v)
+            lower = tuple(rng.randint(-2, 0) for _ in arcs)
+            upper = tuple(rng.choice((1, 2, POS_INF)) for _ in arcs)
+            table = [0] + [rng.choice((-1, 0, NEG_INF)) for _ in range((1 << n) - 2)] + [0]
+            d = Digraph(n, arcs)
+            probe = Instance(d, Bounds(lower, upper), BaseOracle.from_table(n, table))
+            top = {e for e in range(len(arcs)) if rng.random() < 0.5}
+            h, b = _nd_slack_fn(probe), _nd_entering_fn(probe, top)
+            for m in range(1 << n):
+                assert h(m) == -ref_cut_slack(probe, m)
+                assert b(m) == sum(1 for e in top
+                                   if (m >> arcs[e][1]) & 1 and not (m >> arcs[e][0]) & 1)
+
+    def test_exchange_capacity_huge_values(self):
+        base = BaseOracle(2, SetFn(2, table=[0, -HUGE, -HUGE, 0]))
+        assert exchange_capacity(base, (HUGE, -HUGE), 0, 1) == 2 * HUGE
