@@ -14,10 +14,8 @@ from .core import (
     POS_INF,
     chain_classify,
     chain_entering_count,
-    cut_in_count,
     cut_in_sum,
     cut_net,
-    cut_out_count,
     cut_out_sum,
     decmin_compare,
 )

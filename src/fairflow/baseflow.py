@@ -119,6 +119,13 @@ class DualPotential:
     def __getitem__(self, v: int) -> int:
         return self.values[v]
 
+    def level_sets(self) -> list:
+        """The distinct upper level sets {v : pi_v >= c} over c >= 1, as
+        bitmasks, highest level (innermost set) first.  One per distinct
+        positive potential, however large the potentials are."""
+        return [sum(1 << v for v, val in enumerate(self.values) if val >= level)
+                for level in sorted({v for v in self.values if v > 0}, reverse=True)]
+
 
 def cut_slack(inst: Instance, zmask: int) -> ExtInt:
     """Feasibility slack of one subset: upper in-cut - lower out-cut - p."""
@@ -262,19 +269,16 @@ def _blocked_exchange_pairs(base: BaseOracle, psi: Sequence[int]) -> set:
     """Pairs (s, t) for which psi + chi_s - chi_t leaves the base.
 
     Moving a unit from t to s hurts exactly the subsets containing t and
-    avoiding s, so the move is blocked iff one of them is tight.
+    avoiding s, so the move is blocked iff s lies outside the intersection
+    of the tight sets containing t.
     """
-    blocked = set()
     p = base.values
-    tight = (subset_sums(psi) == p.fin) & ~p.pos & ~p.neg
-    n = base.n
-    nodes = range(n)
-    for m in (np.flatnonzero(tight[1:-1]) + 1).tolist():  # proper nonempty
-        inside = [v for v in nodes if (m >> v) & 1]
-        outside = [v for v in nodes if not (m >> v) & 1]
-        for t in inside:
-            for s in outside:
-                blocked.add((s, t))
+    tight = np.flatnonzero((subset_sums(psi) == p.fin) & ~p.pos & ~p.neg)
+    blocked = set()
+    for t in range(base.n):
+        meet = int(np.bitwise_and.reduce(tight[(tight >> t) & 1 == 1],
+                                         initial=(1 << base.n) - 1))
+        blocked.update((s, t) for s in range(base.n) if not (meet >> s) & 1)
     return blocked
 
 
@@ -382,17 +386,8 @@ def verify_optimality(inst: Instance, cost: Sequence[int], x: Sequence[int],
             raise CertificateError(f"arc {e}: rise {delta} exceeds cost with slack above")
         if x[e] > b.lower[e] and not delta >= cost[e]:
             raise CertificateError(f"arc {e}: rise {delta} below cost with slack below")
-    if not pi.values:
-        return
-    d = inst.digraph
-    p = inst.base.p
-    top = max(pi.values)
-    for level in range(1, top + 1):
-        zmask = 0
-        for v, val in enumerate(pi.values):
-            if val >= level:
-                zmask |= 1 << v
-        if cut_net(d, x, zmask) != p(zmask):
+    for zmask in reversed(pi.level_sets()):  # outermost first
+        if cut_net(inst.digraph, x, zmask) != inst.base.p(zmask):
             raise CertificateError(f"potential level set {zmask:b} not tight")
 
 

@@ -300,6 +300,8 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     parsed = parse_instance(_load(args.path))
     inst = parsed.instance
+    if args.min_cost and inst.cost is None:
+        raise ParseError("--min-cost requires per-arc costs in the input")
     cert = check_feasible(inst)
     if not cert.feasible:
         _emit({"violator": parsed.mask_names(cert.violator),
@@ -326,8 +328,6 @@ def cmd_solve(args) -> int:
         "witness": parsed.flow_doc(result.witness),
     }
     if args.min_cost:
-        if inst.cost is None:
-            raise ParseError("--min-cost requires per-arc costs in the input")
         x = solve_min_cost_decmin(finite, inst.cost)
         out["min_cost_witness"] = parsed.flow_doc(x)
         out["cost"] = sum(inst.cost[e] * x[e] for e in range(len(x)))

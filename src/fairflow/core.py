@@ -220,28 +220,6 @@ class Chain:
         return cls(node_count, ())
 
 
-def cut_in_count(digraph: Digraph, arc_ids: Iterable[int], zmask: int) -> int:
-    """Number of listed arcs entering the node set (head in, tail out)."""
-    count = 0
-    arcs = digraph.arcs
-    for e in arc_ids:
-        t, h = arcs[e]
-        if (zmask >> h) & 1 and not (zmask >> t) & 1:
-            count += 1
-    return count
-
-
-def cut_out_count(digraph: Digraph, arc_ids: Iterable[int], zmask: int) -> int:
-    """Number of listed arcs leaving the node set (tail in, head out)."""
-    count = 0
-    arcs = digraph.arcs
-    for e in arc_ids:
-        t, h = arcs[e]
-        if (zmask >> t) & 1 and not (zmask >> h) & 1:
-            count += 1
-    return count
-
-
 def cut_in_sum(digraph: Digraph, values: Sequence[ExtInt], zmask: int) -> ExtInt:
     """Sum of values over arcs entering the set; infinities absorb."""
     total: ExtInt = 0

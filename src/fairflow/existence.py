@@ -15,14 +15,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .core import (
-    NEG_INF,
-    POS_INF,
-    all_subsets,
-    cut_in_sum,
-    cut_out_sum,
-    is_finite,
-)
+import numpy as np
+
+from .core import NEG_INF, POS_INF, is_finite
 from .baseflow import Instance, find_feasible, membership
 
 
@@ -46,15 +41,11 @@ class JumpStructure:
 
 def build_jump_structure(inst: Instance) -> JumpStructure:
     n = inst.digraph.node_count
-    p = inst.base.p
-    finite_masks = [m for m in all_subsets(n) if is_finite(p(m))]
-    principal = []
-    for u in range(n):
-        acc = (1 << n) - 1
-        for m in finite_masks:
-            if (m >> u) & 1:
-                acc &= m
-        principal.append(acc)
+    p = inst.base.values
+    finite_masks = np.flatnonzero(~(p.pos | p.neg))
+    principal = [int(np.bitwise_and.reduce(finite_masks[(finite_masks >> u) & 1 == 1],
+                                           initial=(1 << n) - 1))
+                 for u in range(n)]
     jumping = []
     arcs: List[DStarArc] = []
     for u in range(n):
@@ -175,22 +166,18 @@ def finitize_bounds(inst: Instance) -> Instance:
             bounds = bounds.with_upper(updates)
     work = inst.with_bounds(bounds)
     js = build_jump_structure(work)
-    d = inst.digraph
-    p = inst.base.p
     lower_updates = {}
     for e in sorted(inst.focus):
         if bounds.lower[e] is not NEG_INF:
             continue
-        tail, head = d.arcs[e]
+        tail, head = inst.digraph.arcs[e]
         smask = _reachable(js, head)
         if (smask >> tail) & 1:
             raise ValueError("blocking dicircuit present: no finite reduction exists")
-        pz = p(smask)
-        rho = cut_in_sum(d, bounds.upper, smask)
-        delta = cut_out_sum(d, bounds.lower, smask)
-        if not (is_finite(pz) and is_finite(rho) and is_finite(delta)):
+        if work.slack.pos[smask] or work.slack.neg[smask]:
             raise ValueError("reachable-set bound is not finite; structure broken")
-        lower_updates[e] = pz - (rho - bounds.upper[e]) + delta
+        # e enters smask, so its cut inequality reads x_e >= upper[e] - slack
+        lower_updates[e] = bounds.upper[e] - work.slack.value(smask)
     if lower_updates:
         bounds = bounds.with_lower(lower_updates)
     return inst.with_bounds(bounds)

@@ -91,20 +91,9 @@ def extract_chain(pi: DualPotential, node_count: int) -> Chain:
     multiplicity never decreases the dual value on a feasible instance),
     so the chain is recorded with 0/1 weights.
     """
-    values = pi.values
-    if len(values) != node_count:
+    if len(pi.values) != node_count:
         raise ValueError("potential length mismatch")
-    top = max(values) if values else 0
-    members = []
-    for level in range(top, 0, -1):  # innermost (highest level) first
-        zmask = 0
-        for v, val in enumerate(values):
-            if val >= level:
-                zmask |= 1 << v
-        if members and members[-1] == zmask:
-            continue
-        members.append(zmask)
-    return Chain(node_count, tuple(members))
+    return Chain(node_count, tuple(pi.level_sets()))
 
 
 def derive_bounds(inst: Instance, L, chain: Chain) -> Bounds:

@@ -18,10 +18,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Bounds, Digraph, cut_in_count, cut_out_count
+from .core import Bounds, Digraph
 from .baseflow import Instance
 from .decmin import solve_decmin, solve_min_cost_decmin
-from .setfn import BaseOracle, subset_sums
+from .setfn import BaseOracle, ExtArray, subset_sums
 
 
 class OrientationInfeasible(Exception):
@@ -96,14 +96,19 @@ def cut_certificate(mg: MixedGraph) -> Optional[int]:
     infeasibility.  Necessary condition only; None does not imply a
     feasible orientation exists.
     """
-    fixed = Digraph(mg.node_count, mg.arcs)
-    for m in range(1, (1 << mg.node_count) - 1):
-        rho = cut_in_count(fixed, fixed.arc_ids(), m)
-        delta = cut_out_count(fixed, fixed.arc_ids(), m)
-        cross = sum(1 for u, v in mg.edges if ((m >> u) & 1) != ((m >> v) & 1))
-        if cross < max(0, mg.k - rho) + max(0, mg.k - delta):
-            return m
-    return None
+    n = mg.node_count
+    zero = ExtArray.from_values([0] * (1 << n))
+
+    def unit_cut(pairs, upper, lower):  # pairs entering * upper - leaving * lower
+        return zero.plus_cut(Digraph(n, pairs), (upper,) * len(pairs),
+                             (lower,) * len(pairs)).fin
+
+    rho, delta = unit_cut(mg.arcs, 1, 0), unit_cut(mg.arcs, 0, -1)
+    cross = unit_cut(mg.edges, 1, -1)
+    # a larger k fails every cut already, so capping it keeps int64 exact
+    k = min(mg.k, len(mg.arcs) + len(mg.edges) + 1)
+    bad = (cross < np.maximum(0, k - rho) + np.maximum(0, k - delta))[1:-1]
+    return int(bad.argmax()) + 1 if bad.any() else None
 
 
 def encode(mg: MixedGraph, degree_bounds: Optional[Dict[int, Tuple[int, int]]] = None

@@ -8,7 +8,15 @@ the pointwise-minimum envelope of an enumerated base polyhedron, and face
 contraction of a base oracle along a chain.
 
 Whole-table computations (subset sums, cut values, slacks) run on numpy
-arrays indexed by bitmask: see `subset_sums` and `ExtArray`.
+arrays indexed by bitmask: see `subset_sums` and `ExtArray`.  Their users
+are `Instance.slack` (the violator scan, coordinate fixing, the finitized
+lower bounds and the Newton tables), `BaseOracle.contains` (membership),
+`BaseOracle.face_contract`, the principal sets of
+`existence.build_jump_structure`, the blocked exchange pairs of
+`min_cost_flow`, `exchange_capacity`, `envelope_setfn`, and the in-degree
+and cut counts of `orient`.  Scans behind the `SetFn` oracle
+(`brute_extremize`, the Newton ratio search) stay one subset at a time, so
+that a submodular-function minimizer can replace them.
 """
 
 from __future__ import annotations
@@ -162,37 +170,11 @@ class SetFn:
         return cls(len(vec), table=subset_sums(vec).tolist())
 
 
-def _check_pairwise(fn: SetFn, supermodular: bool):
-    """Exhaustive modularity check; returns (ok, witness pair or None)."""
-    if not fn.has_table:
-        raise ValueError("dense table required for exhaustive check")
-    t = fn.table
-    size = 1 << fn.n
-    for x in range(size):
-        for y in range(x + 1, size):
-            meet = x & y
-            if meet == x or meet == y:
-                continue  # nested pairs hold trivially
-            lhs = t[x] + t[y]
-            rhs = t[meet] + t[x | y]
-            if supermodular:
-                if not lhs <= rhs:
-                    return False, (x, y)
-            else:
-                if not lhs >= rhs:
-                    return False, (x, y)
-    return True, None
-
-
-def check_fully_supermodular(fn: SetFn):
-    return _check_pairwise(fn, supermodular=True)
-
-
-def check_fully_submodular(fn: SetFn):
-    return _check_pairwise(fn, supermodular=False)
-
-
-def _check_restricted(fn: SetFn, supermodular: bool, crossing: bool):
+def _check_pairs(fn: SetFn, supermodular: bool, family: str = "all"):
+    """Exhaustive check of the super- or submodular inequality over the
+    non-nested pairs of a family: "all" of them, the "intersecting" ones
+    (meet nonempty), or the "crossing" ones (also union not the full set).
+    Returns (ok, first violating pair in scan order or None)."""
     if not fn.has_table:
         raise ValueError("dense table required for exhaustive check")
     t = fn.table
@@ -201,27 +183,33 @@ def _check_restricted(fn: SetFn, supermodular: bool, crossing: bool):
     for x in range(size):
         for y in range(x + 1, size):
             meet = x & y
-            if meet == 0 or meet == x or meet == y:
-                continue  # not properly intersecting
-            if crossing and (x | y) == full:
+            if meet == x or meet == y:
+                continue  # nested pairs hold trivially
+            if family != "all" and meet == 0:
+                continue
+            if family == "crossing" and (x | y) == full:
                 continue
             lhs = t[x] + t[y]
             rhs = t[meet] + t[x | y]
-            if supermodular:
-                if not lhs <= rhs:
-                    return False, (x, y)
-            else:
-                if not lhs >= rhs:
-                    return False, (x, y)
+            if not (lhs <= rhs if supermodular else lhs >= rhs):
+                return False, (x, y)
     return True, None
 
 
+def check_fully_supermodular(fn: SetFn):
+    return _check_pairs(fn, supermodular=True)
+
+
+def check_fully_submodular(fn: SetFn):
+    return _check_pairs(fn, supermodular=False)
+
+
 def check_intersecting_supermodular(fn: SetFn):
-    return _check_restricted(fn, supermodular=True, crossing=False)
+    return _check_pairs(fn, supermodular=True, family="intersecting")
 
 
 def check_crossing_supermodular(fn: SetFn):
-    return _check_restricted(fn, supermodular=True, crossing=True)
+    return _check_pairs(fn, supermodular=True, family="crossing")
 
 
 def complement(fn: SetFn) -> SetFn:
@@ -356,22 +344,24 @@ class BaseOracle:
             raise ValueError("chain ground size mismatch")
         if len(chain) == 0:
             return self
-        full = (1 << self.n) - 1
-        p = self.p
-        cuts = list(chain.members) + [full]
+        p = self.values
         for c in chain.members:
-            if not is_finite(p(c)):
+            if p.pos[c] or p.neg[c]:
                 raise ValueError("face chain member has infinite value")
-        table = []
-        for z in all_subsets(self.n):
-            total: ExtInt = 0
-            prev = 0
-            for c in cuts:
-                block = c & ~prev
-                total = total + (p(prev | (z & block)) - p(prev))
-                if not is_finite(total):
-                    break
-                prev = c
-            table.append(total)
-        face = SetFn(self.n, table=table)
+        bound = 2 * (len(chain) + 1) * p.bound
+        src = p.fin.astype(int_dtype(bound))
+        masks = np.arange(1 << self.n)
+        fin = np.zeros_like(src)
+        pos = np.zeros(len(masks), dtype=bool)
+        neg = np.zeros_like(pos)
+        prev = 0
+        for c in (*chain.members, (1 << self.n) - 1):
+            idx = prev | (masks & (c & ~prev))  # C_{i-1} | (Z & S_i), every Z
+            open_ = ~(pos | neg)  # the first infinite term decides an entry
+            pos |= open_ & p.pos[idx]
+            neg |= open_ & p.neg[idx]
+            fin += src[idx] - src[prev]
+            prev = c
+        fin[pos | neg] = 0
+        face = SetFn(self.n, table=ExtArray(fin, pos, neg, bound).tolist())
         return BaseOracle(self.n, face, self.face_chains + (chain,))

@@ -102,6 +102,31 @@ class TestSolve:
         code, _ = run(capsys, "solve", path("infeasible.json"))
         assert code == EXIT_INFEASIBLE
 
+    def test_min_cost_without_costs_rejected_before_solving(self, capsys):
+        code, out = run(capsys, "solve", path("infeasible.json"), "--min-cost")
+        assert code == EXIT_INPUT and out == ""
+
+    def test_min_cost_with_huge_potentials(self, capsys, tmp_path):
+        # the optimal potentials differ by the cost, 10^12: certificate
+        # checking must not walk every level between them
+        cost = 10 ** 12
+        doc = {
+            "nodes": ["a", "b"],
+            "arcs": [
+                {"id": "e1", "tail": "a", "head": "b", "f": 0, "g": 5, "cost": cost},
+                {"id": "e2", "tail": "b", "head": "a", "f": 1, "g": 5, "cost": 0},
+            ],
+            "F": ["e1", "e2"],
+            "base": {"type": "zero"},
+        }
+        p = tmp_path / "huge_cost.json"
+        p.write_text(json.dumps(doc))
+        code, out = run(capsys, "solve", str(p), "--min-cost")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert doc["min_cost_witness"] == {"e1": 1, "e2": 1}
+        assert doc["cost"] == cost
+
     def test_deterministic_output(self, capsys):
         _, a = run(capsys, "solve", path("i6.json"), "--trace")
         _, b = run(capsys, "solve", path("i6.json"), "--trace")

@@ -2,10 +2,12 @@
 
 The reference functions below are the scalar scans the engine used before
 the layer existed: one cut sum per subset for the violator scan, the
-O(m^2 2^n) coordinate-fixing loop, and membership by one net cut per
-subset.  Results must be identical, including the exception raised, on
-random digraphs with infinite bounds, -inf base values and magnitudes of
-2^63 and more (which force the Python-int path).
+O(m^2 2^n) coordinate-fixing loop, membership by one net cut per subset,
+face contraction one subset and one chain block at a time, the principal
+sets, the finitized lower bounds, the blocked exchange pairs and the
+orientation cut certificate.  Results must be identical, including the
+exception raised, on random digraphs with infinite bounds, -inf base
+values and magnitudes of 2^63 and more (which force the Python-int path).
 """
 
 import random
@@ -17,23 +19,33 @@ from hypothesis import strategies as st
 
 from fairflow.core import (
     Bounds,
+    Chain,
     Digraph,
     NEG_INF,
     POS_INF,
     cut_in_sum,
     cut_net,
     cut_out_sum,
+    is_finite,
 )
 from fairflow.baseflow import (
     CertificateError,
     Infeasible,
     Instance,
+    _blocked_exchange_pairs,
     exchange_capacity,
     find_feasible,
     find_violator,
     membership,
 )
 from fairflow.decmin import _nd_entering_fn, _nd_slack_fn
+from fairflow.existence import (
+    _reachable,
+    build_jump_structure,
+    finitize_bounds,
+    has_blocking_dicircuit,
+)
+from fairflow.orient import MixedGraph, cut_certificate
 from fairflow.setfn import (
     BaseOracle,
     SetFn,
@@ -125,13 +137,111 @@ def ref_find_feasible(inst):
     return x
 
 
+def ref_face_table(base, chain):
+    full = (1 << base.n) - 1
+    p = base.p
+    cuts = list(chain.members) + [full]
+    for c in chain.members:
+        if not is_finite(p(c)):
+            raise ValueError("face chain member has infinite value")
+    table = []
+    for z in range(1 << base.n):
+        total = 0
+        prev = 0
+        for c in cuts:
+            block = c & ~prev
+            total = total + (p(prev | (z & block)) - p(prev))
+            if not is_finite(total):
+                break
+            prev = c
+        table.append(total)
+    return table
+
+
+def ref_principal(inst):
+    n = inst.digraph.node_count
+    p = inst.base.p
+    finite_masks = [m for m in range(1 << n) if is_finite(p(m))]
+    principal = []
+    for u in range(n):
+        acc = (1 << n) - 1
+        for m in finite_masks:
+            if (m >> u) & 1:
+                acc &= m
+        principal.append(acc)
+    return tuple(principal)
+
+
+def ref_finitize_bounds(inst):
+    js0 = build_jump_structure(inst)
+    if has_blocking_dicircuit(js0, inst.focus) is not None:
+        raise ValueError("blocking dicircuit present: no finite reduction exists")
+    witness = find_feasible(inst)
+    bounds = inst.bounds
+    if witness:
+        cap = max(witness)
+        updates = {}
+        for e in inst.focus:
+            hi = bounds.upper[e]
+            if not is_finite(hi) or hi > cap:
+                updates[e] = cap
+        if updates:
+            bounds = bounds.with_upper(updates)
+    js = build_jump_structure(inst.with_bounds(bounds))
+    d = inst.digraph
+    p = inst.base.p
+    lower_updates = {}
+    for e in sorted(inst.focus):
+        if bounds.lower[e] is not NEG_INF:
+            continue
+        tail, head = d.arcs[e]
+        smask = _reachable(js, head)
+        if (smask >> tail) & 1:
+            raise ValueError("blocking dicircuit present: no finite reduction exists")
+        pz = p(smask)
+        rho = cut_in_sum(d, bounds.upper, smask)
+        delta = cut_out_sum(d, bounds.lower, smask)
+        if not (is_finite(pz) and is_finite(rho) and is_finite(delta)):
+            raise ValueError("reachable-set bound is not finite; structure broken")
+        lower_updates[e] = pz - (rho - bounds.upper[e]) + delta
+    if lower_updates:
+        bounds = bounds.with_lower(lower_updates)
+    return bounds
+
+
+def ref_blocked_exchange_pairs(base, psi):
+    blocked = set()
+    n = base.n
+    for m in range(1, (1 << n) - 1):
+        pz = base.p(m)
+        if not is_finite(pz) or sum(psi[v] for v in range(n) if (m >> v) & 1) != pz:
+            continue
+        for t in range(n):
+            for s in range(n):
+                if (m >> t) & 1 and not (m >> s) & 1:
+                    blocked.add((s, t))
+    return blocked
+
+
+def ref_cut_certificate(mg):
+    for m in range(1, (1 << mg.node_count) - 1):
+        def inside(v):
+            return (m >> v) & 1
+        rho = sum(1 for u, v in mg.arcs if inside(v) and not inside(u))
+        delta = sum(1 for u, v in mg.arcs if inside(u) and not inside(v))
+        cross = sum(1 for u, v in mg.edges if inside(u) != inside(v))
+        if cross < max(0, mg.k - rho) + max(0, mg.k - delta):
+            return m
+    return None
+
+
 def outcome(fn, *args):
     """Result, or the exception type and its exact payload."""
     try:
         return ("ok", fn(*args))
     except Infeasible as exc:
         return ("infeasible", exc.violator, exc.deficit)
-    except (CertificateError, ArithmeticError) as exc:
+    except (CertificateError, ArithmeticError, ValueError) as exc:
         return (type(exc).__name__, str(exc))
 
 
@@ -185,6 +295,62 @@ def test_scans_match_reference(inst, rng):
         assert membership(inst, x) == ref_membership(inst, x)
 
 
+def random_chain(rng, n):
+    """Prefixes of a random node order, cut at random positions."""
+    order = rng.sample(range(n), n)
+    members, mask = [], 0
+    for v in order[:-1]:
+        mask |= 1 << v
+        if rng.random() < 0.5:
+            members.append(mask)
+    return Chain(n, tuple(members))
+
+
+def typed(values):
+    return [(type(v), v) for v in values]
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(instances(), st.randoms(use_true_random=False))
+def test_family_scans_match_reference(inst, rng):
+    n, m = inst.digraph.node_count, inst.digraph.arc_count
+    base = inst.base
+    chain = random_chain(rng, n)
+    got = outcome(lambda: typed(base.face_contract(chain).p.table))
+    assert got == outcome(lambda: typed(ref_face_table(base, chain)))
+    assert build_jump_structure(inst).principal == ref_principal(inst)
+    # finitization wants feasible instances with lower-unbounded focus
+    # arcs: open some lower bounds and draw the base from values <= 0
+    focus = frozenset(e for e in range(m) if rng.random() < 0.7)
+    lower = tuple(NEG_INF if e in focus and rng.random() < 0.5 else lo
+                  for e, lo in enumerate(inst.bounds.lower))
+    table = [0] + [rng.choice((NEG_INF, NEG_INF, -1, -HUGE, 0))
+                   for _ in range((1 << n) - 2)] + [0]
+    focused = Instance(inst.digraph, Bounds(lower, inst.bounds.upper),
+                       BaseOracle.from_table(n, table), focus)
+    assert (outcome(lambda: finitize_bounds(fresh(focused)).bounds)
+            == outcome(ref_finitize_bounds, focused))
+    # a base with many sets tight at psi, so that pairs do get blocked
+    psi = [rng.choice((-2, 0, 1, HUGE)) for _ in range(n)]
+    psi[-1] -= sum(psi)
+    sums = subset_sums(psi).tolist()
+    table = [0] + [rng.choice((sums[z], sums[z], sums[z] - 1, NEG_INF, POS_INF))
+                   for z in range(1, (1 << n) - 1)] + [0]
+    tight_base = BaseOracle.from_table(n, table)
+    assert _blocked_exchange_pairs(tight_base, psi) == ref_blocked_exchange_pairs(tight_base, psi)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6), st.one_of(st.integers(1, 4), st.just(HUGE)),
+       st.randoms(use_true_random=False))
+def test_cut_certificate_matches_reference(n, k, rng):
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = tuple(rng.choice(pairs) for _ in range(rng.randint(0, 6))) if pairs else ()
+    edges = tuple(rng.choice(pairs) for _ in range(rng.randint(0, 8))) if pairs else ()
+    mg = MixedGraph(n, arcs, edges, k)
+    assert cut_certificate(mg) == ref_cut_certificate(mg)
+
+
 # --- fixed cases ------------------------------------------------------------
 
 def ring(n, lower, upper):
@@ -222,6 +388,24 @@ class TestExactness:
                         BaseOracle.from_table(2, [0, -a, a, 0]))
         assert inst.slack.fin.dtype == np.int64
         assert find_feasible(inst) == ref_find_feasible(inst) == (5 - a, 5)
+
+    def test_face_contract_huge_and_infinite_values(self):
+        table = [0, -HUGE, 3 * HUGE, NEG_INF, 2, -5 * HUGE, NEG_INF, 0]
+        base = BaseOracle.from_table(3, table)
+        chain = Chain(3, (0b001,))
+        face = base.face_contract(chain).p.table
+        assert typed(face) == typed(ref_face_table(base, chain))
+        assert face[0b100] == -4 * HUGE and face[0b110] == HUGE
+        assert face[0b010] is NEG_INF
+
+    def test_face_contract_first_infinite_block_decides(self):
+        table = [0] * 16
+        table[0b0001], table[0b0111] = POS_INF, NEG_INF
+        base = BaseOracle.from_table(4, table)
+        chain = Chain(4, (0b0011,))
+        face = base.face_contract(chain).p.table
+        assert typed(face) == typed(ref_face_table(base, chain))
+        assert face[0b0101] is POS_INF and face[0b0100] is NEG_INF
 
     def test_opposite_infinities_raise_like_scalars(self):
         d = Digraph(2, ((0, 1),))
