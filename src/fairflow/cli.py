@@ -22,8 +22,8 @@ from .core import (
     is_finite,
     mask_nodes,
 )
-from .baseflow import CertificateError, Infeasible, Instance, check_feasible
-from .decmin import solve_decmin, solve_min_cost_decmin
+from .baseflow import CertificateError, Infeasible, Instance, check_feasible, min_cost_flow
+from .decmin import solve_decmin
 from .existence import build_jump_structure, finitize_bounds, has_blocking_dicircuit
 from .lupmin import lupmin_solve
 from .oracle import (
@@ -176,14 +176,15 @@ def _parse_base(doc: dict, names: List[str], node_index: Dict[str, int]) -> Base
             members = [] if key == "" else key.split(",")
             mask = 0
             for name in members:
-                if name not in node_index:
+                if (bit := node_index.get(name)) is None:
                     raise ParseError(f"base.p: unknown node {name!r} in key {key!r}")
-                if (mask >> node_index[name]) & 1:
+                if (mask >> bit) & 1:
                     raise ParseError(f"base.p: repeated node in key {key!r}")
-                mask |= 1 << node_index[name]
+                mask |= 1 << bit
             if sorted(members) != members:
                 raise ParseError(f"base.p: key {key!r} must list sorted names")
-            v = _parse_extint(raw, f"base.p[{key!r}]")
+            # plain integers skip the parser, and with it building its message
+            v = raw if type(raw) is int else _parse_extint(raw, f"base.p[{key!r}]")
             if v is POS_INF:
                 raise ParseError("base.p: +inf values not allowed")
             table[mask] = v
@@ -328,7 +329,7 @@ def cmd_solve(args) -> int:
         "witness": parsed.flow_doc(result.witness),
     }
     if args.min_cost:
-        x = solve_min_cost_decmin(finite, inst.cost)
+        x, _ = min_cost_flow(result.final, inst.cost)
         out["min_cost_witness"] = parsed.flow_doc(x)
         out["cost"] = sum(inst.cost[e] * x[e] for e in range(len(x)))
     if args.trace:

@@ -129,10 +129,6 @@ class Digraph:
     def arc_count(self) -> int:
         return len(self.arcs)
 
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.node_count) - 1
-
     def arc_ids(self) -> range:
         return range(len(self.arcs))
 

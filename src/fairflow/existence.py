@@ -66,16 +66,24 @@ def build_jump_structure(inst: Instance) -> JumpStructure:
     return JumpStructure(n, tuple(principal), tuple(jumping), a1, a2, tuple(arcs))
 
 
-def _reachable(js: JumpStructure, start: int) -> int:
-    seen = 1 << start
+def _search(js: JumpStructure, start: int, target: Optional[int] = None) -> dict:
+    """Breadth-first search from `start`: the parent arc of every node
+    reached (None for `start`), stopping as soon as `target` is reached."""
+    parent = {start: None}
     queue = deque([start])
     while queue:
         u = queue.popleft()
         for arc in js.arcs:
-            if arc.tail == u and not (seen >> arc.head) & 1:
-                seen |= 1 << arc.head
+            if arc.tail == u and arc.head not in parent:
+                parent[arc.head] = arc
+                if arc.head == target:
+                    return parent
                 queue.append(arc.head)
-    return seen
+    return parent
+
+
+def _reachable(js: JumpStructure, start: int) -> int:
+    return sum(1 << v for v in _search(js, start))
 
 
 def has_blocking_dicircuit(js: JumpStructure, focus) -> Optional[tuple]:
@@ -87,34 +95,16 @@ def has_blocking_dicircuit(js: JumpStructure, focus) -> Optional[tuple]:
     """
     focus = frozenset(focus)
     for seed in js.arcs:
-        if seed.kind != "lower-inf" or seed.arc_id not in focus:
+        if seed.kind != "lower-inf" or seed.arc_id not in focus or seed.head == seed.tail:
             continue
-        target = seed.tail
-        start = seed.head
-        if start == target:
+        parent = _search(js, seed.head, seed.tail)
+        if seed.tail not in parent:
             continue
-        parent = {start: None}
-        queue = deque([start])
-        found = False
-        while queue and not found:
-            u = queue.popleft()
-            for arc in js.arcs:
-                if arc.tail == u and arc.head not in parent:
-                    parent[arc.head] = arc
-                    if arc.head == target:
-                        found = True
-                        break
-                    queue.append(arc.head)
-        if not found:
-            continue
-        path = []
-        node = target
+        path, node = [], seed.tail
         while parent[node] is not None:
-            arc = parent[node]
-            path.append(arc)
-            node = arc.tail
-        path.reverse()
-        return (seed,) + tuple(path)
+            path.append(parent[node])
+            node = parent[node].tail
+        return (seed, *reversed(path))
     return None
 
 
@@ -150,8 +140,9 @@ def finitize_bounds(inst: Instance) -> Instance:
     value from below with finite data.  Requires that no blocking dicircuit
     exists.
     """
-    js0 = build_jump_structure(inst)
-    if has_blocking_dicircuit(js0, inst.focus) is not None:
+    # truncating focus upper bounds below leaves the auxiliary digraph as is
+    js = build_jump_structure(inst)
+    if has_blocking_dicircuit(js, inst.focus) is not None:
         raise ValueError("blocking dicircuit present: no finite reduction exists")
     witness = find_feasible(inst)
     bounds = inst.bounds
@@ -165,7 +156,6 @@ def finitize_bounds(inst: Instance) -> Instance:
         if updates:
             bounds = bounds.with_upper(updates)
     work = inst.with_bounds(bounds)
-    js = build_jump_structure(work)
     lower_updates = {}
     for e in sorted(inst.focus):
         if bounds.lower[e] is not NEG_INF:

@@ -19,8 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import Bounds, Digraph
-from .baseflow import Instance
-from .decmin import solve_decmin, solve_min_cost_decmin
+from .baseflow import Instance, min_cost_flow
+from .decmin import solve_decmin
 from .setfn import BaseOracle, ExtArray, subset_sums
 
 
@@ -97,7 +97,7 @@ def cut_certificate(mg: MixedGraph) -> Optional[int]:
     feasible orientation exists.
     """
     n = mg.node_count
-    zero = ExtArray.from_values([0] * (1 << n))
+    zero = ExtArray.zeros(n)
 
     def unit_cut(pairs, upper, lower):  # pairs entering * upper - leaving * lower
         return zero.plus_cut(Digraph(n, pairs), (upper,) * len(pairs),
@@ -221,7 +221,7 @@ def decmin_orientation(mg: MixedGraph,
         cost = [0] * enc.instance.digraph.arc_count
         for j, (fwd, rev) in enumerate(edge_costs):
             cost[enc.flip_arcs[j]] = rev - fwd
-        x = solve_min_cost_decmin(enc.instance, tuple(cost))
+        x, _ = min_cost_flow(result.final, tuple(cost))
     else:
         x = result.witness
     return decode(enc, x)

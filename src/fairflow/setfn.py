@@ -8,21 +8,21 @@ the pointwise-minimum envelope of an enumerated base polyhedron, and face
 contraction of a base oracle along a chain.
 
 Whole-table computations (subset sums, cut values, slacks) run on numpy
-arrays indexed by bitmask: see `subset_sums` and `ExtArray`.  Their users
-are `Instance.slack` (the violator scan, coordinate fixing, the finitized
-lower bounds and the Newton tables), `BaseOracle.contains` (membership),
-`BaseOracle.face_contract`, the principal sets of
-`existence.build_jump_structure`, the blocked exchange pairs of
-`min_cost_flow`, `exchange_capacity`, `envelope_setfn`, and the in-degree
-and cut counts of `orient`.  Scans behind the `SetFn` oracle
-(`brute_extremize`, the Newton ratio search) stay one subset at a time, so
-that a submodular-function minimizer can replace them.
+arrays indexed by bitmask: see `subset_sums` and `ExtArray`.  A
+`BaseOracle` owns its bounding function as one `ExtArray`, built once by
+each constructor (`ExtArray.from_values`, the one list-to-array
+conversion, serves only `BaseOracle.from_table`); slacks, membership,
+face contraction, jump structures, exchange pairs and `orient` read it,
+and reference and certificate readers use the scalar view `BaseOracle.p`.
+Scans behind the `SetFn` oracle (`brute_extremize`, the Newton ratio
+search) stay one subset at a time, so that a submodular-function
+minimizer can replace them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -80,6 +80,17 @@ class ExtArray:
         return cls(np.array(fin, dtype=int_dtype(bound)),
                    np.array([v is POS_INF for v in values]),
                    np.array([v is NEG_INF for v in values]), bound)
+
+    @classmethod
+    def tight(cls, fin: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> "ExtArray":
+        """An array whose bound is max |fin|, in the dtype that bound picks."""
+        bound = int(np.abs(fin).max())
+        return cls(fin.astype(int_dtype(bound), copy=False), pos, neg, bound)
+
+    @classmethod
+    def zeros(cls, n: int) -> "ExtArray":
+        no_inf = np.zeros(1 << n, dtype=bool)
+        return cls(np.zeros(1 << n, dtype=np.int64), no_inf, no_inf, 0)
 
     def __neg__(self) -> "ExtArray":
         return ExtArray(-self.fin, self.neg, self.pos, self.bound)
@@ -162,10 +173,6 @@ class SetFn:
         return SetFn(self.n, table=[self._fn(m) for m in all_subsets(self.n)])
 
     @classmethod
-    def zero(cls, n: int) -> "SetFn":
-        return cls(n, table=[0] * (1 << n))
-
-    @classmethod
     def modular(cls, vec: Sequence[int]) -> "SetFn":
         return cls(len(vec), table=subset_sums(vec).tolist())
 
@@ -225,9 +232,8 @@ def complement(fn: SetFn) -> SetFn:
 
 def cut_difference(digraph: Digraph, bounds: Bounds) -> SetFn:
     """The fully submodular function Z -> (upper in-cut) - (lower out-cut)."""
-    n = digraph.node_count
-    zero = ExtArray.from_values([0] * (1 << n))
-    return SetFn(n, table=zero.plus_cut(digraph, bounds.upper, bounds.lower).tolist())
+    cut = ExtArray.zeros(digraph.node_count).plus_cut(digraph, bounds.upper, bounds.lower)
+    return SetFn(digraph.node_count, table=cut.tolist())
 
 
 def brute_extremize(fn: SetFn, mode: str = "max",
@@ -278,15 +284,17 @@ def envelope_value(points: Sequence[Sequence[int]], mask: int) -> ExtInt:
     return best
 
 
+def _envelope(points: Sequence[Sequence[int]]) -> np.ndarray:
+    """The envelope of every subset, indexed by bitmask."""
+    if not points:
+        raise ValueError("empty point list")
+    return reduce(np.minimum, map(subset_sums, points))
+
+
 def envelope_setfn(points: Sequence[Sequence[int]], n: int) -> SetFn:
     """Dense envelope; the unique fully supermodular function of the integral
     base polyhedron whose integral points are exactly the ones given."""
-    if not points:
-        raise ValueError("empty point list")
-    table = subset_sums(points[0])
-    for pt in points[1:]:
-        table = np.minimum(table, subset_sums(pt))
-    return SetFn(n, table=table.tolist())
+    return SetFn(n, table=_envelope(points).tolist())
 
 
 @dataclass(frozen=True)
@@ -296,32 +304,36 @@ class BaseOracle:
     far.  Supermodularity is asserted exhaustively in tests, not here."""
 
     n: int
-    p: SetFn
+    values: ExtArray
     face_chains: tuple = ()
 
     def __post_init__(self):
-        full = (1 << self.n) - 1
-        if self.p.n != self.n:
-            raise ValueError("set function ground size mismatch")
-        if self.p(full) != 0:
+        if not 0 < self.n <= MAX_NODES or len(self.values.fin) != 1 << self.n:
+            raise ValueError(f"dense table must have 2^n entries, n in 1..{MAX_NODES}")
+        if self.values.value(0) != 0:
+            raise ValueError("set function must vanish on the empty set")
+        if self.values.value((1 << self.n) - 1) != 0:
             raise ValueError("base oracle requires value 0 on the full set")
 
     @classmethod
     def zero(cls, n: int) -> "BaseOracle":
-        return cls(n, SetFn.zero(n))
+        return cls(n, ExtArray.zeros(n))
 
     @classmethod
     def from_table(cls, n: int, table: Sequence[ExtInt]) -> "BaseOracle":
-        return cls(n, SetFn(n, table=table))
+        return cls(n, ExtArray.from_values(table))
 
     @classmethod
     def from_points(cls, points: Sequence[Sequence[int]], n: int) -> "BaseOracle":
-        return cls(n, envelope_setfn(points, n))
+        fin = _envelope(points)
+        no_inf = np.zeros(len(fin), dtype=bool)
+        return cls(n, ExtArray.tight(fin, no_inf, no_inf))
 
     @cached_property
-    def values(self) -> ExtArray:
-        """The bounding function as an exact array, built once per oracle."""
-        return ExtArray.from_values(self.p.densify().table)
+    def p(self) -> SetFn:
+        """The bounding function as a scalar oracle, for the reference and
+        certificate readers."""
+        return SetFn(self.n, table=self.values.tolist())
 
     def contains(self, vec: Sequence[int]) -> bool:
         """Integral membership: zero total and every subset sum at or above
@@ -348,8 +360,8 @@ class BaseOracle:
         for c in chain.members:
             if p.pos[c] or p.neg[c]:
                 raise ValueError("face chain member has infinite value")
-        bound = 2 * (len(chain) + 1) * p.bound
-        src = p.fin.astype(int_dtype(bound))
+        # r + 1 block terms, each of magnitude at most 2 * p.bound
+        src = p.fin.astype(int_dtype(2 * (len(chain) + 1) * p.bound))
         masks = np.arange(1 << self.n)
         fin = np.zeros_like(src)
         pos = np.zeros(len(masks), dtype=bool)
@@ -363,5 +375,5 @@ class BaseOracle:
             fin += src[idx] - src[prev]
             prev = c
         fin[pos | neg] = 0
-        face = SetFn(self.n, table=ExtArray(fin, pos, neg, bound).tolist())
-        return BaseOracle(self.n, face, self.face_chains + (chain,))
+        return BaseOracle(self.n, ExtArray.tight(fin, pos, neg),
+                          self.face_chains + (chain,))

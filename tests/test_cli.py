@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import pytest
 
@@ -101,6 +102,25 @@ class TestSolve:
     def test_infeasible(self, capsys):
         code, _ = run(capsys, "solve", path("infeasible.json"))
         assert code == EXIT_INFEASIBLE
+
+    def test_min_cost_solves_once(self, capsys, monkeypatch):
+        # the min-cost flow runs on the narrowed instance already solved,
+        # and finitization reuses its auxiliary digraph
+        counts = {"solve_decmin": 0, "build_jump_structure": 0}
+        for module in [m for name, m in sys.modules.items() if name.startswith("fairflow")]:
+            for name in counts:
+                original = getattr(module, name, None)
+                if original is None:
+                    continue
+
+                def counted(*args, _name=name, _original=original, **kwargs):
+                    counts[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        code, _ = run(capsys, "solve", path("i1.json"), "--min-cost")
+        assert code == EXIT_OK
+        assert counts == {"solve_decmin": 1, "build_jump_structure": 2}
 
     def test_min_cost_without_costs_rejected_before_solving(self, capsys):
         code, out = run(capsys, "solve", path("infeasible.json"), "--min-cost")
@@ -239,14 +259,21 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_instance(doc)
 
-    def test_unsorted_table_key_rejected(self):
+    @pytest.mark.parametrize("key, value, message", [
+        ("b,a", 0, "must list sorted names"),
+        ("a,c", 0, "unknown node 'c'"),
+        ("a,a", 0, "repeated node"),
+        ("a", "+inf", r"\+inf values not allowed"),
+        ("a", True, "expected integer or infinity string"),
+    ], ids=["unsorted", "unknown", "repeated", "pos-inf", "bool"])
+    def test_unsorted_table_key_rejected(self, key, value, message):
         doc = {
             "nodes": ["a", "b"],
             "arcs": [],
             "F": [],
-            "base": {"type": "table", "p": {"": 0, "b,a": 0, "a,b": 0}},
+            "base": {"type": "table", "p": {"": 0, key: value, "a,b": 0}},
         }
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=message):
             parse_instance(doc)
 
     def test_nonzero_point_sum_rejected(self):

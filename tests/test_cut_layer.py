@@ -48,12 +48,13 @@ from fairflow.existence import (
 from fairflow.orient import MixedGraph, cut_certificate
 from fairflow.setfn import (
     BaseOracle,
-    SetFn,
     cut_difference,
     envelope_setfn,
     envelope_value,
     subset_sums,
 )
+
+from conftest import random_finite_supermodular
 
 HUGE = 1 << 63
 
@@ -398,6 +399,22 @@ class TestExactness:
         assert face[0b100] == -4 * HUGE and face[0b110] == HUGE
         assert face[0b010] is NEG_INF
 
+    def test_stacked_faces_stay_int64(self):
+        # each face's bound is its own max |value|, so stacking faces does
+        # not grow it; 2^58-sized modular values would leave int64 otherwise
+        rng = random.Random(10)
+        starts = [random_finite_supermodular(rng, 4) for _ in range(5)]
+        a = 1 << 57
+        starts.append(subset_sums((a, -a, a, -a)).tolist())
+        for table in starts:
+            base = BaseOracle.from_table(4, table)
+            for _ in range(3):
+                chain = random_chain(rng, 4)
+                face = base.face_contract(chain)
+                assert typed(face.p.table) == typed(ref_face_table(base, chain))
+                assert face.values.fin.dtype == np.int64
+                base = face
+
     def test_face_contract_first_infinite_block_decides(self):
         table = [0] * 16
         table[0b0001], table[0b0111] = POS_INF, NEG_INF
@@ -466,5 +483,18 @@ class TestTables:
                                    if (m >> arcs[e][1]) & 1 and not (m >> arcs[e][0]) & 1)
 
     def test_exchange_capacity_huge_values(self):
-        base = BaseOracle(2, SetFn(2, table=[0, -HUGE, -HUGE, 0]))
+        base = BaseOracle.from_table(2, [0, -HUGE, -HUGE, 0])
         assert exchange_capacity(base, (HUGE, -HUGE), 0, 1) == 2 * HUGE
+
+    def test_base_from_points_matches_envelope(self):
+        rng = random.Random(9)
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            pts = []
+            for _ in range(rng.randint(1, 6)):
+                pt = [rng.choice((-3, 0, 2, HUGE, -HUGE)) for _ in range(n - 1)]
+                pts.append(tuple(pt + [-sum(pt)]))
+            values = BaseOracle.from_points(pts, n).values
+            for m in range(1 << n):
+                want = envelope_value(pts, m)
+                assert values.value(m) == want and type(values.value(m)) is int

@@ -5,6 +5,7 @@ import pytest
 from fairflow.core import Bounds, Chain, Digraph, NEG_INF, POS_INF
 from fairflow.setfn import (
     BaseOracle,
+    ExtArray,
     SetFn,
     brute_extremize,
     check_crossing_supermodular,
@@ -40,7 +41,7 @@ class TestSetFn:
 
 class TestSupermodularChecks:
     def test_zero_and_modular_pass(self):
-        assert check_fully_supermodular(SetFn.zero(3))[0]
+        assert check_fully_supermodular(SetFn(3, table=[0] * 8))[0]
         assert check_fully_supermodular(SetFn.modular((1, -2, 5)))[0]
         assert check_fully_submodular(SetFn.modular((1, -2, 5)))[0]
 
@@ -101,7 +102,7 @@ class TestComplement:
             assert all(back(m) == fn(m) for m in range(1 << n))
 
     def test_zero(self):
-        fn = complement(SetFn.zero(3))
+        fn = complement(SetFn(3, table=[0] * 8))
         assert all(fn(m) == 0 for m in range(8))
 
     def test_direct_formula(self):
@@ -147,7 +148,7 @@ class TestCutDifference:
 
 class TestBruteExtremize:
     def test_tie_breaks_to_smallest_mask(self):
-        val, mask = brute_extremize(SetFn.zero(3), "max")
+        val, mask = brute_extremize(SetFn(3, table=[0] * 8), "max")
         assert (val, mask) == (0, 0)
 
     def test_singleton_scan(self):
@@ -198,6 +199,22 @@ class TestEnvelope:
             checked += 1
 
 
+class TestBaseOracle:
+    @pytest.mark.parametrize("table, message", [
+        ([0, 0, 0], "2\\^n entries"),
+        ([0] * 5, "2\\^n entries"),
+        ([1, 0, 0, 0], "empty set"),
+        ([NEG_INF, 0, 0, 0], "empty set"),
+        ([0, 0, 0, -1], "full set"),
+        ([0, 0, 0, POS_INF], "full set"),
+    ])
+    def test_bad_table_rejected(self, table, message):
+        with pytest.raises(ValueError, match=message):
+            BaseOracle(2, ExtArray.from_values(table))
+        with pytest.raises(ValueError, match=message):
+            BaseOracle.from_table(2, table)
+
+
 class TestFaceContract:
     def test_empty_chain_identity(self, b3_points):
         base = BaseOracle.from_points(b3_points, 2)
@@ -209,7 +226,7 @@ class TestFaceContract:
         assert enumerate_base_points(face, -2, 2) == [(-1, 1)]
 
     def test_modular_base_has_full_faces(self):
-        base = BaseOracle(3, SetFn.modular((1, -2, 1)))
+        base = BaseOracle.from_table(3, SetFn.modular((1, -2, 1)).table)
         face = base.face_contract(Chain(3, (0b001, 0b011)))
         assert all(face.p(m) == base.p(m) for m in range(8))
 
