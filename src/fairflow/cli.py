@@ -96,8 +96,6 @@ class ParsedInstance:
         self.node_names = node_names
         self.arc_names = arc_names
         self.base_doc = base_doc
-        self.node_index = {name: i for i, name in enumerate(node_names)}
-        self.arc_index = {name: i for i, name in enumerate(arc_names)}
 
     def mask_names(self, mask: int) -> List[str]:
         return [self.node_names[v] for v in mask_nodes(mask)]
@@ -128,8 +126,9 @@ def parse_instance(doc: dict) -> ParsedInstance:
             raise ParseError(f"arc #{pos}: id must be a string")
         if arc["id"] in arc_names:
             raise ParseError(f"arc #{pos}: duplicate id {arc['id']!r}")
-        if arc["tail"] not in node_index or arc["head"] not in node_index:
-            raise ParseError(f"arc {arc['id']!r}: unknown endpoint")
+        for end in ("tail", "head"):
+            if not isinstance(arc[end], str) or arc[end] not in node_index:
+                raise ParseError(f"arc {arc['id']!r} {end}: unknown node {arc[end]!r}")
         arc_names.append(arc["id"])
         arcs.append((node_index[arc["tail"]], node_index[arc["head"]]))
         lower.append(_parse_extint(arc["f"], f"arc {arc['id']!r} f"))
@@ -146,7 +145,7 @@ def parse_instance(doc: dict) -> ParsedInstance:
         raise ParseError("F: expected a list of arc ids")
     focus = set()
     for name in doc["F"]:
-        if name not in arc_index:
+        if not isinstance(name, str) or name not in arc_index:
             raise ParseError(f"F: unknown arc id {name!r}")
         focus.add(arc_index[name])
     try:
@@ -239,13 +238,13 @@ def _parse_mixed(doc: dict) -> Tuple[MixedGraph, List[str], Optional[dict]]:
     index = {s: i for i, s in enumerate(names)}
 
     def pairs(key):
-        out = []
-        for pair in mg_doc.get(key, []):
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or pair[0] not in index or pair[1] not in index):
-                raise ParseError(f"mixed_graph.{key}: expected [node, node] pairs")
-            out.append((index[pair[0]], index[pair[1]]))
-        return tuple(out)
+        raw = mg_doc.get(key, [])
+        if not isinstance(raw, list) or any(
+                not isinstance(pair, list) or len(pair) != 2
+                or any(not isinstance(s, str) or s not in index for s in pair)
+                for pair in raw):
+            raise ParseError(f"mixed_graph.{key}: expected a list of [node, node] pairs")
+        return tuple((index[u], index[v]) for u, v in raw)
 
     k = doc.get("k", 1)
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
@@ -384,23 +383,13 @@ def cmd_verify(args) -> int:
     cert = check_feasible(inst)
     record("feasibility-equivalence", cert.feasible == bool(points))
     if points:
-        finite_focus = all(
-            is_finite(inst.bounds.lower[e]) and is_finite(inst.bounds.upper[e])
-            for e in inst.focus)
-        candidates = []
-        if all(is_finite(inst.bounds.lower[e]) and is_finite(inst.bounds.upper[e])
-               and inst.bounds.lower[e] < inst.bounds.upper[e]
-               for e in inst.focus) and inst.focus:
-            candidates.append(frozenset(inst.focus))
-        for e in range(inst.digraph.arc_count):
-            lo, hi = inst.bounds.lower[e], inst.bounds.upper[e]
-            if is_finite(lo) and is_finite(hi) and lo < hi:
-                candidates.append(frozenset([e]))
-        seen = set()
-        for L in candidates:
-            if L in seen:
-                continue
-            seen.add(L)
+        lower, upper = inst.bounds.lower, inst.bounds.upper
+        finite_focus = all(is_finite(lower[e]) and is_finite(upper[e]) for e in inst.focus)
+        open_arcs = [e for e in range(inst.digraph.arc_count)
+                     if is_finite(lower[e]) and is_finite(upper[e]) and lower[e] < upper[e]]
+        candidates = [inst.focus] if inst.focus and inst.focus.issubset(open_arcs) else []
+        candidates += [frozenset([e]) for e in open_arcs]
+        for L in dict.fromkeys(candidates):
             label = ",".join(sorted(parsed.arc_names[e] for e in L))
             res = lupmin_solve(inst, L)
             brute = brute_lupmin(points, inst.bounds, L)

@@ -8,7 +8,10 @@ in-degree.  Cut connectivity of an orientation depends only on its
 in-degree vector (arcs inside a node set are direction-blind), so the
 polyhedron built from the enumerated in-degree vectors of k-edge-connected
 orientations captures connectivity exactly; the focus set is the in-degree
-arcs.  Desk scale: the envelope enumeration is exponential by design.
+arcs.  Each distinct in-degree vector is enumerated once, edge by edge, so
+at most min(2^|E|, prod_v (d_E(v) + 1)) vectors are checked, where d_E(v)
+counts the undirected edges at v.  The cap of 7 nodes bounds the dense base,
+which has 2n nodes, not the enumeration.
 """
 
 from __future__ import annotations
@@ -69,21 +72,11 @@ def _inside_counts(mg: MixedGraph) -> np.ndarray:
     return counts
 
 
-def _ref_indegrees(mg: MixedGraph) -> list:
-    d = [0] * mg.node_count
-    for _, v in mg.arcs:
+def _indegrees(n: int, arcs) -> tuple:
+    """In-degree of each of n nodes under (tail, head) pairs."""
+    d = [0] * n
+    for _, v in arcs:
         d[v] += 1
-    for _, v in mg.edges:
-        d[v] += 1
-    return d
-
-
-def _orientation_indegrees(mg: MixedGraph, flips: int) -> tuple:
-    d = [0] * mg.node_count
-    for _, v in mg.arcs:
-        d[v] += 1
-    for j, (u, v) in enumerate(mg.edges):
-        d[v if not (flips >> j) & 1 else u] += 1
     return tuple(d)
 
 
@@ -118,17 +111,18 @@ def encode(mg: MixedGraph, degree_bounds: Optional[Dict[int, Tuple[int, int]]] =
     n = mg.node_count
     if 2 * n > 14:
         raise ValueError("orientation encoding limited to 7 nodes")
+    # an edge (u, v) adds one to the in-degree of u or of v
+    indegs = {_indegrees(n, mg.arcs)}
+    for u, v in mg.edges:
+        indegs = {h[:w] + (h[w] + 1,) + h[w + 1:] for h in indegs for w in (u, v)}
     inside = _inside_counts(mg)
-    dref = _ref_indegrees(mg)
-    feasible_indegs = set()
-    for flips in range(1 << len(mg.edges)):
-        h = _orientation_indegrees(mg, flips)
-        if np.all((subset_sums(h) - inside)[1:-1] >= mg.k):
-            feasible_indegs.add(h)
+    feasible_indegs = [h for h in sorted(indegs)
+                       if np.all((subset_sums(h) - inside)[1:-1] >= mg.k)]
     if not feasible_indegs:
         raise OrientationInfeasible(
             f"no {mg.k}-edge-connected orientation exists", cut_certificate(mg))
-    points = [tuple(dref) + tuple(-hv for hv in h) for h in sorted(feasible_indegs)]
+    dref = _indegrees(n, mg.arcs + mg.edges)
+    points = [dref + tuple(-hv for hv in h) for h in feasible_indegs]
     base = BaseOracle.from_points(points, 2 * n)
     arcs = []
     flip_ids = []
@@ -136,12 +130,7 @@ def encode(mg: MixedGraph, degree_bounds: Optional[Dict[int, Tuple[int, int]]] =
         flip_ids.append(len(arcs))
         arcs.append((u, v))
     indeg_ids = []
-    total_deg = [0] * n
-    for _, v in mg.arcs:
-        total_deg[v] += 1
-    for u, v in mg.edges:
-        total_deg[u] += 1
-        total_deg[v] += 1
+    total_deg = _indegrees(n, mg.arcs + mg.edges + tuple((v, u) for u, v in mg.edges))
     lower = [0] * len(mg.edges)
     upper = [1] * len(mg.edges)
     for v in range(n):
@@ -169,10 +158,7 @@ def decode(enc: OrientEncoding, x: Sequence[int]) -> Tuple[tuple, tuple]:
         flipped = x[enc.flip_arcs[j]]
         oriented.append((v, u) if flipped else (u, v))
     indeg = tuple(x[enc.indeg_arcs[v]] for v in range(mg.node_count))
-    check = [0] * mg.node_count
-    for _, v in oriented:
-        check[v] += 1
-    if tuple(check) != indeg:
+    if _indegrees(mg.node_count, oriented) != indeg:
         raise ValueError("in-degree arcs disagree with the decoded orientation")
     return tuple(oriented), indeg
 

@@ -285,3 +285,31 @@ class TestParsing:
         }
         with pytest.raises(ParseError):
             parse_instance(doc)
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("check", "tail", ["a"]),
+        ("solve", "tail", ["a"]),
+        ("solve", "F", [["e"]]),
+        ("orient", "edges", 3),
+        ("orient", "edges", [[["a"], "b"]]),
+    ], ids=["check-list-tail", "solve-list-tail", "list-focus-id",
+            "int-edges", "list-edge-end"])
+    def test_wrong_json_types_rejected(self, capsys, tmp_path, command, field, value):
+        # a list where a name is expected used to raise TypeError from a
+        # dict lookup, and a non-list edges entry failed to iterate
+        doc = {"nodes": ["a", "b"],
+               "arcs": [{"id": "e", "tail": "a", "head": "b", "f": 0, "g": 1}],
+               "F": ["e"],
+               "base": {"type": "zero"}}
+        if field == "tail":
+            doc["arcs"][0]["tail"] = value
+        elif field == "F":
+            doc["F"] = value
+        else:
+            doc = {"mixed_graph": {"nodes": ["a", "b"], "edges": value}}
+        src = tmp_path / "bad.json"
+        src.write_text(json.dumps(doc))
+        code = main([command, str(src)])
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert err.startswith("error:") and field in err

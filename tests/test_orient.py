@@ -2,7 +2,10 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fairflow.orient
 from fairflow.baseflow import Infeasible
 from fairflow.oracle import enumerate_Q
 from fairflow.orient import (
@@ -14,7 +17,7 @@ from fairflow.orient import (
     decode,
     encode,
 )
-from fairflow.setfn import check_fully_supermodular
+from fairflow.setfn import BaseOracle, check_fully_supermodular
 
 
 def triangle(k=1):
@@ -145,3 +148,64 @@ class TestRandomFamily:
                 best = min(tuple(sorted(h, reverse=True)) for _, h in oriented)
                 assert tuple(sorted(indeg, reverse=True)) == best
             done += 1
+
+
+def flip_indegrees(mg):
+    """In-degree vector of every one of the 2^|E| orientations."""
+    out = []
+    for flips in range(1 << len(mg.edges)):
+        h = [0] * mg.node_count
+        for _, v in mg.arcs:
+            h[v] += 1
+        for j, (u, v) in enumerate(mg.edges):
+            h[u if (flips >> j) & 1 else v] += 1
+        out.append(tuple(h))
+    return out
+
+
+@st.composite
+def mixed_graphs(draw):
+    n = draw(st.integers(2, 5))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=8))
+    arcs = draw(st.lists(st.sampled_from(pairs), max_size=3))
+    return MixedGraph(n, tuple(arcs), tuple(edges), draw(st.sampled_from([1, 2])))
+
+
+class TestEncodeByIndegrees:
+    @settings(deadline=None, max_examples=60)
+    @given(mixed_graphs())
+    def test_matches_exhaustive_orientations(self, mg):
+        n = mg.node_count
+        feasible = sorted({h for _, h in brute_orientations(mg)})
+        if not feasible:
+            with pytest.raises(OrientationInfeasible) as err:
+                encode(mg)
+            assert err.value.cut_mask == cut_certificate(mg)
+            return
+        enc = encode(mg)
+        ref = tuple(sum(1 for _, v in mg.arcs + mg.edges if v == w) for w in range(n))
+        points = [ref + tuple(-d for d in h) for h in feasible]
+        assert (enc.instance.base.values.tolist()
+                == BaseOracle.from_points(points, 2 * n).values.tolist())
+        fixed = [sum(1 for _, v in mg.arcs if v == w) for w in range(n)]
+        incident = [sum(1 for e in mg.edges if w in e) for w in range(n)]
+        assert enc.instance.bounds.lower == (0,) * (len(mg.edges) + n)
+        assert enc.instance.bounds.upper == (
+            (1,) * len(mg.edges) + tuple(f + d for f, d in zip(fixed, incident)))
+
+    def test_one_check_per_distinct_indegree_vector(self, monkeypatch):
+        # K4 with every edge doubled: 4096 orientations, far fewer vectors
+        mg = MixedGraph(4, (), tuple(combinations(range(4), 2)) * 2, 1)
+        calls = []
+        real = fairflow.orient.subset_sums
+
+        def counting(h):
+            calls.append(h)
+            return real(h)
+
+        monkeypatch.setattr(fairflow.orient, "subset_sums", counting)
+        encode(mg)
+        distinct = set(flip_indegrees(mg))
+        assert len(distinct) == 201
+        assert len(calls) == len(distinct)
