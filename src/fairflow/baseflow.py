@@ -34,7 +34,6 @@ from .setfn import (
     BaseOracle,
     ExtArray,
     int_dtype,
-    separating_masks,
     subset_sums,
 )
 
@@ -250,17 +249,14 @@ def exchange_capacity(base: BaseOracle, y: Sequence[int], s: int, t: int) -> Ext
     """
     if s == t:
         raise ValueError("exchange endpoints must differ")
-    best: ExtInt = POS_INF
-    sums = subset_sums(y).tolist()
-    p = base.p
-    for m in separating_masks(base.n, s, t):
-        pz = p(m)
-        if not is_finite(pz):
-            continue
-        slack = sums[m] - pz
-        if slack < best:
-            best = slack
-    return best
+    p = base.values
+    masks = np.arange(1 << base.n)
+    separating = ((masks >> s) & 1 == 1) & ((masks >> t) & 1 == 0) & (p.pos == 0) & (p.neg == 0)
+    if not separating.any():
+        return POS_INF
+    dtype = int_dtype(sum(abs(v) for v in y) + p.bound)
+    slack = subset_sums(y).astype(dtype, copy=False) - p.fin.astype(dtype, copy=False)
+    return int(slack[separating].min())
 
 
 # --- minimum-cost flow -----------------------------------------------------

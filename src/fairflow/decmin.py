@@ -25,7 +25,7 @@ from .baseflow import (
     min_cost_flow,
 )
 from .lupmin import lupmin_solve
-from .setfn import SetFn, brute_extremize, cut_difference
+from .setfn import ExtArray, SetFn, brute_extremize, cut_difference, int_dtype
 
 
 @dataclass(frozen=True)
@@ -68,17 +68,22 @@ def newton_dinkelbach(h: SetFn, b: SetFn) -> Tuple[int, List[tuple]]:
     """Smallest nonnegative integer mu with mu*b(X) >= h(X) for all X.
 
     Requires h(X) <= 0 wherever b(X) = 0 (some good mu exists) and some
-    h(Y) > 0 (zero is bad).  Each round maximizes h - mu*b exhaustively;
-    candidate values are the ceiled ratios at the maximizers and strictly
-    increase while bad.  The iterate log records (mu, argmax) pairs.
+    h(Y) > 0 (zero is bad).  Each round maximizes the gap h - mu*b, one
+    array expression over the tables, exhaustively; candidate values are
+    the ceiled ratios at the maximizers and strictly increase while bad.
+    The iterate log records (mu, argmax) pairs.
     """
     if h.n != b.n:
         raise ValueError("ground set mismatch")
-    for m in range(1 << b.n):
-        bv = b(m)
-        if not (is_finite(bv) and bv >= 0):
+    hv, bv = h.values, b.values
+    h_positive = (hv.pos != 0) | ((hv.neg == 0) & (hv.fin > 0))
+    bad = (bv.pos != 0) | (bv.neg != 0) | (bv.fin < 0) | ((bv.fin == 0) & h_positive)
+    if bad.any():
+        m = int(bad.argmax())  # the first mask that fails a scalar check
+        bm = b(m)
+        if not (is_finite(bm) and bm >= 0):
             raise ValueError("b must be finite and nonnegative")
-        if bv == 0 and h(m) > 0:
+        if h(m) > 0:
             raise ValueError("no good mu exists: positive h on a zero of b")
     val, xmask = brute_extremize(h, "max")
     if not val > 0:
@@ -90,7 +95,10 @@ def newton_dinkelbach(h: SetFn, b: SetFn) -> Tuple[int, List[tuple]]:
         if not mu_next > mu:
             raise CertificateError("ratio candidates failed to increase")
         mu = mu_next
-        gap = SetFn(h.n, fn=lambda m, mu=mu: h(m) - mu * b(m))
+        bound = hv.bound + mu * bv.bound
+        dtype = int_dtype(bound)
+        fin = hv.fin.astype(dtype, copy=False) - mu * bv.fin.astype(dtype, copy=False)
+        gap = SetFn(h.n, ExtArray(fin, hv.pos, hv.neg, bound))
         val, xmask = brute_extremize(gap, "max")
         log.append((mu, xmask))
         if val <= 0:
@@ -155,7 +163,7 @@ def _nd_slack_fn(probe: Instance) -> SetFn:
     """Base function minus the probe's cut difference (the negated slack
     vector); positive values mark the sets a uniform raise on the top level
     must cover."""
-    return SetFn(probe.digraph.node_count, table=(-probe.slack).tolist())
+    return SetFn(probe.digraph.node_count, -probe.slack)
 
 
 def _nd_entering_fn(inst: Instance, top) -> SetFn:

@@ -1,29 +1,29 @@
 """Set-function oracles over the node set.
 
-A SetFn is an evaluation oracle over bitmask subsets, optionally backed by a
-dense table.  This module provides the supermodularity checks, complements,
-the cut-difference function of a bounded digraph, exhaustive extremization
-(the swap-ready stand-in for a submodular-function-minimization routine),
-the pointwise-minimum envelope of an enumerated base polyhedron, and face
-contraction of a base oracle along a chain.
+A SetFn is an evaluation oracle over bitmask subsets: a scalar view of one
+dense `ExtArray` table.  This module provides the supermodularity checks,
+complements, the cut-difference function of a bounded digraph, exhaustive
+extremization (the swap-ready stand-in for a submodular-function-minimization
+routine), the pointwise-minimum envelope of an enumerated base polyhedron,
+and face contraction of a base oracle along a chain.
 
 Whole-table computations (subset sums, cut values, slacks) run on numpy
 arrays indexed by bitmask: see `subset_sums` and `ExtArray`.  A
 `BaseOracle` owns its bounding function as one `ExtArray`, built once by
-each constructor (`ExtArray.from_values`, the one list-to-array
-conversion, serves only `BaseOracle.from_table`); slacks, membership,
-face contraction, jump structures, exchange pairs and `orient` read it,
-and reference and certificate readers use the scalar view `BaseOracle.p`.
-Scans behind the `SetFn` oracle (`brute_extremize`, the Newton ratio
-search) stay one subset at a time, so that a submodular-function
-minimizer can replace them.
+each constructor (`ExtArray.from_values` is the one list-to-array
+conversion); slacks, membership, face contraction, jump structures,
+exchange pairs, exchange capacities and `orient` read it, and reference
+and certificate readers use the scalar view `BaseOracle.p`.
+`brute_extremize` and the Newton ratio search are whole-table array scans
+behind the same contract (the extreme value over all subsets, lowest mask
+on ties), so that a submodular-function minimizer can replace them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -75,8 +75,11 @@ class ExtArray:
 
     @classmethod
     def from_values(cls, values: Sequence[ExtInt]) -> "ExtArray":
+        for m, v in enumerate(values):
+            if not (is_finite(v) or v is POS_INF or v is NEG_INF):
+                raise ValueError(f"value {v!r} at mask {m} is neither an integer nor an infinity")
         fin = [v if is_finite(v) else 0 for v in values]
-        bound = max(map(abs, fin))
+        bound = max(map(abs, fin), default=0)
         return cls(np.array(fin, dtype=int_dtype(bound)),
                    np.array([v is POS_INF for v in values]),
                    np.array([v is NEG_INF for v in values]), bound)
@@ -140,37 +143,28 @@ class ExtArray:
 
 
 class SetFn:
-    """Subset -> extended-integer oracle with value 0 on the empty set."""
+    """Subset -> extended-integer oracle with value 0 on the empty set: a
+    scalar view of one dense table, given as an `ExtArray` or as a sequence
+    of 2^n values."""
 
-    __slots__ = ("n", "table", "_fn")
+    __slots__ = ("n", "values")
 
-    def __init__(self, n: int, table: Optional[Sequence[ExtInt]] = None,
-                 fn: Optional[Callable[[int], ExtInt]] = None):
+    def __init__(self, n: int, table: Union[ExtArray, Sequence[ExtInt]]):
         if not (0 < n <= MAX_NODES):
             raise ValueError(f"ground set size must be in 1..{MAX_NODES}")
-        if (table is None) == (fn is None):
-            raise ValueError("exactly one of table/fn required")
         self.n = n
-        self.table = tuple(table) if table is not None else None
-        self._fn = fn
-        if self.table is not None and len(self.table) != 1 << n:
+        self.values = table if isinstance(table, ExtArray) else ExtArray.from_values(table)
+        if len(self.values.fin) != 1 << n:
             raise ValueError("dense table must have 2^n entries")
         if self(0) != 0:
             raise ValueError("set function must vanish on the empty set")
 
     def __call__(self, mask: int) -> ExtInt:
-        if self.table is not None:
-            return self.table[mask]
-        return self._fn(mask)
+        return self.values.value(mask)
 
     @property
-    def has_table(self) -> bool:
-        return self.table is not None
-
-    def densify(self) -> "SetFn":
-        if self.has_table:
-            return self
-        return SetFn(self.n, table=[self._fn(m) for m in all_subsets(self.n)])
+    def table(self) -> tuple:
+        return tuple(self.values.tolist())
 
     @classmethod
     def modular(cls, vec: Sequence[int]) -> "SetFn":
@@ -182,8 +176,6 @@ def _check_pairs(fn: SetFn, supermodular: bool, family: str = "all"):
     non-nested pairs of a family: "all" of them, the "intersecting" ones
     (meet nonempty), or the "crossing" ones (also union not the full set).
     Returns (ok, first violating pair in scan order or None)."""
-    if not fn.has_table:
-        raise ValueError("dense table required for exhaustive check")
     t = fn.table
     size = 1 << fn.n
     full = size - 1
@@ -226,48 +218,35 @@ def complement(fn: SetFn) -> SetFn:
     top = fn(full)
     if not is_finite(top):
         raise ValueError("complement requires a finite value on the full set")
-    dense = fn.densify()
-    return SetFn(fn.n, table=[top - dense(full ^ m) for m in all_subsets(fn.n)])
+    return SetFn(fn.n, table=[top - fn(full ^ m) for m in all_subsets(fn.n)])
 
 
 def cut_difference(digraph: Digraph, bounds: Bounds) -> SetFn:
     """The fully submodular function Z -> (upper in-cut) - (lower out-cut)."""
     cut = ExtArray.zeros(digraph.node_count).plus_cut(digraph, bounds.upper, bounds.lower)
-    return SetFn(digraph.node_count, table=cut.tolist())
+    return SetFn(digraph.node_count, cut)
 
 
-def brute_extremize(fn: SetFn, mode: str = "max",
-                    masks: Optional[Iterable[int]] = None):
-    """Exhaustive scan for the extreme value of a set function.
+def brute_extremize(fn: SetFn, mode: str = "max"):
+    """Exhaustive scan for the extreme value of a set function over all
+    subsets, ties to the smallest bitmask.
 
-    Ties break to the smallest bitmask.  `masks` restricts the scanned
-    family (defaults to all subsets); pass e.g. `proper_nonempty_masks(n)`
-    or `separating_masks(n, s, t)` for constrained queries.
+    One argmax over the table (numpy returns the first extreme; "min" is
+    the max of -fn): a +inf entry wins, -inf entries sit below every finite
+    value, and an entry holding infinities of both signs raises, as reading
+    it through the scalar oracle does.
     """
     if mode not in ("max", "min"):
         raise ValueError("mode must be 'max' or 'min'")
-    best_val = None
-    best_mask = None
-    scan = masks if masks is not None else all_subsets(fn.n)
-    for m in scan:
-        v = fn(m)
-        if best_val is None or (v > best_val if mode == "max" else v < best_val):
-            best_val, best_mask = v, m
-    if best_mask is None:
-        raise ValueError("empty scan family")
-    return best_val, best_mask
-
-
-def proper_nonempty_masks(n: int):
-    full = (1 << n) - 1
-    return range(1, full)
-
-
-def separating_masks(n: int, inside: int, outside: int):
-    """All subsets containing `inside` and avoiding `outside`."""
-    for m in all_subsets(n):
-        if (m >> inside) & 1 and not (m >> outside) & 1:
-            yield m
+    a = fn.values if mode == "max" else -fn.values
+    pos, neg = a.pos != 0, a.neg != 0  # counts after plus_cut, not bools
+    if (pos & neg).any():
+        raise ArithmeticError("cannot add infinities of opposite sign")
+    if pos.any():
+        mask = int(pos.argmax())
+    else:
+        mask = int(np.where(neg, -a.bound - 1, a.fin).argmax())
+    return fn.values.value(mask), mask
 
 
 def envelope_value(points: Sequence[Sequence[int]], mask: int) -> ExtInt:
@@ -284,17 +263,19 @@ def envelope_value(points: Sequence[Sequence[int]], mask: int) -> ExtInt:
     return best
 
 
-def _envelope(points: Sequence[Sequence[int]]) -> np.ndarray:
+def _envelope(points: Sequence[Sequence[int]]) -> ExtArray:
     """The envelope of every subset, indexed by bitmask."""
     if not points:
         raise ValueError("empty point list")
-    return reduce(np.minimum, map(subset_sums, points))
+    fin = reduce(np.minimum, map(subset_sums, points))
+    no_inf = np.zeros(len(fin), dtype=bool)
+    return ExtArray.tight(fin, no_inf, no_inf)
 
 
 def envelope_setfn(points: Sequence[Sequence[int]], n: int) -> SetFn:
     """Dense envelope; the unique fully supermodular function of the integral
     base polyhedron whose integral points are exactly the ones given."""
-    return SetFn(n, table=_envelope(points).tolist())
+    return SetFn(n, _envelope(points))
 
 
 @dataclass(frozen=True)
@@ -325,15 +306,13 @@ class BaseOracle:
 
     @classmethod
     def from_points(cls, points: Sequence[Sequence[int]], n: int) -> "BaseOracle":
-        fin = _envelope(points)
-        no_inf = np.zeros(len(fin), dtype=bool)
-        return cls(n, ExtArray.tight(fin, no_inf, no_inf))
+        return cls(n, _envelope(points))
 
     @cached_property
     def p(self) -> SetFn:
         """The bounding function as a scalar oracle, for the reference and
         certificate readers."""
-        return SetFn(self.n, table=self.values.tolist())
+        return SetFn(self.n, self.values)
 
     def contains(self, vec: Sequence[int]) -> bool:
         """Integral membership: zero total and every subset sum at or above

@@ -4,10 +4,12 @@ The reference functions below are the scalar scans the engine used before
 the layer existed: one cut sum per subset for the violator scan, the
 O(m^2 2^n) coordinate-fixing loop, membership by one net cut per subset,
 face contraction one subset and one chain block at a time, the principal
-sets, the finitized lower bounds, the blocked exchange pairs and the
-orientation cut certificate.  Results must be identical, including the
-exception raised, on random digraphs with infinite bounds, -inf base
-values and magnitudes of 2^63 and more (which force the Python-int path).
+sets, the finitized lower bounds, the blocked exchange pairs, the
+orientation cut certificate, and the scalar extremization, Newton ratio
+search and exchange capacity that called the set-function oracle once per
+subset.  Results must be identical, including the exception raised, on
+random digraphs with infinite bounds, -inf base values and magnitudes of
+2^63 and more (which force the Python-int path).
 """
 
 import random
@@ -38,7 +40,7 @@ from fairflow.baseflow import (
     find_violator,
     membership,
 )
-from fairflow.decmin import _nd_entering_fn, _nd_slack_fn
+from fairflow.decmin import _ceil_div, _nd_entering_fn, _nd_slack_fn, newton_dinkelbach
 from fairflow.existence import (
     _reachable,
     build_jump_structure,
@@ -48,6 +50,9 @@ from fairflow.existence import (
 from fairflow.orient import MixedGraph, cut_certificate
 from fairflow.setfn import (
     BaseOracle,
+    ExtArray,
+    SetFn,
+    brute_extremize,
     cut_difference,
     envelope_setfn,
     envelope_value,
@@ -236,6 +241,55 @@ def ref_cut_certificate(mg):
     return None
 
 
+def ref_brute_extremize(fn, n, mode):
+    best_val = best_mask = None
+    for m in range(1 << n):
+        v = fn(m)
+        if best_val is None or (v > best_val if mode == "max" else v < best_val):
+            best_val, best_mask = v, m
+    return best_val, best_mask
+
+
+def ref_newton_dinkelbach(h, b):
+    for m in range(1 << b.n):
+        bv = b(m)
+        if not (is_finite(bv) and bv >= 0):
+            raise ValueError("b must be finite and nonnegative")
+        if bv == 0 and h(m) > 0:
+            raise ValueError("no good mu exists: positive h on a zero of b")
+    val, xmask = ref_brute_extremize(h, h.n, "max")
+    if not val > 0:
+        raise ValueError("mu = 0 is already good")
+    log = [(0, xmask)]
+    mu = 0
+    while True:
+        mu_next = _ceil_div(h(xmask), b(xmask))
+        if not mu_next > mu:
+            raise CertificateError("ratio candidates failed to increase")
+        mu = mu_next
+        val, xmask = ref_brute_extremize(lambda m: h(m) - mu * b(m), h.n, "max")
+        log.append((mu, xmask))
+        if val <= 0:
+            return mu, log
+
+
+def ref_exchange_capacity(base, y, s, t):
+    if s == t:
+        raise ValueError("exchange endpoints must differ")
+    best = POS_INF
+    p = base.p
+    for m in range(1 << base.n):
+        if not ((m >> s) & 1 and not (m >> t) & 1):
+            continue
+        pz = p(m)
+        if not is_finite(pz):
+            continue
+        slack = sum(y[v] for v in range(base.n) if (m >> v) & 1) - pz
+        if slack < best:
+            best = slack
+    return best
+
+
 def outcome(fn, *args):
     """Result, or the exception type and its exact payload."""
     try:
@@ -352,6 +406,61 @@ def test_cut_certificate_matches_reference(n, k, rng):
     assert cut_certificate(mg) == ref_cut_certificate(mg)
 
 
+H_VALUES = (-3, -2, -1, 0, 1, 2, 3, HUGE, -HUGE, 5 * HUGE, NEG_INF, POS_INF)
+B_VALUES = (0, 1, 2, 3, HUGE)
+
+
+def with_both_infinities(rng, n, table, share):
+    """A SetFn over `table` where a share of the nonempty entries also
+    holds infinities of both signs, as a cut sum can."""
+    values = ExtArray.from_values(table)
+    for m in range(1, 1 << n):
+        if rng.random() < share:
+            values.pos[m] = values.neg[m] = True
+    return SetFn(n, values)
+
+
+def ratio_outcome(fn, *args):
+    """`outcome`, where a TypeError (the ceiled ratio at an infinite
+    maximum) is a result too."""
+    try:
+        return outcome(fn, *args)
+    except TypeError as exc:
+        return ("TypeError", str(exc))
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(1, 6), st.sampled_from((0, 0, 0.02)), st.booleans(),
+       st.booleans(), st.randoms(use_true_random=False))
+def test_ratio_search_matches_reference(n, both_inf, with_inf, repair, rng):
+    h_values = H_VALUES if with_inf else H_VALUES[:-2]
+    # b: mostly valid, now and then a negative or infinite entry
+    b_values = B_VALUES + ((-1, NEG_INF, POS_INF) if rng.random() < 0.2 else ())
+    h = [0] + [rng.choice(h_values) for _ in range((1 << n) - 1)]
+    b = [0] + [rng.choice(b_values) for _ in range((1 << n) - 1)]
+    if repair:  # make h nonpositive on the zeros of b, so a good mu exists
+        h = [rng.choice((0, -1, -HUGE)) if bv == 0 and rng.random() < 0.9 else hv
+             for hv, bv in zip(h, b)]
+        h[0] = 0
+    h = with_both_infinities(rng, n, h, both_inf)
+    b = with_both_infinities(rng, n, b, both_inf)
+    for fn in (h, b):
+        for mode in ("max", "min"):
+            assert (outcome(brute_extremize, fn, mode)
+                    == outcome(ref_brute_extremize, fn, n, mode))
+    assert ratio_outcome(newton_dinkelbach, h, b) == ratio_outcome(ref_newton_dinkelbach, h, b)
+
+
+@settings(deadline=None)
+@given(st.integers(2, 6), st.randoms(use_true_random=False))
+def test_exchange_capacity_matches_reference(n, rng):
+    table = [0] + [rng.choice(BASE_VALUES) for _ in range((1 << n) - 2)] + [0]
+    base = BaseOracle.from_table(n, table)
+    y = [rng.choice((-2, 0, 1, HUGE, -3 * HUGE)) for _ in range(n)]
+    s, t = rng.sample(range(n), 2)
+    assert exchange_capacity(base, y, s, t) == ref_exchange_capacity(base, y, s, t)
+
+
 # --- fixed cases ------------------------------------------------------------
 
 def ring(n, lower, upper):
@@ -433,6 +542,18 @@ class TestExactness:
         with pytest.raises(ArithmeticError):
             find_violator(inst)
 
+    def test_extremize_raises_on_opposite_infinities(self):
+        # mask 3 holds both infinities; +inf at mask 1 and -inf at mask 2
+        # would win the scan if mask 3 were not read
+        values = ExtArray.from_values([0, POS_INF, NEG_INF, 0])
+        values.pos[3] = values.neg[3] = True
+        fn = SetFn(2, values)
+        for mode in ("max", "min"):
+            with pytest.raises(ArithmeticError):
+                ref_brute_extremize(fn, 2, mode)
+            with pytest.raises(ArithmeticError):
+                brute_extremize(fn, mode)
+
 
 class TestTables:
     def test_subset_sums_match_loop(self):
@@ -498,3 +619,52 @@ class TestTables:
             for m in range(1 << n):
                 want = envelope_value(pts, m)
                 assert values.value(m) == want and type(values.value(m)) is int
+
+    @pytest.mark.parametrize("h, b", [
+        ([0, POS_INF], [0, 0]),  # +inf on a zero of b: no good mu
+        ([0, 1, 0, 0], [0, 1, NEG_INF, 0]),  # -inf in b, whose finite part is 0
+        ([0, 3, POS_INF, 0], [0, 1, 2, 0]),  # an infinite maximum
+        ([0, -HUGE, 5 * HUGE, 1], [0, 0, HUGE, 1]),  # Python-int gaps
+        ([0, 7, 0, 9], [0, 3, 0, 2]),
+        # mu = 2^61 + 1, so mu * b({1}) is past int64 although h and b are not
+        ([0, (1 << 61) + 1, 0, 0], [0, 1, 6, 0]),
+    ])
+    def test_ratio_search_fixed_cases(self, h, b):
+        n = len(h).bit_length() - 1
+        h, b = SetFn(n, h), SetFn(n, b)
+        assert ratio_outcome(newton_dinkelbach, h, b) == ratio_outcome(ref_newton_dinkelbach, h, b)
+
+    def test_ratio_search_first_failing_mask_decides(self):
+        # mask 1 holds both infinities on a zero of b, mask 2 a negative b:
+        # reading mask 1 raises before mask 2 is checked
+        h = ExtArray.from_values([0, 0, 0, 0])
+        h.pos[1] = h.neg[1] = True
+        b = SetFn(2, [0, 0, -1, 0])
+        with pytest.raises(ArithmeticError):
+            ref_newton_dinkelbach(SetFn(2, h), b)
+        with pytest.raises(ArithmeticError):
+            newton_dinkelbach(SetFn(2, h), b)
+
+    def test_ratio_search_reads_tables_not_the_oracle(self, monkeypatch):
+        calls = []
+        scalar_call = SetFn.__call__
+
+        def counted(fn, mask):
+            calls.append(mask)
+            return scalar_call(fn, mask)
+
+        monkeypatch.setattr(SetFn, "__call__", counted)
+        rng = random.Random(11)
+        n = 10
+        searched = 0
+        while searched < 5:
+            b = [0] + [rng.randint(0, 4) for _ in range((1 << n) - 1)]
+            h = [0] + [rng.randint(-5, 7) if bv else rng.randint(-5, 0) for bv in b[1:]]
+            if max(h) <= 0:
+                continue
+            h_fn, b_fn = SetFn(n, h), SetFn(n, b)
+            calls.clear()
+            got = newton_dinkelbach(h_fn, b_fn)
+            assert len(calls) < 100
+            assert got == ref_newton_dinkelbach(h_fn, b_fn)
+            searched += 1

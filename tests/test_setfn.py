@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,6 @@ from fairflow.setfn import (
     cut_difference,
     envelope_setfn,
     envelope_value,
-    proper_nonempty_masks,
 )
 from fairflow.oracle import enumerate_base_points
 
@@ -33,10 +33,13 @@ class TestSetFn:
         assert fn(0b101) == 5
         assert fn(0b111) == 4
 
-    def test_densify_matches_fn(self):
-        fn = SetFn(3, fn=lambda m: bin(m).count("1") ** 2)
-        dense = fn.densify()
-        assert all(dense(m) == fn(m) for m in range(8))
+    @pytest.mark.parametrize("value", [1.5, Fraction(1, 2), None, "x"])
+    def test_non_integer_value_rejected(self, value):
+        table = [0, value, 0, 0]
+        with pytest.raises(ValueError, match="at mask 1"):
+            SetFn(2, table=table)
+        with pytest.raises(ValueError, match="at mask 1"):
+            BaseOracle.from_table(2, table)
 
 
 class TestSupermodularChecks:
@@ -50,10 +53,6 @@ class TestSupermodularChecks:
         fn = SetFn(2, table=[0, 1, 1, 1])
         ok, witness = check_fully_supermodular(fn)
         assert not ok and witness == (1, 2)
-
-    def test_requires_table(self):
-        with pytest.raises(ValueError):
-            check_fully_supermodular(SetFn(2, fn=lambda m: 0))
 
 
 class TestRestrictedChecks:
@@ -156,12 +155,13 @@ class TestBruteExtremize:
         fn = SetFn(1, table=[0, -1])
         assert brute_extremize(fn, "max") == (0, 0)
 
-    def test_min_over_proper_subsets(self):
+    def test_min_over_all_subsets(self):
+        # cut values 0, 2, 2, 0: the minimum ties between the empty and the
+        # full set, and the lowest mask wins; the maximum ties likewise
         d = Digraph(2, ((0, 1), (1, 0)))
         diff = cut_difference(d, Bounds((0, 0), (2, 2)))
-        fn = SetFn(2, fn=lambda m: diff(m) - 0)
-        val, mask = brute_extremize(fn, "min", proper_nonempty_masks(2))
-        assert (val, mask) == (2, 0b01)
+        assert brute_extremize(diff, "min") == (0, 0)
+        assert brute_extremize(diff, "max") == (2, 0b01)
 
 
 class TestEnvelope:
@@ -268,5 +268,5 @@ class TestFaceContract:
     def test_face_stays_supermodular(self, b3_points):
         base = BaseOracle.from_points(b3_points, 2)
         face = base.face_contract(Chain(2, (0b10,)))
-        assert check_fully_supermodular(face.p.densify())[0]
+        assert check_fully_supermodular(face.p)[0]
         assert face.face_chains == (Chain(2, (0b10,)),)
