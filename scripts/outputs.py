@@ -1,0 +1,163 @@
+"""Record what `fairflow` prints on a fixed set of runs, and diff two records.
+
+    python scripts/outputs.py record OUT [--seeds 1 2 11]
+    python scripts/outputs.py diff A B
+
+`record` runs, in-process through `fairflow.cli.main`:
+- the bench corpora of every given seed (`bench/corpus.write_corpus`,
+  written to a temporary directory), each under its workload's command
+  line, and `solve-cut` also under `solve --trace`;
+- every `tests/data` fixture, plus the EXTRAS below, under each of
+  FIXTURE_COMMANDS.
+It writes {run: [exit code, stdout, stderr]} to OUT as JSON.  A run that
+raises records exit code null and the exception on stderr.
+
+`fairflow` is imported from the Python path, so pointing PYTHONPATH at the
+`src` of another checkout records that checkout.  To check that a change
+keeps every output byte-identical to its parent:
+
+    git worktree add ../parent HEAD~1
+    PYTHONPATH=../parent/src python scripts/outputs.py record parent.json
+    PYTHONPATH=src python scripts/outputs.py record change.json
+    python scripts/outputs.py diff parent.json change.json
+
+`diff` lists the runs whose exit code, stdout or stderr differ, or that
+only one record has, and exits 1 if there are any.
+"""
+
+import argparse
+import io
+import json
+import os
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+import corpus  # noqa: E402
+from run import CORPUS_SIZE  # noqa: E402
+
+CORPUS_COMMANDS = {
+    "solve-cut": [["solve"], ["solve", "--trace"]],
+    "mincost-wide": [["solve", "--min-cost"]],
+    "orient-mixed": [["orient"]],
+}
+
+FIXTURE_COMMANDS = [
+    ["check"], ["solve"], ["solve", "--trace"], ["solve", "--min-cost"],
+    ["orient"], ["orient", "--k", "2"], ["verify"],
+]
+
+
+def _arc(name, tail, head, f, g, **extra):
+    return {"id": name, "tail": tail, "head": head, "f": f, "g": g, **extra}
+
+
+# Inputs that reach paths no fixture does: the blocking-circuit verdict on
+# three nodes, a lower-unbounded focus arc that carries a cost, bounds past
+# int64, a repeated focus id, and a table whose full-set value is not 0.
+EXTRAS = {
+    "extra-blocking-circuit": {
+        "nodes": ["a", "b", "c"],
+        "arcs": [_arc("e1", "a", "b", "-inf", 0), _arc("e2", "b", "c", "-inf", "+inf"),
+                 _arc("e3", "c", "a", "-inf", "+inf")],
+        "F": ["e1"], "base": {"type": "zero"}},
+    "extra-unbounded-costed-focus": {
+        "nodes": ["a", "b"],
+        "arcs": [_arc("e1", "a", "b", "-inf", 0, cost=1),
+                 _arc("e2", "b", "a", 0, "+inf", cost=0)],
+        "F": ["e1"], "base": {"type": "zero"}},
+    "extra-huge-bounds": {
+        "nodes": ["a", "b"],
+        "arcs": [_arc("e1", "a", "b", -10 ** 30, 10 ** 30, cost=1),
+                 _arc("e2", "b", "a", -10 ** 30, 10 ** 30, cost=-1)],
+        "F": ["e1", "e2"], "base": {"type": "zero"}},
+    "extra-repeated-focus-id": {
+        "nodes": ["a", "b"],
+        "arcs": [_arc("e1", "a", "b", 0, 2), _arc("e2", "b", "a", 0, 2)],
+        "F": ["e1", "e1"], "base": {"type": "zero"}},
+    "extra-bad-full-set": {
+        "nodes": ["a", "b"],
+        "arcs": [_arc("e1", "a", "b", 0, 1)],
+        "F": ["e1"], "base": {"type": "table", "p": {"": 0, "a": 0, "b": 0, "a,b": 1}}},
+}
+
+
+def call(cli, argv, directory):
+    """[exit code, stdout, stderr] of one in-process run, with `directory`
+    replaced by a fixed name so records from different places compare."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # a crash is recorded as a run's outcome
+            code = None
+            err.write(f"{type(exc).__name__}: {exc}\n")
+    return [code] + [s.getvalue().replace(directory, "<dir>") for s in (out, err)]
+
+
+def record(out_path, seeds):
+    from fairflow import cli
+
+    print(f"recording fairflow from {os.path.dirname(cli.__file__)}", file=sys.stderr)
+    runs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in seeds:
+            for workload, commands in CORPUS_COMMANDS.items():
+                for path in corpus.write_corpus(workload, seed, CORPUS_SIZE, tmp):
+                    name = os.path.basename(path)
+                    for argv in commands:
+                        runs[" ".join(argv + [name])] = call(cli, argv + [path], tmp)
+        data = os.path.join(ROOT, "tests", "data")
+        fixtures = [os.path.join(data, name) for name in sorted(os.listdir(data))]
+        for name, doc in EXTRAS.items():
+            fixtures.append(os.path.join(tmp, name + ".json"))
+            with open(fixtures[-1], "w") as fh:
+                json.dump(doc, fh)
+        for path in fixtures:
+            name = os.path.basename(path)
+            for argv in FIXTURE_COMMANDS:
+                runs[" ".join(argv + [name])] = call(
+                    cli, argv + [path], os.path.dirname(path))
+    with open(out_path, "w") as fh:
+        json.dump(runs, fh, indent=1, sort_keys=True)
+    print(f"{len(runs)} runs written to {out_path}", file=sys.stderr)
+    return 0
+
+
+def diff(a_path, b_path):
+    with open(a_path) as fh:
+        a = json.load(fh)
+    with open(b_path) as fh:
+        b = json.load(fh)
+    differ = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    for key in differ:
+        if key not in a or key not in b:
+            print(f"{key}: only in {a_path if key in a else b_path}")
+            continue
+        parts = [part for part, x, y in zip(("exit code", "stdout", "stderr"), a[key], b[key])
+                 if x != y]
+        print(f"{key}: {', '.join(parts)} differ")
+    print(f"{len(differ)} of {len(a.keys() | b.keys())} runs differ")
+    return 1 if differ else 0
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p_record = sub.add_parser("record", help="run everything and write the outputs")
+    p_record.add_argument("out")
+    p_record.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 11])
+    p_diff = sub.add_parser("diff", help="list the runs two records disagree on")
+    p_diff.add_argument("a")
+    p_diff.add_argument("b")
+    args = parser.parse_args()
+    if args.command == "record":
+        return record(args.out, args.seeds)
+    return diff(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

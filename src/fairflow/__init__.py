@@ -60,6 +60,7 @@ from .decmin import (
     strip_tight,
 )
 from .existence import (
+    BlockingCircuit,
     JumpStructure,
     build_jump_structure,
     finitize_bounds,

@@ -1,7 +1,7 @@
 """Feasibility and min-cost optimization over bounded base-flow polyhedra.
 
-An Instance couples a digraph, integer bounds, a zero-base oracle, a focus
-arc set, and an optional linear cost.  Feasibility follows the cut criterion
+An Instance couples a digraph, integer bounds, a zero-base oracle and a
+focus arc set.  Feasibility follows the cut criterion
 (the in-cut of the upper bounds minus the out-cut of the lower bounds must
 dominate the base function on every node subset); a feasible integral flow
 is built by exact coordinate fixing; minimum-cost flows are computed by
@@ -57,12 +57,9 @@ class Instance:
     bounds: Bounds
     base: BaseOracle
     focus: frozenset = frozenset()
-    cost: Optional[tuple] = None
 
     def __post_init__(self):
         object.__setattr__(self, "focus", frozenset(self.focus))
-        if self.cost is not None:
-            object.__setattr__(self, "cost", tuple(self.cost))
         if len(self.bounds) != self.digraph.arc_count:
             raise ValueError("bounds length must match arc count")
         if self.base.n != self.digraph.node_count:
@@ -70,8 +67,6 @@ class Instance:
         for e in self.focus:
             if not 0 <= e < self.digraph.arc_count:
                 raise ValueError(f"focus arc id {e} out of range")
-        if self.cost is not None and len(self.cost) != self.digraph.arc_count:
-            raise ValueError("cost length must match arc count")
 
     @cached_property
     def slack(self) -> ExtArray:
@@ -80,13 +75,13 @@ class Instance:
         return (-self.base.values).plus_cut(self.digraph, b.upper, b.lower)
 
     def with_bounds(self, bounds: Bounds) -> "Instance":
-        return Instance(self.digraph, bounds, self.base, self.focus, self.cost)
+        return Instance(self.digraph, bounds, self.base, self.focus)
 
     def with_base(self, base: BaseOracle) -> "Instance":
-        return Instance(self.digraph, self.bounds, base, self.focus, self.cost)
+        return Instance(self.digraph, self.bounds, base, self.focus)
 
     def with_focus(self, focus) -> "Instance":
-        return Instance(self.digraph, self.bounds, self.base, frozenset(focus), self.cost)
+        return Instance(self.digraph, self.bounds, self.base, frozenset(focus))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .core import (
 )
 from .baseflow import CertificateError, Infeasible, Instance, check_feasible, min_cost_flow
 from .decmin import solve_decmin
-from .existence import build_jump_structure, finitize_bounds, has_blocking_dicircuit
+from .existence import BlockingCircuit, finitize_bounds
 from .lupmin import lupmin_solve
 from .oracle import (
     BudgetExceeded,
@@ -88,14 +88,15 @@ def _dump_extint(v):
 
 
 class ParsedInstance:
-    """Instance plus the naming needed to read and write JSON documents."""
+    """Instance plus its per-arc costs and the names of its JSON document."""
 
     def __init__(self, instance: Instance, node_names: List[str],
-                 arc_names: List[str], base_doc: dict):
+                 arc_names: List[str], base_doc: dict, cost: Optional[tuple]):
         self.instance = instance
         self.node_names = node_names
         self.arc_names = arc_names
         self.base_doc = base_doc
+        self.cost = cost
 
     def mask_names(self, mask: int) -> List[str]:
         return [self.node_names[v] for v in mask_nodes(mask)]
@@ -105,6 +106,12 @@ class ParsedInstance:
 
     def flow_doc(self, x) -> Dict[str, int]:
         return {self.arc_names[e]: int(x[e]) for e in range(len(x))}
+
+    def bound_doc(self, side) -> dict:
+        return {self.arc_names[e]: _dump_extint(v) for e, v in enumerate(side)}
+
+    def violator_doc(self, violator: int, deficit) -> dict:
+        return {"violator": self.mask_names(violator), "deficit": _dump_extint(deficit)}
 
 
 def parse_instance(doc: dict) -> ParsedInstance:
@@ -119,7 +126,6 @@ def parse_instance(doc: dict) -> ParsedInstance:
     lower = []
     upper = []
     costs = []
-    any_cost = False
     for pos, arc in enumerate(doc["arcs"]):
         _expect_keys(arc, ("id", "tail", "head", "f", "g"), ("cost",), f"arc #{pos}")
         if not isinstance(arc["id"], str):
@@ -133,13 +139,10 @@ def parse_instance(doc: dict) -> ParsedInstance:
         arcs.append((node_index[arc["tail"]], node_index[arc["head"]]))
         lower.append(_parse_extint(arc["f"], f"arc {arc['id']!r} f"))
         upper.append(_parse_extint(arc["g"], f"arc {arc['id']!r} g"))
-        if "cost" in arc:
-            any_cost = True
-            if not isinstance(arc["cost"], int) or isinstance(arc["cost"], bool):
-                raise ParseError(f"arc {arc['id']!r}: cost must be an integer")
-            costs.append(arc["cost"])
-        else:
-            costs.append(0)
+        arc_cost = arc.get("cost", 0)
+        if not isinstance(arc_cost, int) or isinstance(arc_cost, bool):
+            raise ParseError(f"arc {arc['id']!r}: cost must be an integer")
+        costs.append(arc_cost)
     arc_index = {s: i for i, s in enumerate(arc_names)}
     if not isinstance(doc["F"], list):
         raise ParseError("F: expected a list of arc ids")
@@ -152,11 +155,11 @@ def parse_instance(doc: dict) -> ParsedInstance:
         digraph = Digraph(len(names), tuple(arcs))
         bounds = Bounds(tuple(lower), tuple(upper))
         base = _parse_base(doc["base"], names, node_index)
-        inst = Instance(digraph, bounds, base, frozenset(focus),
-                        tuple(costs) if any_cost else None)
+        inst = Instance(digraph, bounds, base, frozenset(focus))
     except (ValueError, ArithmeticError) as exc:
         raise ParseError(str(exc)) from exc
-    return ParsedInstance(inst, list(names), arc_names, doc["base"])
+    cost = tuple(costs) if any("cost" in arc for arc in doc["arcs"]) else None
+    return ParsedInstance(inst, list(names), arc_names, doc["base"], cost)
 
 
 def _parse_base(doc: dict, names: List[str], node_index: Dict[str, int]) -> BaseOracle:
@@ -219,8 +222,8 @@ def instance_to_doc(parsed: ParsedInstance) -> dict:
             "f": _dump_extint(inst.bounds.lower[e]),
             "g": _dump_extint(inst.bounds.upper[e]),
         }
-        if inst.cost is not None:
-            entry["cost"] = inst.cost[e]
+        if parsed.cost is not None:
+            entry["cost"] = parsed.cost[e]
         arcs.append(entry)
     return {
         "nodes": parsed.node_names,
@@ -260,6 +263,8 @@ def _parse_mixed(doc: dict) -> Tuple[MixedGraph, List[str], Optional[dict]]:
             if (not isinstance(pair, list) or len(pair) != 2
                     or any(not isinstance(v, int) or isinstance(v, bool) for v in pair)):
                 raise ParseError(f"degree_bounds[{name!r}]: expected [lo, hi]")
+            if pair[0] > pair[1]:
+                raise ParseError(f"degree_bounds[{name!r}]: empty interval {pair}")
             degree_bounds[index[name]] = (pair[0], pair[1])
     try:
         mg = MixedGraph(len(names), pairs("arcs"), pairs("edges"), k)
@@ -292,55 +297,47 @@ def cmd_check(args) -> int:
     if cert.feasible:
         _emit({"witness": parsed.flow_doc(cert.witness)})
         return EXIT_OK
-    _emit({"violator": parsed.mask_names(cert.violator),
-           "deficit": _dump_extint(cert.deficit)})
+    _emit(parsed.violator_doc(cert.violator, cert.deficit))
     return EXIT_INFEASIBLE
 
 
 def cmd_solve(args) -> int:
     parsed = parse_instance(_load(args.path))
-    inst = parsed.instance
-    if args.min_cost and inst.cost is None:
+    if args.min_cost and parsed.cost is None:
         raise ParseError("--min-cost requires per-arc costs in the input")
-    cert = check_feasible(inst)
+    cert = check_feasible(parsed.instance)
     if not cert.feasible:
-        _emit({"violator": parsed.mask_names(cert.violator),
-               "deficit": _dump_extint(cert.deficit)})
+        _emit(parsed.violator_doc(cert.violator, cert.deficit))
         return EXIT_INFEASIBLE
-    js = build_jump_structure(inst)
-    circuit = has_blocking_dicircuit(js, inst.focus)
-    if circuit is not None:
+    try:
+        finite = finitize_bounds(parsed.instance)
+    except BlockingCircuit as exc:
         _emit({"blocking_circuit": [
             {"tail": parsed.node_names[a.tail],
              "head": parsed.node_names[a.head],
              "kind": a.kind,
              "arc": None if a.arc_id is None else parsed.arc_names[a.arc_id]}
-            for a in circuit]})
+            for a in exc.circuit]})
         return EXIT_NO_DECMIN
-    finite = finitize_bounds(inst)
     result = solve_decmin(finite)
     out = {
-        "f_star": {parsed.arc_names[e]: _dump_extint(result.lower[e])
-                   for e in range(len(result.lower))},
-        "g_star": {parsed.arc_names[e]: _dump_extint(result.upper[e])
-                   for e in range(len(result.upper))},
+        "f_star": parsed.bound_doc(result.lower),
+        "g_star": parsed.bound_doc(result.upper),
         "face_chains": [parsed.chain_doc(c) for c in result.face_chains],
         "witness": parsed.flow_doc(result.witness),
     }
     if args.min_cost:
-        x, _ = min_cost_flow(result.final, inst.cost)
+        x, _ = min_cost_flow(result.final, parsed.cost)
         out["min_cost_witness"] = parsed.flow_doc(x)
-        out["cost"] = sum(inst.cost[e] * x[e] for e in range(len(x)))
+        out["cost"] = sum(parsed.cost[e] * x[e] for e in range(len(x)))
     if args.trace:
         out["phases"] = [
             {"beta": t.beta,
              "L_beta": sorted(parsed.arc_names[e] for e in t.l_beta),
              "chain": parsed.chain_doc(t.chain),
              "L_prime": sorted(parsed.arc_names[e] for e in t.l_prime),
-             "f_after": {parsed.arc_names[e]: _dump_extint(t.bounds_after.lower[e])
-                         for e in range(len(t.bounds_after.lower))},
-             "g_after": {parsed.arc_names[e]: _dump_extint(t.bounds_after.upper[e])
-                         for e in range(len(t.bounds_after.upper))}}
+             "f_after": parsed.bound_doc(t.bounds_after.lower),
+             "g_after": parsed.bound_doc(t.bounds_after.upper)}
             for t in result.traces]
     _emit(out)
     return EXIT_OK

@@ -21,6 +21,14 @@ from .core import NEG_INF, POS_INF, is_finite
 from .baseflow import Instance, find_feasible, membership
 
 
+class BlockingCircuit(ValueError):
+    """No finite reduction exists; `circuit` is the blocking dicircuit."""
+
+    def __init__(self, circuit: tuple):
+        super().__init__("blocking dicircuit present: no finite reduction exists")
+        self.circuit = circuit
+
+
 @dataclass(frozen=True)
 class DStarArc:
     tail: int
@@ -137,13 +145,14 @@ def finitize_bounds(inst: Instance) -> Instance:
     one feasible witness.  A lower-unbounded focus arc is then bounded from
     below through the set reachable from its head in the auxiliary digraph:
     no auxiliary arc leaves that set, so its cut inequality pins the arc's
-    value from below with finite data.  Requires that no blocking dicircuit
-    exists.
+    value from below with finite data.  Raises BlockingCircuit, carrying
+    the circuit, when a blocking dicircuit makes that impossible.
     """
     # truncating focus upper bounds below leaves the auxiliary digraph as is
     js = build_jump_structure(inst)
-    if has_blocking_dicircuit(js, inst.focus) is not None:
-        raise ValueError("blocking dicircuit present: no finite reduction exists")
+    circuit = has_blocking_dicircuit(js, inst.focus)
+    if circuit is not None:
+        raise BlockingCircuit(circuit)
     witness = find_feasible(inst)
     bounds = inst.bounds
     if witness:

@@ -76,7 +76,7 @@ class ExtArray:
     @classmethod
     def from_values(cls, values: Sequence[ExtInt]) -> "ExtArray":
         for m, v in enumerate(values):
-            if not (is_finite(v) or v is POS_INF or v is NEG_INF):
+            if isinstance(v, bool) or not (is_finite(v) or v is POS_INF or v is NEG_INF):
                 raise ValueError(f"value {v!r} at mask {m} is neither an integer nor an infinity")
         fin = [v if is_finite(v) else 0 for v in values]
         bound = max(map(abs, fin), default=0)

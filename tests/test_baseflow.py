@@ -119,6 +119,11 @@ class TestMinCostFlow:
         assert membership(i1, x)
         assert pi.values == (0, 0)
 
+    @pytest.mark.parametrize("cost", [(1,), (1, 0, 0)])
+    def test_cost_length_checked(self, i1, cost):
+        with pytest.raises(ValueError, match="cost length must match arc count"):
+            min_cost_flow(i1, cost)
+
     def test_prefers_cheap_arc(self, i1):
         x, pi = min_cost_flow(i1, (1, 0))
         assert x == (0, 0)

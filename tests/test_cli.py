@@ -7,6 +7,7 @@ import pytest
 from fairflow.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT,
+    EXIT_MISMATCH,
     EXIT_NO_DECMIN,
     EXIT_OK,
     ParseError,
@@ -14,6 +15,7 @@ from fairflow.cli import (
     main,
     parse_instance,
 )
+from fairflow.existence import build_jump_structure, has_blocking_dicircuit
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -26,6 +28,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def count_calls(monkeypatch, *names):
+    """Count calls of the named functions through every fairflow module
+    that binds them; returns the live {name: count} dict."""
+    counts = dict.fromkeys(names, 0)
+    for module in [m for name, m in sys.modules.items() if name.startswith("fairflow")]:
+        for name in names:
+            original = getattr(module, name, None)
+            if original is None:
+                continue
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return counts
 
 
 class TestCheck:
@@ -75,10 +95,22 @@ class TestSolve:
         for e in ("e1", "e2"):
             assert doc["g_star"][e] - doc["f_star"][e] <= 1
 
-    def test_no_fair_flow(self, capsys):
+    def test_no_fair_flow(self, capsys, monkeypatch):
+        with open(path("i4p.json")) as fh:
+            parsed = parse_instance(json.load(fh))
+        inst = parsed.instance
+        circuit = has_blocking_dicircuit(build_jump_structure(inst), inst.focus)
+        # the existence verdict is reached once, inside finitize_bounds
+        counts = count_calls(monkeypatch, "build_jump_structure")
         code, out = run(capsys, "solve", path("i4p.json"))
         assert code == EXIT_NO_DECMIN
+        assert counts == {"build_jump_structure": 1}
         doc = json.loads(out)
+        assert doc["blocking_circuit"] == [
+            {"tail": parsed.node_names[a.tail], "head": parsed.node_names[a.head],
+             "kind": a.kind,
+             "arc": None if a.arc_id is None else parsed.arc_names[a.arc_id]}
+            for a in circuit]
         kinds = {(a["tail"], a["head"], a["kind"]) for a in doc["blocking_circuit"]}
         assert ("a", "b", "lower-inf") in kinds
 
@@ -105,22 +137,11 @@ class TestSolve:
 
     def test_min_cost_solves_once(self, capsys, monkeypatch):
         # the min-cost flow runs on the narrowed instance already solved,
-        # and finitization reuses its auxiliary digraph
-        counts = {"solve_decmin": 0, "build_jump_structure": 0}
-        for module in [m for name, m in sys.modules.items() if name.startswith("fairflow")]:
-            for name in counts:
-                original = getattr(module, name, None)
-                if original is None:
-                    continue
-
-                def counted(*args, _name=name, _original=original, **kwargs):
-                    counts[_name] += 1
-                    return _original(*args, **kwargs)
-
-                monkeypatch.setattr(module, name, counted)
+        # and only finitization builds the auxiliary digraph
+        counts = count_calls(monkeypatch, "solve_decmin", "build_jump_structure")
         code, _ = run(capsys, "solve", path("i1.json"), "--min-cost")
         assert code == EXIT_OK
-        assert counts == {"solve_decmin": 1, "build_jump_structure": 2}
+        assert counts == {"solve_decmin": 1, "build_jump_structure": 1}
 
     def test_min_cost_without_costs_rejected_before_solving(self, capsys):
         code, out = run(capsys, "solve", path("infeasible.json"), "--min-cost")
@@ -186,6 +207,22 @@ class TestOrient:
         code, _ = run(capsys, "orient", path("triangle.json"), "--k", "2")
         assert code == EXIT_INFEASIBLE
 
+    @pytest.mark.parametrize("interval, expected", [
+        ([3, 1], EXIT_INPUT), ([5, 6], EXIT_INFEASIBLE)], ids=["reversed", "out-of-range"])
+    def test_degree_bounds(self, capsys, tmp_path, interval, expected):
+        # a reversed interval is malformed input; a well-formed one that
+        # misses node a's possible in-degrees 0..2 is an infeasible instance
+        with open(path("triangle.json")) as fh:
+            doc = json.load(fh)
+        doc["mixed_graph"]["degree_bounds"] = {"a": interval}
+        src = tmp_path / "bounds.json"
+        src.write_text(json.dumps(doc))
+        code = main(["orient", str(src)])
+        err = capsys.readouterr().err
+        assert code == expected
+        if expected == EXIT_INPUT:
+            assert "degree_bounds['a']" in err
+
     @pytest.mark.parametrize("nodes", [["a", "b", "a"], ["a", "", "c"], []])
     def test_bad_node_names_rejected(self, capsys, tmp_path, nodes):
         # a repeated name used to collapse two nodes into one and report a
@@ -229,8 +266,8 @@ class TestParsing:
             again = parse_instance(instance_to_doc(parsed))
             assert instance_to_doc(again) == instance_to_doc(parsed)
             a, b = again.instance, parsed.instance
-            assert (a.digraph, a.bounds, a.focus, a.cost) == (
-                b.digraph, b.bounds, b.focus, b.cost)
+            assert (a.digraph, a.bounds, a.focus) == (b.digraph, b.bounds, b.focus)
+            assert again.cost == parsed.cost
             assert a.base.p.table == b.base.p.table
             assert again.node_names == parsed.node_names
             assert again.arc_names == parsed.arc_names
@@ -313,3 +350,16 @@ class TestParsing:
         err = capsys.readouterr().err
         assert code == EXIT_INPUT
         assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check"], ["solve"], ["solve", "--trace"], ["solve", "--min-cost"],
+    ["orient"], ["orient", "--k", "2"], ["verify"]], ids=" ".join)
+def test_exit_codes_are_total(capsys, argv):
+    # every fixture under every command line ends in a documented exit
+    # code; an exception escaping main would fail the test
+    for name in sorted(os.listdir(DATA)):
+        code = main(argv + [path(name)])
+        capsys.readouterr()
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_INFEASIBLE, EXIT_NO_DECMIN,
+                        EXIT_MISMATCH), (name, code)

@@ -90,8 +90,6 @@ class TestValidation:
             Instance(d, Bounds((0,), (1,)), BaseOracle.zero(3))
         with pytest.raises(ValueError):
             Instance(d, Bounds((0,), (1,)), BaseOracle.zero(2), frozenset([5]))
-        with pytest.raises(ValueError):
-            Instance(d, Bounds((0,), (1,)), BaseOracle.zero(2), cost=(1, 2))
 
     def test_base_oracle_requires_zero_total(self):
         from fairflow.setfn import BaseOracle

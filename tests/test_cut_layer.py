@@ -42,6 +42,7 @@ from fairflow.baseflow import (
 )
 from fairflow.decmin import _ceil_div, _nd_entering_fn, _nd_slack_fn, newton_dinkelbach
 from fairflow.existence import (
+    BlockingCircuit,
     _reachable,
     build_jump_structure,
     finitize_bounds,
@@ -179,9 +180,9 @@ def ref_principal(inst):
 
 
 def ref_finitize_bounds(inst):
-    js0 = build_jump_structure(inst)
-    if has_blocking_dicircuit(js0, inst.focus) is not None:
-        raise ValueError("blocking dicircuit present: no finite reduction exists")
+    circuit = has_blocking_dicircuit(build_jump_structure(inst), inst.focus)
+    if circuit is not None:
+        raise BlockingCircuit(circuit)
     witness = find_feasible(inst)
     bounds = inst.bounds
     if witness:

@@ -6,6 +6,7 @@ from fairflow.core import Bounds, Digraph, NEG_INF, POS_INF, decmin_compare
 from fairflow.baseflow import Instance, membership
 from fairflow.decmin import solve_decmin
 from fairflow.existence import (
+    BlockingCircuit,
     build_jump_structure,
     finitize_bounds,
     has_blocking_dicircuit,
@@ -107,8 +108,13 @@ class TestFinitize:
         assert out.bounds.upper[0] == 0
 
     def test_blocked_instance_rejected(self, i4p):
-        with pytest.raises(ValueError):
+        # the verdict carries the circuit the search finds, and stays a
+        # ValueError with the message callers already match
+        with pytest.raises(BlockingCircuit) as info:
             finitize_bounds(i4p)
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == "blocking dicircuit present: no finite reduction exists"
+        assert info.value.circuit == has_blocking_dicircuit(build_jump_structure(i4p), i4p.focus)
 
     def test_finite_focus_arcs_untouched(self):
         d = Digraph(2, ((0, 1), (1, 0)))

@@ -33,7 +33,7 @@ class TestSetFn:
         assert fn(0b101) == 5
         assert fn(0b111) == 4
 
-    @pytest.mark.parametrize("value", [1.5, Fraction(1, 2), None, "x"])
+    @pytest.mark.parametrize("value", [1.5, Fraction(1, 2), None, "x", True, False])
     def test_non_integer_value_rejected(self, value):
         table = [0, value, 0, 0]
         with pytest.raises(ValueError, match="at mask 1"):
