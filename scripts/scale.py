@@ -1,4 +1,5 @@
-"""Time one fair-flow solve per seed at n = 14..20 nodes.
+"""Time one fair-flow solve per seed at n = 14..20 nodes, or sweep the
+bound width of a min-cost flow.
 
 Each instance has a zero base, m = 2n random arcs (a Hamiltonian cycle plus
 random pairs), bounds of width 1-3 that hold 0 and every arc in focus.
@@ -7,8 +8,16 @@ in-process `fairflow solve` on the same instance written as JSON, parsing
 included.  Prints one JSON line per (n, seed).
 
     PYTHONPATH=src python scripts/scale.py [library|cli] [n ...]
+
+`mincost` times `min_cost_flow` on the 3-node cycles of `mincost_instance`
+at bound widths W = 10, 10^2, ..., 10^6 and counts the `membership` checks
+under it.  Prints one JSON line per (base, W), and exits 1 if a base's
+count at the widest W differs from its count at the narrowest.
+
+    PYTHONPATH=src python scripts/scale.py mincost
 """
 
+import itertools
 import json
 import os
 import random
@@ -16,10 +25,13 @@ import sys
 import tempfile
 import time
 from contextlib import redirect_stdout
+from unittest import mock
 
-from fairflow import Bounds, Digraph, Instance, solve_decmin
+from fairflow import Bounds, Digraph, Instance, baseflow, solve_decmin
 from fairflow.cli import main
 from fairflow.setfn import BaseOracle
+
+MINCOST_COST = (-1, -2, 1)
 
 
 def instance(n, seed):
@@ -56,7 +68,41 @@ def time_cli(n, arcs, lower, upper):
     return elapsed
 
 
+def mincost_instance(width, base):
+    """3-node cycle with bounds [-W/2, W - W/2]: under MINCOST_COST the
+    cheapest flow moves about W/2 units around it.  `base` is "zero", or
+    "points": every y with y(V) = 0 and |y_v| <= 1, so that exchange arcs
+    take part."""
+    half = width // 2
+    if base == "zero":
+        oracle = BaseOracle.zero(3)
+    else:
+        points = [y for y in itertools.product((-1, 0, 1), repeat=3) if sum(y) == 0]
+        oracle = BaseOracle.from_points(points, 3)
+    return Instance(Digraph(3, ((0, 1), (1, 2), (2, 0))),
+                    Bounds((-half,) * 3, (width - half,) * 3), oracle)
+
+
+def sweep_mincost():
+    flat = True
+    for base in ("zero", "points"):
+        counts = []
+        for width in (10 ** k for k in range(1, 7)):
+            inst = mincost_instance(width, base)
+            with mock.patch.object(baseflow, "membership", wraps=baseflow.membership) as spy:
+                t = time.perf_counter()
+                baseflow.min_cost_flow(inst, MINCOST_COST)
+                seconds = time.perf_counter() - t
+            counts.append(spy.call_count)
+            print(json.dumps({"base": base, "W": width, "s": round(seconds, 4),
+                              "membership": spy.call_count}), flush=True)
+        flat = flat and counts[-1] == counts[0]
+    return 0 if flat else 1
+
+
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["mincost"]:
+        sys.exit(sweep_mincost())
     timer = time_cli if sys.argv[1:2] == ["cli"] else time_library
     for n in map(int, sys.argv[2:] or (14, 16, 18, 20)):
         for seed in (1, 2):

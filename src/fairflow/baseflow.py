@@ -5,7 +5,8 @@ focus arc set.  Feasibility follows the cut criterion
 (the in-cut of the upper bounds minus the out-cut of the lower bounds must
 dominate the base function on every node subset); a feasible integral flow
 is built by exact coordinate fixing; minimum-cost flows are computed by
-canceling negative cycles in the exchange auxiliary digraph, and integer
+canceling negative cycles in the exchange auxiliary digraph (bottleneck
+augmentation, halved until membership holds), and integer
 dual node potentials are read off shortest-path distances at optimality.
 The binding contract of the solver is the certificate it returns, not the
 method: complementary slackness and tightness of every potential level set
@@ -337,12 +338,29 @@ def _min_arc_negative_cycle(n: int, arcs: list) -> Optional[list]:
     return None
 
 
-def _apply_cycle(x: list, cycle: list) -> None:
+def _bottleneck(inst: Instance, x: Sequence[int], cycle: list) -> int:
+    """Least residual width over the arcs of an aux cycle (+inf loses).
+
+    An ('exch', s, t) arc moves net in-flow from t to s, so its width is
+    the exchange capacity from t to s at the current net in-flows.
+    """
+    b = inst.bounds
+    psi = node_net_inflow(inst.digraph, x)
+    delta = min(b.upper[tag[1]] - x[tag[1]] if tag[0] == "up"
+                else x[tag[1]] - b.lower[tag[1]] if tag[0] == "down"
+                else exchange_capacity(inst.base, psi, tag[2], tag[1])
+                for (_, _, _, tag) in cycle)
+    if delta is POS_INF:
+        raise CertificateError("negative cycle of unbounded width")
+    return delta
+
+
+def _apply_cycle(x: list, cycle: list, delta: int) -> None:
     for (_, _, _, tag) in cycle:
         if tag[0] == "up":
-            x[tag[1]] += 1
+            x[tag[1]] += delta
         elif tag[0] == "down":
-            x[tag[1]] -= 1
+            x[tag[1]] -= delta
 
 
 def _potentials(n: int, arcs: list) -> list:
@@ -385,8 +403,10 @@ def verify_optimality(inst: Instance, cost: Sequence[int], x: Sequence[int],
 def min_cost_flow(inst: Instance, cost: Sequence[int]) -> Tuple[tuple, DualPotential]:
     """Integral minimum-cost feasible base-flow with certifying potentials.
 
-    Unit augmentations along fewest-arc negative cycles of the exchange
-    auxiliary digraph; feasibility is re-asserted after every augmentation.
+    Bottleneck augmentation, halved until membership holds, along
+    fewest-arc negative cycles of the exchange auxiliary digraph: each
+    cycle moves by its least residual width, and a step that leaves the
+    feasible region is halved down to the always-valid unit step.
     Arcs carrying nonzero cost must have finite bounds (otherwise the
     optimum may be unbounded).
     """
@@ -407,9 +427,18 @@ def min_cost_flow(inst: Instance, cost: Sequence[int]) -> Tuple[tuple, DualPoten
         cycle = _min_arc_negative_cycle(n, arcs)
         if cycle is None:
             break
-        _apply_cycle(x, cycle)
-        if not membership(inst, x):
-            raise CertificateError("augmentation left the feasible region")
+        # each aux arc admits the bottleneck alone, but several exchange
+        # arcs together may not; on a fewest-arc cycle a unit step does
+        delta = _bottleneck(inst, x, cycle)
+        while True:
+            y = list(x)
+            _apply_cycle(y, cycle, delta)
+            if membership(inst, y):
+                break
+            if delta == 1:
+                raise CertificateError("augmentation left the feasible region")
+            delta //= 2
+        x = y
     pi = DualPotential(tuple(_potentials(n, arcs)))
     xt = tuple(x)
     verify_optimality(inst, cost, xt, pi)

@@ -150,6 +150,8 @@ def parse_instance(doc: dict) -> ParsedInstance:
     for name in doc["F"]:
         if not isinstance(name, str) or name not in arc_index:
             raise ParseError(f"F: unknown arc id {name!r}")
+        if arc_index[name] in focus:
+            raise ParseError(f"F: duplicate arc id {name!r}")
         focus.add(arc_index[name])
     try:
         digraph = Digraph(len(names), tuple(arcs))

@@ -1,9 +1,17 @@
+import itertools
+import os
 import random
+import sys
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fairflow.core import Bounds, Digraph, NEG_INF, POS_INF
+from fairflow import baseflow
+from fairflow.core import Bounds, Digraph, NEG_INF, POS_INF, node_net_inflow
 from fairflow.baseflow import (
+    CertificateError,
     DualPotential,
     Infeasible,
     Instance,
@@ -19,6 +27,10 @@ from fairflow.setfn import BaseOracle
 from fairflow.oracle import enumerate_Q
 
 from conftest import all_small_digraphs, feasible_corpus, random_instance
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "scripts"))
+from scale import MINCOST_COST, mincost_instance  # noqa: E402
 
 
 class TestCheckFeasible:
@@ -167,6 +179,125 @@ class TestMinCostFlow:
                        for p in enumerate_Q(inst))
             assert got == best
             verify_optimality(inst, cost, x, pi)
+
+
+def ref_min_cost_flow(inst, cost):
+    """The unit-step loop that min_cost_flow ran before bottleneck steps:
+    one unit around each fewest-arc negative cycle, each step checked."""
+    x = list(find_feasible(inst))
+    n = inst.digraph.node_count
+    while True:
+        cycle = baseflow._min_arc_negative_cycle(n, baseflow._aux_arcs(inst, x, cost))
+        if cycle is None:
+            return tuple(x)
+        for (_, _, _, tag) in cycle:
+            if tag[0] == "up":
+                x[tag[1]] += 1
+            elif tag[0] == "down":
+                x[tag[1]] -= 1
+        if not baseflow.membership(inst, x):
+            raise CertificateError("augmentation left the feasible region")
+
+
+def counting_membership():
+    """Patch baseflow.membership with a spy; its call_count is the number
+    of membership checks, find_feasible's included."""
+    return mock.patch.object(baseflow, "membership", wraps=baseflow.membership)
+
+
+def flow_cost(cost, x):
+    return sum(c * v for c, v in zip(cost, x))
+
+
+@st.composite
+def wide_instances(draw):
+    """n <= 4 nodes, up to 6 arcs of width up to 50 around a feasible flow
+    x0, and costs in -5..5.  The base is zero (x0 = 0) or the M-convex box
+    of every y with y(V) = 0 within 1 of the net in-flow of x0."""
+    n = draw(st.integers(2, 4))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = tuple(draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6)))
+    zero = draw(st.booleans())
+    x0 = [0 if zero else draw(st.integers(-10, 10)) for _ in arcs]
+    below = [draw(st.integers(0, 50)) for _ in arcs]
+    above = [draw(st.integers(0, 50 - b)) for b in below]
+    digraph = Digraph(n, arcs)
+    if zero:
+        base = BaseOracle.zero(n)
+    else:
+        psi = node_net_inflow(digraph, x0)
+        points = [tuple(p + d for p, d in zip(psi, step))
+                  for step in itertools.product((-1, 0, 1), repeat=n) if sum(step) == 0]
+        base = BaseOracle.from_points(points, n)
+    bounds = Bounds(tuple(v - b for v, b in zip(x0, below)),
+                    tuple(v + a for v, a in zip(x0, above)))
+    cost = tuple(draw(st.integers(-5, 5)) for _ in arcs)
+    return Instance(digraph, bounds, base), cost
+
+
+class TestBottleneckAugmentation:
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(wide_instances())
+    def test_matches_unit_steps(self, drawn):
+        inst, cost = drawn
+        with counting_membership() as spy:
+            x, pi = min_cost_flow(inst, cost)
+        calls = spy.call_count
+        with counting_membership() as spy:
+            ref = ref_min_cost_flow(inst, cost)
+        assert flow_cost(cost, x) == flow_cost(cost, ref)
+        verify_optimality(inst, cost, x, pi)
+        assert calls <= spy.call_count
+
+    @pytest.mark.parametrize("base", ["zero", "points"])
+    def test_membership_checks_independent_of_width(self, base):
+        counts = []
+        for width in (10, 10 ** 6):
+            with counting_membership() as spy:
+                min_cost_flow(mincost_instance(width, base), MINCOST_COST)
+            counts.append(spy.call_count)
+        assert counts[0] == counts[1]
+
+    def reject_after_steps(self, monkeypatch, rejects):
+        """Record the step of every candidate and let `rejects(steps)`
+        veto its membership check."""
+        steps = []
+        apply_cycle, member = baseflow._apply_cycle, baseflow.membership
+
+        def recording_apply(x, cycle, delta):
+            steps.append(delta)
+            apply_cycle(x, cycle, delta)
+
+        def vetoing_membership(inst, x):
+            return not (steps and rejects(steps)) and member(inst, x)
+
+        monkeypatch.setattr(baseflow, "_apply_cycle", recording_apply)
+        monkeypatch.setattr(baseflow, "membership", vetoing_membership)
+        return steps
+
+    def test_rejected_step_is_halved(self, monkeypatch):
+        inst = mincost_instance(10, "points")
+        vetoed = []
+
+        def first_wide_step(steps):
+            if not vetoed and steps[-1] > 1:
+                vetoed.append(len(steps) - 1)
+                return True
+            return False
+
+        steps = self.reject_after_steps(monkeypatch, first_wide_step)
+        x, pi = min_cost_flow(inst, MINCOST_COST)
+        k = vetoed[0]
+        assert steps[k + 1] == steps[k] // 2
+        assert flow_cost(MINCOST_COST, x) == flow_cost(MINCOST_COST,
+                                                       ref_min_cost_flow(inst, MINCOST_COST))
+        verify_optimality(inst, MINCOST_COST, x, pi)
+
+    def test_rejected_unit_step_raises(self, monkeypatch):
+        steps = self.reject_after_steps(monkeypatch, lambda steps: True)
+        with pytest.raises(CertificateError, match="augmentation left the feasible region"):
+            min_cost_flow(mincost_instance(10, "zero"), MINCOST_COST)
+        assert steps == [5, 2, 1]
 
 
 class TestDualPotential:

@@ -286,6 +286,19 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_instance(doc)
 
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    def test_duplicate_focus_id_rejected(self, capsys, tmp_path, command):
+        # a repeated id in arcs was rejected while one in F was read as a set
+        with open(path("i1.json")) as fh:
+            doc = json.load(fh)
+        doc["F"] = [doc["arcs"][0]["id"]] * 2
+        with pytest.raises(ParseError, match="F: duplicate arc id"):
+            parse_instance(doc)
+        src = tmp_path / "dup.json"
+        src.write_text(json.dumps(doc))
+        assert main([command, str(src)]) == EXIT_INPUT
+        assert "duplicate arc id" in capsys.readouterr().err
+
     def test_table_requires_anchors(self):
         doc = {
             "nodes": ["a"],
