@@ -1,5 +1,5 @@
-"""Time one fair-flow solve per seed at n = 14..20 nodes, or sweep the
-bound width of a min-cost flow.
+"""Time one fair-flow solve per seed at n = 14..20 nodes, sweep the bound
+width of a min-cost flow, or time `fairflow orient` on 7 nodes.
 
 Each instance has a zero base, m = 2n random arcs (a Hamiltonian cycle plus
 random pairs), bounds of width 1-3 that hold 0 and every arc in focus.
@@ -15,6 +15,14 @@ under it.  Prints one JSON line per (base, W), and exits 1 if a base's
 count at the widest W differs from its count at the narrowest.
 
     PYTHONPATH=src python scripts/scale.py mincost
+
+`orient` times an in-process `fairflow orient` on 7-node graphs with m
+edges, k = 1: a 7-cycle of edges plus m - 7 node pairs drawn from
+`random.Random(f"orient7/{m}")`.  Prints one JSON line per m with the
+seconds, the number of distinct in-degree vectors the encoder checked and
+the exit code, and exits 1 if any run exits non-zero.
+
+    PYTHONPATH=src python scripts/scale.py orient [m ...]   # default 20 28 36
 """
 
 import itertools
@@ -27,7 +35,7 @@ import time
 from contextlib import redirect_stdout
 from unittest import mock
 
-from fairflow import Bounds, Digraph, Instance, baseflow, solve_decmin
+from fairflow import Bounds, Digraph, Instance, baseflow, orient, solve_decmin
 from fairflow.cli import main
 from fairflow.setfn import BaseOracle
 
@@ -52,18 +60,23 @@ def time_library(n, arcs, lower, upper):
     return time.perf_counter() - t
 
 
-def time_cli(n, arcs, lower, upper):
-    doc = {"nodes": [f"v{v}" for v in range(n)], "base": {"type": "zero"},
-           "arcs": [{"id": f"e{e}", "tail": f"v{t}", "head": f"v{h}", "f": lo, "g": hi}
-                    for e, ((t, h), lo, hi) in enumerate(zip(arcs, lower, upper))],
-           "F": [f"e{e}" for e in range(len(arcs))]}
+def run_cli(command, doc):
+    """(exit code, seconds) of an in-process `fairflow <command>` on doc."""
     with tempfile.NamedTemporaryFile("w", suffix=".json") as fh:
         json.dump(doc, fh)
         fh.flush()
         with open(os.devnull, "w") as sink, redirect_stdout(sink):
             t = time.perf_counter()
-            code = main(["solve", fh.name])
-            elapsed = time.perf_counter() - t
+            code = main([command, fh.name])
+            return code, time.perf_counter() - t
+
+
+def time_cli(n, arcs, lower, upper):
+    doc = {"nodes": [f"v{v}" for v in range(n)], "base": {"type": "zero"},
+           "arcs": [{"id": f"e{e}", "tail": f"v{t}", "head": f"v{h}", "f": lo, "g": hi}
+                    for e, ((t, h), lo, hi) in enumerate(zip(arcs, lower, upper))],
+           "F": [f"e{e}" for e in range(len(arcs))]}
+    code, elapsed = run_cli("solve", doc)
     assert code == 0, code
     return elapsed
 
@@ -100,9 +113,34 @@ def sweep_mincost():
     return 0 if flat else 1
 
 
+def time_orient(edge_counts):
+    ok = True
+    for m in edge_counts:
+        rng = random.Random(f"orient7/{m}")
+        edges = [(v, (v + 1) % 7) for v in range(7)]
+        edges += [tuple(rng.sample(range(7), 2)) for _ in range(m - 7)]
+        doc = {"mixed_graph": {"nodes": [f"v{v}" for v in range(7)], "arcs": [],
+                               "edges": [[f"v{u}", f"v{v}"] for u, v in edges]}, "k": 1}
+        rows = []  # the blocked check passes the vectors as rows of 2-D arrays
+
+        def counting(vec, real=orient.subset_sums):
+            rows.append(len(vec) if getattr(vec, "ndim", 1) == 2 else 0)
+            return real(vec)
+
+        with mock.patch.object(orient, "subset_sums", counting):
+            code, seconds = run_cli("orient", doc)
+        vectors = sum(rows)
+        print(json.dumps({"m": m, "s": round(seconds, 3), "vectors": vectors,
+                          "exit": code}), flush=True)
+        ok = ok and code == 0
+    return 0 if ok else 1
+
+
 if __name__ == "__main__":
     if sys.argv[1:2] == ["mincost"]:
         sys.exit(sweep_mincost())
+    if sys.argv[1:2] == ["orient"]:
+        sys.exit(time_orient(map(int, sys.argv[2:] or (20, 28, 36))))
     timer = time_cli if sys.argv[1:2] == ["cli"] else time_library
     for n in map(int, sys.argv[2:] or (14, 16, 18, 20)):
         for seed in (1, 2):

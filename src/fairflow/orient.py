@@ -8,15 +8,25 @@ in-degree.  Cut connectivity of an orientation depends only on its
 in-degree vector (arcs inside a node set are direction-blind), so the
 polyhedron built from the enumerated in-degree vectors of k-edge-connected
 orientations captures connectivity exactly; the focus set is the in-degree
-arcs.  Each distinct in-degree vector is enumerated once, edge by edge, so
-at most min(2^|E|, prod_v (d_E(v) + 1)) vectors are checked, where d_E(v)
-counts the undirected edges at v.  The cap of 7 nodes bounds the dense base,
-which has 2n nodes, not the enumeration.
+arcs.
+
+The encoder works on arrays.  An in-degree vector h is an integer key
+whose mixed-radix digit v counts the edges oriented into v (radix
+d_E(v) + 1, d_E(v) the undirected edges at v); each edge (u, v) maps the
+key set to its shifts by place[u] and place[v], sorted and deduplicated.
+One stacked k-edge-connectivity check, in blocks of `_BLOCK_ENTRIES`
+subset sums, keeps top(Z) = max h(Z) over the vectors that pass.  The
+point (dref, -h) sums to dref(Z & V) - h(Z >> n) over Z, so the envelope
+is the outer sum subset_sums(dref) - top.  The work still grows with the
+number of vectors, at most min(2^|E|, prod_v (d_E(v) + 1)), with no
+budget and no up-front refusal.  The cap of 7 nodes bounds the dense
+base, which has 2n nodes, not the enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,7 +34,7 @@ import numpy as np
 from .core import Bounds, Digraph
 from .baseflow import Instance, min_cost_flow
 from .decmin import solve_decmin
-from .setfn import BaseOracle, ExtArray, subset_sums
+from .setfn import BaseOracle, ExtArray, int_dtype, subset_sums
 
 
 class OrientationInfeasible(Exception):
@@ -60,6 +70,10 @@ class OrientEncoding:
     instance: Instance
     flip_arcs: tuple  # arc id per undirected edge
     indeg_arcs: tuple  # arc id per original node
+
+
+# The connectivity check runs on blocks of at most this many table entries.
+_BLOCK_ENTRIES = 1 << 20
 
 
 def _inside_counts(mg: MixedGraph) -> np.ndarray:
@@ -111,32 +125,47 @@ def encode(mg: MixedGraph, degree_bounds: Optional[Dict[int, Tuple[int, int]]] =
     n = mg.node_count
     if 2 * n > 14:
         raise ValueError("orientation encoding limited to 7 nodes")
-    # an edge (u, v) adds one to the in-degree of u or of v
-    indegs = {_indegrees(n, mg.arcs)}
-    for u, v in mg.edges:
-        indegs = {h[:w] + (h[w] + 1,) + h[w + 1:] for h in indegs for w in (u, v)}
+    fixed = _indegrees(n, mg.arcs)
+    incident = _indegrees(n, mg.edges + tuple((v, u) for u, v in mg.edges))
+    # h as the key sum_v place[v] * (h[v] - fixed[v]): digit v counts the
+    # edges oriented into v, so it stays below the radix incident[v] + 1
+    radix = [d + 1 for d in incident]
+    place = [prod(radix[:v]) for v in range(n)]
+    dtype = int_dtype(prod(radix))
+    keys = np.zeros(1, dtype=dtype)
+    for u, v in mg.edges:  # an edge (u, v) adds one to the in-degree of u or of v
+        keys = np.sort(np.concatenate((keys + place[u], keys + place[v])))
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    place, radix = np.array(place, dtype=dtype), np.array(radix, dtype=dtype)
     inside = _inside_counts(mg)
-    feasible_indegs = [h for h in sorted(indegs)
-                       if np.all((subset_sums(h) - inside)[1:-1] >= mg.k)]
-    if not feasible_indegs:
+    top = np.full(1 << n, -1, dtype=np.int64)  # max h(Z) over the k-ec h so far
+    rows = max(1, _BLOCK_ENTRIES >> n)
+    for start in range(0, len(keys), rows):
+        counts = keys[start:start + rows, None] // place % radix
+        sums = subset_sums(counts.astype(np.int64) + fixed)
+        ok = ((sums - inside)[:, 1:-1] >= mg.k).all(axis=1)
+        top = np.maximum(top, sums[ok].max(axis=0, initial=-1))
+    if top[0] < 0:  # no vector passed
         raise OrientationInfeasible(
             f"no {mg.k}-edge-connected orientation exists", cut_certificate(mg))
+    # point (dref, -h) sums to dref(Z & V) - h(Z >> n) over Z: the envelope
+    # of all of them is an outer sum, indexed (Z >> n, Z & V)
     dref = _indegrees(n, mg.arcs + mg.edges)
-    points = [dref + tuple(-hv for hv in h) for h in feasible_indegs]
-    base = BaseOracle.from_points(points, 2 * n)
+    fin = (subset_sums(dref)[None, :] - top[:, None]).ravel()
+    no_inf = np.zeros(len(fin), dtype=bool)
+    base = BaseOracle(2 * n, ExtArray.tight(fin, no_inf, no_inf))
     arcs = []
     flip_ids = []
     for u, v in mg.edges:
         flip_ids.append(len(arcs))
         arcs.append((u, v))
     indeg_ids = []
-    total_deg = _indegrees(n, mg.arcs + mg.edges + tuple((v, u) for u, v in mg.edges))
     lower = [0] * len(mg.edges)
     upper = [1] * len(mg.edges)
     for v in range(n):
         indeg_ids.append(len(arcs))
         arcs.append((n + v, v))
-        lo, hi = 0, total_deg[v]
+        lo, hi = 0, fixed[v] + incident[v]
         if degree_bounds and v in degree_bounds:
             ulo, uhi = degree_bounds[v]
             lo, hi = max(lo, ulo), min(hi, uhi)

@@ -50,13 +50,25 @@ def int_dtype(bound: int):
     return np.int64 if bound < _INT64_SAFE else object
 
 
-def subset_sums(vec: Sequence[int]) -> np.ndarray:
-    """Sum of `vec` over every subset, indexed by bitmask (bit v = vec[v])."""
-    sums = np.zeros(1 << len(vec), dtype=int_dtype(sum(abs(x) for x in vec)))
-    for v, x in enumerate(vec):
-        if x:
-            sums.reshape(-1, 2, 1 << v)[:, 1] += x  # the subsets holding v
-    return sums
+def subset_sums(vec) -> np.ndarray:
+    """Sum of `vec` over every subset, indexed by bitmask (bit v = vec[v]).
+    A (rows, n) array gives the (rows, 2^n) sums of each row."""
+    if isinstance(vec, np.ndarray) and vec.ndim == 2:
+        # the largest |entry| of each column, summed, bounds every row
+        hi, lo = vec.max(0, initial=0).tolist(), vec.min(0, initial=0).tolist()
+        dtype = int_dtype(sum(max(h, -l) for h, l in zip(hi, lo)))
+        rows, cols = vec.shape[:1], vec.T.astype(dtype)
+        nonzero = cols.any(1).tolist()
+    else:  # one vector, read as exact Python ints
+        cols = vec.tolist() if isinstance(vec, np.ndarray) else vec
+        rows, dtype = (), int_dtype(sum(map(abs, cols)))
+        nonzero = cols
+    # subsets on the first axis: each step adds over contiguous row runs
+    sums = np.zeros((1 << len(cols),) + rows, dtype=dtype)
+    for v, (x, nz) in enumerate(zip(cols, nonzero)):
+        if nz:
+            sums.reshape(-1, 2, 1 << v, *rows)[:, 1] += x  # the subsets holding v
+    return sums.T
 
 
 class ExtArray:

@@ -1,5 +1,7 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from fairflow.orient import (
     decode,
     encode,
 )
-from fairflow.setfn import BaseOracle, check_fully_supermodular
+from fairflow.setfn import BaseOracle, check_fully_supermodular, subset_sums
 
 
 def triangle(k=1):
@@ -163,13 +165,63 @@ def flip_indegrees(mg):
     return out
 
 
+def ref_encode_base(mg):
+    """The 2n-node base of `encode`, built one in-degree vector at a time:
+    every distinct vector as a tuple, one connectivity check each, and the
+    envelope of the surviving points (dref, -h) from `from_points`."""
+    n = mg.node_count
+    indegs = {tuple(sum(1 for _, v in mg.arcs if v == w) for w in range(n))}
+    for u, v in mg.edges:
+        indegs = {h[:w] + (h[w] + 1,) + h[w + 1:] for h in indegs for w in (u, v)}
+    inside = fairflow.orient._inside_counts(mg)
+    feasible = [h for h in sorted(indegs)
+                if np.all((subset_sums(h) - inside)[1:-1] >= mg.k)]
+    if not feasible:
+        raise OrientationInfeasible(
+            f"no {mg.k}-edge-connected orientation exists", cut_certificate(mg))
+    dref = tuple(sum(1 for _, v in mg.arcs + mg.edges if v == w) for w in range(n))
+    return BaseOracle.from_points([dref + tuple(-d for d in h) for h in feasible], 2 * n)
+
+
+def assert_base_matches_reference(mg):
+    try:
+        want = ref_encode_base(mg).values
+    except OrientationInfeasible as err:
+        with pytest.raises(OrientationInfeasible) as got:
+            encode(mg)
+        assert str(got.value) == str(err)
+        assert got.value.cut_mask == err.cut_mask
+        return
+    got = encode(mg).instance.base.values
+    assert got.fin.dtype == want.fin.dtype
+    assert got.bound == want.bound
+    for part in ("fin", "pos", "neg"):
+        assert getattr(got, part).tolist() == getattr(want, part).tolist()
+
+
 @st.composite
-def mixed_graphs(draw):
-    n = draw(st.integers(2, 5))
+def mixed_graphs(draw, max_nodes=5, max_edges=8, max_repeat=1):
+    n = draw(st.integers(2, max_nodes))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
-    edges = draw(st.lists(st.sampled_from(pairs), max_size=8))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=max_edges))
     arcs = draw(st.lists(st.sampled_from(pairs), max_size=3))
+    arcs *= draw(st.integers(1, max_repeat))
     return MixedGraph(n, tuple(arcs), tuple(edges), draw(st.sampled_from([1, 2])))
+
+
+# a 7-cycle of fixed arcs 1,100 times over: a mixed radix that counted the
+# fixed arcs would pass 1100^7 > 2^63, while the edges alone give 3 * 2^6
+MANY_FIXED_ARCS = MixedGraph(7, tuple((v, (v + 1) % 7) for v in range(7)) * 1100,
+                             ((0, 1), (2, 3), (4, 5), (6, 0)), 1)
+FIXED_CASES = [
+    MANY_FIXED_ARCS,
+    MixedGraph(4, (), tuple(combinations(range(4), 2)) * 2, 1),
+    MixedGraph(4, (), tuple(combinations(range(4), 2)) * 2, 3),
+    MixedGraph(5, ((0, 1), (1, 0)), ((1, 2), (2, 3), (3, 4), (4, 1), (0, 2)), 1),
+    triangle(),
+    triangle(2),
+    MixedGraph(3, (), ((0, 1), (1, 2)), 1),
+]
 
 
 class TestEncodeByIndegrees:
@@ -194,18 +246,73 @@ class TestEncodeByIndegrees:
         assert enc.instance.bounds.upper == (
             (1,) * len(mg.edges) + tuple(f + d for f, d in zip(fixed, incident)))
 
-    def test_one_check_per_distinct_indegree_vector(self, monkeypatch):
-        # K4 with every edge doubled: 4096 orientations, far fewer vectors
-        mg = MixedGraph(4, (), tuple(combinations(range(4), 2)) * 2, 1)
+    @settings(deadline=None, max_examples=80)
+    @given(mixed_graphs(max_repeat=50))
+    def test_base_matches_per_vector_reference(self, mg):
+        assert_base_matches_reference(mg)
+
+    @pytest.mark.parametrize("mg", FIXED_CASES)
+    def test_base_matches_reference_on_fixed_cases(self, mg):
+        assert_base_matches_reference(mg)
+
+    def test_many_fixed_arcs_solve(self):
+        _, indeg = decmin_orientation(MANY_FIXED_ARCS)
+        assert sum(indeg) == 7 * 1100 + 4
+
+    @pytest.mark.parametrize("entries", [1, 3 << 7])  # one row; 3 to 48 rows
+    @pytest.mark.parametrize("mg", FIXED_CASES)
+    def test_small_blocks(self, monkeypatch, mg, entries):
+        monkeypatch.setattr(fairflow.orient, "_BLOCK_ENTRIES", entries)
+        assert_base_matches_reference(mg)
+
+    @pytest.mark.parametrize("mg", FIXED_CASES)
+    def test_python_int_keys(self, monkeypatch, mg):
+        monkeypatch.setattr(fairflow.orient, "int_dtype", lambda bound: object)
+        assert_base_matches_reference(mg)
+
+    def test_checks_independent_of_indegree_vector_count(self, monkeypatch):
+        # K4 with every edge doubled: 4096 orientations, 201 in-degree
+        # vectors, and as many subset-sum passes as plain K4
+        k4 = MixedGraph(4, (), tuple(combinations(range(4), 2)), 1)
+        doubled = MixedGraph(4, (), k4.edges * 2, 1)
+        assert len(set(flip_indegrees(doubled))) == 201
         calls = []
         real = fairflow.orient.subset_sums
 
-        def counting(h):
-            calls.append(h)
-            return real(h)
+        def counting(vec):
+            calls.append(vec)
+            return real(vec)
 
         monkeypatch.setattr(fairflow.orient, "subset_sums", counting)
-        encode(mg)
-        distinct = set(flip_indegrees(mg))
-        assert len(distinct) == 201
-        assert len(calls) == len(distinct)
+        counts = []
+        for mg in (k4, doubled):
+            calls.clear()
+            encode(mg)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 2
+
+
+class TestOrientationPremise:
+    """The in-degree vectors of the k-ec orientations are the integral
+    points of one base polyhedron (Frank, 1980).  Points of a zero base sum
+    to 0, so the base is built on h - dref, dref the in-degree with every
+    edge in its reference direction, and a vector h is tested as h - dref."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(mixed_graphs(max_nodes=4, max_edges=6))
+    def test_integral_points_are_the_indegree_vectors(self, mg):
+        n = mg.node_count
+        indegs = {h for _, h in brute_orientations(mg)}
+        if not indegs:
+            return
+        dref = tuple(sum(1 for _, v in mg.arcs + mg.edges if v == w) for w in range(n))
+        base = BaseOracle.from_points(
+            [tuple(a - b for a, b in zip(h, dref)) for h in indegs], n)
+        enc_base = encode(mg).instance.base
+        # y(v) >= p(v) and y(v) = -y(V - v) <= -p(V - v) keep every
+        # integral point of the base inside the box of the given points
+        box = [range(min(h[v] for h in indegs), max(h[v] for h in indegs) + 1)
+               for v in range(n)]
+        for h in product(*box):
+            assert base.contains([a - b for a, b in zip(h, dref)]) == (h in indegs)
+            assert enc_base.contains(dref + tuple(-d for d in h)) == (h in indegs)
