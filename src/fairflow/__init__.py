@@ -23,9 +23,6 @@ from .setfn import (
     BaseOracle,
     SetFn,
     brute_extremize,
-    check_fully_submodular,
-    check_fully_supermodular,
-    complement,
     cut_difference,
     envelope_setfn,
 )
@@ -44,7 +41,6 @@ from .baseflow import (
 from .lupmin import (
     LupminResult,
     augment_instance,
-    check_optimality_criteria,
     derive_bounds,
     extract_chain,
     lupmin_solve,

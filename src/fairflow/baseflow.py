@@ -35,6 +35,7 @@ from .setfn import (
     BaseOracle,
     ExtArray,
     int_dtype,
+    principal_sets,
     subset_sums,
 )
 
@@ -77,9 +78,6 @@ class Instance:
 
     def with_bounds(self, bounds: Bounds) -> "Instance":
         return Instance(self.digraph, bounds, self.base, self.focus)
-
-    def with_base(self, base: BaseOracle) -> "Instance":
-        return Instance(self.digraph, self.bounds, base, self.focus)
 
     def with_focus(self, focus) -> "Instance":
         return Instance(self.digraph, self.bounds, self.base, frozenset(focus))
@@ -265,13 +263,8 @@ def _blocked_exchange_pairs(base: BaseOracle, psi: Sequence[int]) -> set:
     of the tight sets containing t.
     """
     p = base.values
-    tight = np.flatnonzero((subset_sums(psi) == p.fin) & ~p.pos & ~p.neg)
-    blocked = set()
-    for t in range(base.n):
-        meet = int(np.bitwise_and.reduce(tight[(tight >> t) & 1 == 1],
-                                         initial=(1 << base.n) - 1))
-        blocked.update((s, t) for s in range(base.n) if not (meet >> s) & 1)
-    return blocked
+    meets = principal_sets(base.n, (subset_sums(psi) == p.fin) & ~p.pos & ~p.neg)
+    return {(s, t) for t, meet in enumerate(meets) for s in range(base.n) if not (meet >> s) & 1}
 
 
 def _aux_arcs(inst: Instance, x: Sequence[int], cost: Sequence[int]) -> list:

@@ -213,6 +213,8 @@ def _parse_base(doc: dict, names: List[str], node_index: Dict[str, int]) -> Base
 
 
 def instance_to_doc(parsed: ParsedInstance) -> dict:
+    """Public API: the inverse of `parse_instance`, an instance document
+    that parses back to the same instance, names and costs."""
     inst = parsed.instance
     arcs = []
     for e in range(inst.digraph.arc_count):

@@ -211,10 +211,6 @@ class Chain:
     def __len__(self) -> int:
         return len(self.members)
 
-    @classmethod
-    def empty(cls, node_count: int) -> "Chain":
-        return cls(node_count, ())
-
 
 def cut_in_sum(digraph: Digraph, values: Sequence[ExtInt], zmask: int) -> ExtInt:
     """Sum of values over arcs entering the set; infinities absorb."""

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import Optional, Sequence
 
 from .core import NEG_INF, POS_INF, is_finite
 from .baseflow import Instance, find_feasible, membership
+from .setfn import principal_sets
 
 
 class BlockingCircuit(ValueError):
@@ -41,37 +40,21 @@ class DStarArc:
 class JumpStructure:
     node_count: int
     principal: tuple  # per node: smallest finite-valued set containing it
-    jumping: tuple  # (u, v) pairs
-    a1: frozenset  # arcs with lower bound -inf
-    a2: frozenset  # non-focus arcs with upper bound +inf (stored by origin id)
-    arcs: tuple  # DStarArc list
+    arcs: tuple  # DStarArc list: jumps, then lower-inf and upper-inf arcs by id
 
 
 def build_jump_structure(inst: Instance) -> JumpStructure:
     n = inst.digraph.node_count
     p = inst.base.values
-    finite_masks = np.flatnonzero(~(p.pos | p.neg))
-    principal = [int(np.bitwise_and.reduce(finite_masks[(finite_masks >> u) & 1 == 1],
-                                           initial=(1 << n) - 1))
-                 for u in range(n)]
-    jumping = []
-    arcs: List[DStarArc] = []
-    for u in range(n):
-        for v in range(n):
-            if v != u and (principal[u] >> v) & 1:
-                jumping.append((u, v))
-                arcs.append(DStarArc(u, v, "jump", None))
-    a1 = frozenset(e for e in inst.digraph.arc_ids()
-                   if inst.bounds.lower[e] is NEG_INF)
-    a2 = frozenset(e for e in inst.digraph.arc_ids()
-                   if e not in inst.focus and inst.bounds.upper[e] is POS_INF)
-    for e in sorted(a1):
-        t, h = inst.digraph.arcs[e]
-        arcs.append(DStarArc(t, h, "lower-inf", e))
-    for e in sorted(a2):
-        t, h = inst.digraph.arcs[e]
-        arcs.append(DStarArc(h, t, "upper-inf", e))
-    return JumpStructure(n, tuple(principal), tuple(jumping), a1, a2, tuple(arcs))
+    principal = principal_sets(n, ~(p.pos | p.neg))
+    arcs = [DStarArc(u, v, "jump", None) for u in range(n) for v in range(n)
+            if v != u and (principal[u] >> v) & 1]
+    d, b = inst.digraph, inst.bounds
+    arcs += [DStarArc(t, h, "lower-inf", e) for e, (t, h) in enumerate(d.arcs)
+             if b.lower[e] is NEG_INF]
+    arcs += [DStarArc(h, t, "upper-inf", e) for e, (t, h) in enumerate(d.arcs)
+             if e not in inst.focus and b.upper[e] is POS_INF]
+    return JumpStructure(n, tuple(principal), tuple(arcs))
 
 
 def _search(js: JumpStructure, start: int, target: Optional[int] = None) -> dict:

@@ -12,7 +12,7 @@ being papered over.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence
 
 from .core import (
     Bounds,
@@ -20,7 +20,6 @@ from .core import (
     Digraph,
     chain_classify,
     chain_entering_count,
-    cut_net,
     is_finite,
 )
 from .baseflow import (
@@ -179,52 +178,3 @@ def lupmin_solve(inst: Instance, L) -> LupminResult:
         raise CertificateError("witness escaped the narrowed polyhedron")
     return LupminResult(primal, chain, bounds_l, face, x)
 
-
-_CRITERIA = ("O1", "O2", "O3", "O4", "O5", "O6")
-
-
-def check_optimality_criteria(inst: Instance, L, chain: Chain,
-                              x: Sequence[int]) -> Tuple[bool, Optional[str]]:
-    """Evaluate the six tightness criteria of a chain against a flow.
-
-    The conjunction must coincide with membership of x in the narrowed
-    polyhedron; both predicates are computed and compared, and a mismatch
-    raises (it would mean the case table and the criteria drifted apart).
-    """
-    L = frozenset(L)
-    d = inst.digraph
-    b = inst.bounds
-    failed = None
-    for e in range(d.arc_count):
-        role = chain_classify(d, chain, e)
-        lo, hi = b.lower[e], b.upper[e]
-        if role.kind == "leaving" and x[e] != lo:
-            failed = "O1"
-            break
-        if e not in L and role.kind == "entering" and x[e] != hi:
-            failed = "O2"
-            break
-        if e in L and role.kind == "entering":
-            if role.enters == 1 and not hi - 1 <= x[e] <= hi:
-                failed = "O3"
-                break
-            if role.enters >= 2 and x[e] != hi:
-                failed = "O4"
-                break
-        if e in L and role.kind == "neutral" and not lo <= x[e] <= hi - 1:
-            failed = "O5"
-            break
-    if failed is None:
-        p = inst.base.p
-        for c in chain:
-            if cut_net(d, x, c) != p(c):
-                failed = "O6"
-                break
-    ok = failed is None
-    bounds_l = derive_bounds(inst, L, chain)
-    face = inst.base.face_contract(chain)
-    member = membership(Instance(d, bounds_l, face), x)
-    if member != ok:
-        raise CertificateError(
-            f"criteria verdict {ok} disagrees with membership {member}")
-    return ok, failed

@@ -2,9 +2,12 @@
 
 Everything here enumerates: lattice points of the bounded polyhedron,
 decreasingly-minimal subsets by direct profile comparison, saturation
-minima, dual chains by scanning every nested family, and the exponential
-convex surrogate cost.  None of it shares code with the engine paths it
-certifies.  Enumeration is budgeted and fails loudly instead of truncating.
+minima, dual chains by scanning every nested family, the exponential
+convex surrogate cost, and `check_pairs`, the O(4^n) scan of every pair of
+sets that is the reference for a faster supermodularity check.  None of it
+shares code with the engine paths it certifies: from the engine it imports
+only data types.  Enumeration is budgeted and fails loudly instead of
+truncating.
 """
 
 from __future__ import annotations
@@ -25,11 +28,35 @@ from .core import (
     is_finite,
 )
 from .baseflow import Instance
-from .setfn import BaseOracle
+from .setfn import BaseOracle, SetFn
 
 
 class BudgetExceeded(Exception):
     pass
+
+
+def check_pairs(fn: SetFn, supermodular: bool, family: str = "all"):
+    """Exhaustive check of the super- or submodular inequality over the
+    non-nested pairs of a family: "all" of them, the "intersecting" ones
+    (meet nonempty), or the "crossing" ones (also union not the full set).
+    Returns (ok, first violating pair in scan order or None)."""
+    size = 1 << fn.n
+    t = [fn(m) for m in range(size)]
+    full = size - 1
+    for x in range(size):
+        for y in range(x + 1, size):
+            meet = x & y
+            if meet == x or meet == y:
+                continue  # nested pairs hold trivially
+            if family != "all" and meet == 0:
+                continue
+            if family == "crossing" and (x | y) == full:
+                continue
+            lhs = t[x] + t[y]
+            rhs = t[meet] + t[x | y]
+            if not (lhs <= rhs if supermodular else lhs >= rhs):
+                return False, (x, y)
+    return True, None
 
 
 @dataclass(frozen=True)

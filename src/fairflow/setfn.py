@@ -1,11 +1,12 @@
 """Set-function oracles over the node set.
 
 A SetFn is an evaluation oracle over bitmask subsets: a scalar view of one
-dense `ExtArray` table.  This module provides the supermodularity checks,
-complements, the cut-difference function of a bounded digraph, exhaustive
-extremization (the swap-ready stand-in for a submodular-function-minimization
-routine), the pointwise-minimum envelope of an enumerated base polyhedron,
-and face contraction of a base oracle along a chain.
+dense `ExtArray` table.  This module provides the cut-difference function of
+a bounded digraph, exhaustive extremization (the swap-ready stand-in for a
+submodular-function-minimization routine), the pointwise-minimum envelope of
+an enumerated base polyhedron, face contraction of a base oracle along a
+chain, and `principal_sets`, the per-node meet of a mask family that the jump
+structure and the blocked exchange pairs read.
 
 Whole-table computations (subset sums, cut values, slacks) run on numpy
 arrays indexed by bitmask: see `subset_sums` and `ExtArray`.  A
@@ -35,9 +36,7 @@ from .core import (
     Chain,
     Digraph,
     ExtInt,
-    all_subsets,
     is_finite,
-    mask_nodes,
 )
 
 # Arrays stay int64 while every intermediate is provably below this
@@ -69,6 +68,15 @@ def subset_sums(vec) -> np.ndarray:
         if nz:
             sums.reshape(-1, 2, 1 << v, *rows)[:, 1] += x  # the subsets holding v
     return sums.T
+
+
+def principal_sets(n: int, family: np.ndarray) -> list:
+    """Per node v, the meet (bitwise AND) of the family's masks that hold v,
+    or the full set when none does: the smallest member holding v when the
+    family is closed under intersection.  `family` flags each of 2^n masks."""
+    masks = np.flatnonzero(family)
+    return [int(np.bitwise_and.reduce(masks[(masks >> v) & 1 == 1], initial=(1 << n) - 1))
+            for v in range(n)]
 
 
 class ExtArray:
@@ -147,12 +155,6 @@ class ExtArray:
             return NEG_INF
         return int(self.fin[mask])
 
-    def tolist(self) -> list:
-        values = self.fin.tolist()
-        for m in np.flatnonzero(self.pos | self.neg).tolist():
-            values[m] = self.value(m)
-        return values
-
 
 class SetFn:
     """Subset -> extended-integer oracle with value 0 on the empty set: a
@@ -173,64 +175,6 @@ class SetFn:
 
     def __call__(self, mask: int) -> ExtInt:
         return self.values.value(mask)
-
-    @property
-    def table(self) -> tuple:
-        return tuple(self.values.tolist())
-
-    @classmethod
-    def modular(cls, vec: Sequence[int]) -> "SetFn":
-        return cls(len(vec), table=subset_sums(vec).tolist())
-
-
-def _check_pairs(fn: SetFn, supermodular: bool, family: str = "all"):
-    """Exhaustive check of the super- or submodular inequality over the
-    non-nested pairs of a family: "all" of them, the "intersecting" ones
-    (meet nonempty), or the "crossing" ones (also union not the full set).
-    Returns (ok, first violating pair in scan order or None)."""
-    t = fn.table
-    size = 1 << fn.n
-    full = size - 1
-    for x in range(size):
-        for y in range(x + 1, size):
-            meet = x & y
-            if meet == x or meet == y:
-                continue  # nested pairs hold trivially
-            if family != "all" and meet == 0:
-                continue
-            if family == "crossing" and (x | y) == full:
-                continue
-            lhs = t[x] + t[y]
-            rhs = t[meet] + t[x | y]
-            if not (lhs <= rhs if supermodular else lhs >= rhs):
-                return False, (x, y)
-    return True, None
-
-
-def check_fully_supermodular(fn: SetFn):
-    return _check_pairs(fn, supermodular=True)
-
-
-def check_fully_submodular(fn: SetFn):
-    return _check_pairs(fn, supermodular=False)
-
-
-def check_intersecting_supermodular(fn: SetFn):
-    return _check_pairs(fn, supermodular=True, family="intersecting")
-
-
-def check_crossing_supermodular(fn: SetFn):
-    return _check_pairs(fn, supermodular=True, family="crossing")
-
-
-def complement(fn: SetFn) -> SetFn:
-    """Complementary set function X -> f(S) - f(S-X); an involution that
-    swaps super- and submodularity.  Requires f(S) finite."""
-    full = (1 << fn.n) - 1
-    top = fn(full)
-    if not is_finite(top):
-        raise ValueError("complement requires a finite value on the full set")
-    return SetFn(fn.n, table=[top - fn(full ^ m) for m in all_subsets(fn.n)])
 
 
 def cut_difference(digraph: Digraph, bounds: Bounds) -> SetFn:
@@ -259,20 +203,6 @@ def brute_extremize(fn: SetFn, mode: str = "max"):
     else:
         mask = int(np.where(neg, -a.bound - 1, a.fin).argmax())
     return fn.values.value(mask), mask
-
-
-def envelope_value(points: Sequence[Sequence[int]], mask: int) -> ExtInt:
-    """Minimum of the coordinate sum over a subset, over the given points."""
-    if not points:
-        raise ValueError("empty point list")
-    best = None
-    for pt in points:
-        s = 0
-        for v in mask_nodes(mask):
-            s += pt[v]
-        if best is None or s < best:
-            best = s
-    return best
 
 
 def _envelope(points: Sequence[Sequence[int]]) -> ExtArray:

@@ -141,6 +141,11 @@ def random_base(rng, n):
     return BaseOracle.from_table(n, table)
 
 
+def table_of(fn):
+    """Every value of a set function, by mask."""
+    return tuple(fn(m) for m in range(1 << fn.n))
+
+
 def base_point_box(base):
     """Exact bounding box of a finite-table base polyhedron."""
     full = (1 << base.n) - 1

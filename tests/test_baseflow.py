@@ -2,6 +2,7 @@ import itertools
 import os
 import random
 import sys
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -41,7 +42,7 @@ class TestCheckFeasible:
     def test_raised_demand_violator(self, i1):
         # cap 2 on entering arcs cannot cover demand 3 at b
         base = BaseOracle.from_table(2, [0, -3, 3, 0])
-        bad = i1.with_base(base)
+        bad = replace(i1, base=base)
         cert = check_feasible(bad)
         assert not cert.feasible
         assert cert.violator == 0b10 and cert.deficit == -1
@@ -74,7 +75,7 @@ class TestFindFeasible:
         assert find_feasible(i6) == (1, 1)
 
     def test_infeasible_raises(self, i1):
-        bad = i1.with_base(BaseOracle.from_table(2, [0, -3, 3, 0]))
+        bad = replace(i1, base=BaseOracle.from_table(2, [0, -3, 3, 0]))
         with pytest.raises(Infeasible):
             find_feasible(bad)
 

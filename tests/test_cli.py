@@ -17,6 +17,8 @@ from fairflow.cli import (
 )
 from fairflow.existence import build_jump_structure, has_blocking_dicircuit
 
+from conftest import table_of
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -268,7 +270,7 @@ class TestParsing:
             a, b = again.instance, parsed.instance
             assert (a.digraph, a.bounds, a.focus) == (b.digraph, b.bounds, b.focus)
             assert again.cost == parsed.cost
-            assert a.base.p.table == b.base.p.table
+            assert table_of(a.base.p) == table_of(b.base.p)
             assert again.node_names == parsed.node_names
             assert again.arc_names == parsed.arc_names
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -171,7 +172,7 @@ class TestSolveDecmin:
         assert all(res.upper[e] - res.lower[e] <= 1 for e in i6.focus)
 
     def test_infeasible_raises(self, i1):
-        bad = i1.with_base(BaseOracle.from_table(2, [0, -3, 3, 0]))
+        bad = replace(i1, base=BaseOracle.from_table(2, [0, -3, 3, 0]))
         with pytest.raises(Infeasible):
             solve_decmin(bad)
 

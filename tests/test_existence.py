@@ -18,22 +18,30 @@ from fairflow.setfn import BaseOracle
 from conftest import one_infinite_corpus
 
 
+def jumps(js):
+    return {(a.tail, a.head) for a in js.arcs if a.kind == "jump"}
+
+
+def arc_ids(js, kind):
+    return {a.arc_id for a in js.arcs if a.kind == kind}
+
+
 class TestJumpStructure:
     def test_finite_base_no_jumps(self, i1):
         js = build_jump_structure(i1)
-        assert js.jumping == ()
+        assert jumps(js) == set()
         assert all(js.principal[u] == 1 << u for u in range(2))
 
     def test_circulation_no_jumps(self):
         d = Digraph(3, ((0, 1), (1, 2)))
         js = build_jump_structure(Instance(d, Bounds((0, 0), (1, 1)),
                                            BaseOracle.zero(3)))
-        assert js.jumping == ()
+        assert jumps(js) == set()
 
     def test_infinite_bounds_classified(self, i4):
         js = build_jump_structure(i4)
-        assert js.a1 == {0}
-        assert js.a2 == {1}
+        assert arc_ids(js, "lower-inf") == {0}
+        assert arc_ids(js, "upper-inf") == {1}
         kinds = {(a.tail, a.head, a.kind) for a in js.arcs}
         assert (0, 1, "lower-inf") in kinds
         assert (0, 1, "upper-inf") in kinds  # reversal of b->a
@@ -43,7 +51,7 @@ class TestJumpStructure:
         inst = Instance(d, Bounds((0,), (POS_INF,)), BaseOracle.zero(2),
                         frozenset([0]))
         js = build_jump_structure(inst)
-        assert js.a2 == frozenset()
+        assert arc_ids(js, "upper-inf") == set()
 
     def test_chain_base_jumps(self):
         # finite only on {a} and V: the principal set of b and c is V-ish
@@ -54,7 +62,7 @@ class TestJumpStructure:
         js = build_jump_structure(inst)
         assert js.principal[0] == 0b001
         assert js.principal[1] == 0b111
-        assert (1, 0) in js.jumping and (1, 2) in js.jumping
+        assert (1, 0) in jumps(js) and (1, 2) in jumps(js)
 
 
 class TestBlockingCircuit:

@@ -1,0 +1,56 @@
+"""Layout rules of the package, read from its source with `ast`.
+
+- No module-level import in `src/fairflow` goes unused, so deleting code
+  leaves no orphan imports.  `__init__.py` is exempt: its imports are the
+  re-exported API.
+- `oracle.py`, the reference the engine is checked against, imports only
+  data types from the engine (any of `core`, `baseflow.Instance`,
+  `setfn.BaseOracle` and `setfn.SetFn`), so that code moved into it stays
+  independent of the engine paths it certifies.
+"""
+
+import ast
+import os
+
+import fairflow
+
+SRC = os.path.dirname(fairflow.__file__)
+ORACLE_MAY_IMPORT = {"baseflow": {"Instance"}, "setfn": {"BaseOracle", "SetFn"}}
+
+
+def modules():
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name)) as fh:
+                yield name, ast.parse(fh.read())
+
+
+def test_no_unused_module_imports():
+    unused = []
+    for name, tree in modules():
+        if name == "__init__.py":
+            continue
+        bound = {}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Import) or (
+                    isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__"):
+                for alias in stmt.names:
+                    bound[(alias.asname or alias.name).split(".")[0]] = stmt.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name}:{line} {bound_name}"
+                   for bound_name, line in bound.items() if bound_name not in used]
+    assert unused == []
+
+
+def test_oracle_imports_only_engine_data_types():
+    imported = []
+    for node in ast.walk(dict(modules())["oracle.py"]):
+        if isinstance(node, ast.Import):
+            imported += [(a.name, "*") for a in node.names if a.name.split(".")[0] == "fairflow"]
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "fairflow"):
+            module = (node.module or "").removeprefix("fairflow.")
+            imported += [(module, a.name) for a in node.names]
+    assert imported, "the scan must see the oracle's engine imports"
+    assert [(module, name) for module, name in imported if module != "core"
+            and name not in ORACLE_MAY_IMPORT.get(module, ())] == []

@@ -1,13 +1,13 @@
 import random
+from typing import Optional, Sequence, Tuple
 
 import pytest
 
-from fairflow.core import Bounds, Chain, Digraph, POS_INF
-from fairflow.baseflow import DualPotential, Instance
+from fairflow.core import Bounds, Chain, Digraph, POS_INF, chain_classify, cut_net
+from fairflow.baseflow import CertificateError, DualPotential, Instance, membership
 from fairflow.lupmin import (
     augment_instance,
     chain_value,
-    check_optimality_criteria,
     derive_bounds,
     extract_chain,
     lupmin_solve,
@@ -35,6 +35,56 @@ def _ldef_subsets(inst):
         out.append(frozenset(eligible[i] for i in range(len(eligible))
                              if (mask >> i) & 1))
     return out
+
+
+_CRITERIA = ("O1", "O2", "O3", "O4", "O5", "O6")
+
+
+def check_optimality_criteria(inst: Instance, L, chain: Chain,
+                              x: Sequence[int]) -> Tuple[bool, Optional[str]]:
+    """Evaluate the six tightness criteria of a chain against a flow.
+
+    The conjunction must coincide with membership of x in the narrowed
+    polyhedron; both predicates are computed and compared, and a mismatch
+    raises (it would mean the case table and the criteria drifted apart).
+    """
+    L = frozenset(L)
+    d = inst.digraph
+    b = inst.bounds
+    failed = None
+    for e in range(d.arc_count):
+        role = chain_classify(d, chain, e)
+        lo, hi = b.lower[e], b.upper[e]
+        if role.kind == "leaving" and x[e] != lo:
+            failed = "O1"
+            break
+        if e not in L and role.kind == "entering" and x[e] != hi:
+            failed = "O2"
+            break
+        if e in L and role.kind == "entering":
+            if role.enters == 1 and not hi - 1 <= x[e] <= hi:
+                failed = "O3"
+                break
+            if role.enters >= 2 and x[e] != hi:
+                failed = "O4"
+                break
+        if e in L and role.kind == "neutral" and not lo <= x[e] <= hi - 1:
+            failed = "O5"
+            break
+    if failed is None:
+        p = inst.base.p
+        for c in chain:
+            if cut_net(d, x, c) != p(c):
+                failed = "O6"
+                break
+    ok = failed is None
+    bounds_l = derive_bounds(inst, L, chain)
+    face = inst.base.face_contract(chain)
+    member = membership(Instance(d, bounds_l, face), x)
+    if member != ok:
+        raise CertificateError(
+            f"criteria verdict {ok} disagrees with membership {member}")
+    return ok, failed
 
 
 class TestAugment:
@@ -93,7 +143,7 @@ class TestExtractChain:
 
 class TestDeriveBounds:
     def test_empty_chain(self, i1):
-        b = derive_bounds(i1, {0}, Chain.empty(2))
+        b = derive_bounds(i1, {0}, Chain(2, ()))
         assert (b.lower[0], b.upper[0]) == (0, 1)  # neutral L-arc caps one below
         assert (b.lower[1], b.upper[1]) == (0, 2)  # other arcs untouched
 
@@ -154,8 +204,6 @@ class TestLupminSolve:
                         assert saturated_count(inst.bounds, L, x) >= value
 
     def test_witness_meets_own_criteria(self):
-        from fairflow.lupmin import check_optimality_criteria
-
         for inst in feasible_corpus(37, 40, require_arcs=True):
             for L in _ldef_subsets(inst)[:5]:
                 res = lupmin_solve(inst, L)
@@ -177,9 +225,9 @@ class TestLupminSolve:
 
 class TestOptimalityCriteria:
     def test_empty_chain_counts_saturation(self, i1):
-        ok, failed = check_optimality_criteria(i1, {0}, Chain.empty(2), (0, 0))
+        ok, failed = check_optimality_criteria(i1, {0}, Chain(2, ()), (0, 0))
         assert ok and failed is None
-        ok, failed = check_optimality_criteria(i1, {0}, Chain.empty(2), (2, 2))
+        ok, failed = check_optimality_criteria(i1, {0}, Chain(2, ()), (2, 2))
         assert not ok and failed == "O5"
 
     def test_witness_passes(self, i6):
@@ -210,4 +258,5 @@ class TestOptimalityCriteria:
                 res = lupmin_solve(inst, L)
                 for x in points:
                     # raises internally if the two predicates ever disagree
-                    check_optimality_criteria(inst, L, res.chain, x)
+                    ok, failed = check_optimality_criteria(inst, L, res.chain, x)
+                    assert ok or failed in _CRITERIA

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import fairflow.orient
 from fairflow.baseflow import Infeasible
-from fairflow.oracle import enumerate_Q
+from fairflow.oracle import check_pairs, enumerate_Q
 from fairflow.orient import (
     MixedGraph,
     OrientationInfeasible,
@@ -19,7 +19,9 @@ from fairflow.orient import (
     decode,
     encode,
 )
-from fairflow.setfn import BaseOracle, check_fully_supermodular, subset_sums
+from fairflow.setfn import BaseOracle, subset_sums
+
+from conftest import table_of
 
 
 def triangle(k=1):
@@ -56,7 +58,7 @@ class TestEncode:
 
     def test_base_is_supermodular(self):
         enc = encode(triangle())
-        assert check_fully_supermodular(enc.instance.base.p)[0]
+        assert check_pairs(enc.instance.base.p, True)[0]
 
     def test_infeasible_raises_with_certificate(self):
         path = MixedGraph(3, (), ((0, 1), (1, 2)), 1)
@@ -238,8 +240,8 @@ class TestEncodeByIndegrees:
         enc = encode(mg)
         ref = tuple(sum(1 for _, v in mg.arcs + mg.edges if v == w) for w in range(n))
         points = [ref + tuple(-d for d in h) for h in feasible]
-        assert (enc.instance.base.values.tolist()
-                == BaseOracle.from_points(points, 2 * n).values.tolist())
+        assert (table_of(enc.instance.base.p)
+                == table_of(BaseOracle.from_points(points, 2 * n).p))
         fixed = [sum(1 for _, v in mg.arcs if v == w) for w in range(n)]
         incident = [sum(1 for e in mg.edges if w in e) for w in range(n)]
         assert enc.instance.bounds.lower == (0,) * (len(mg.edges) + n)

@@ -9,16 +9,11 @@ from fairflow.setfn import (
     ExtArray,
     SetFn,
     brute_extremize,
-    check_crossing_supermodular,
-    check_fully_submodular,
-    check_fully_supermodular,
-    check_intersecting_supermodular,
-    complement,
     cut_difference,
     envelope_setfn,
-    envelope_value,
+    subset_sums,
 )
-from fairflow.oracle import enumerate_base_points
+from fairflow.oracle import check_pairs, enumerate_base_points
 
 from conftest import base_point_box, random_base, random_bounds, random_finite_supermodular
 
@@ -29,7 +24,7 @@ class TestSetFn:
             SetFn(1, table=[1, 0])
 
     def test_modular_prefix(self):
-        fn = SetFn.modular((2, -1, 3))
+        fn = SetFn(3, subset_sums((2, -1, 3)).tolist())
         assert fn(0b101) == 5
         assert fn(0b111) == 4
 
@@ -44,14 +39,15 @@ class TestSetFn:
 
 class TestSupermodularChecks:
     def test_zero_and_modular_pass(self):
-        assert check_fully_supermodular(SetFn(3, table=[0] * 8))[0]
-        assert check_fully_supermodular(SetFn.modular((1, -2, 5)))[0]
-        assert check_fully_submodular(SetFn.modular((1, -2, 5)))[0]
+        modular = SetFn(3, subset_sums((1, -2, 5)).tolist())
+        assert check_pairs(SetFn(3, table=[0] * 8), True)[0]
+        assert check_pairs(modular, True)[0]
+        assert check_pairs(modular, False)[0]
 
     def test_violation_witness(self):
         # p({a})=p({b})=1, p({a,b})=1: 1+1 > 0+1
         fn = SetFn(2, table=[0, 1, 1, 1])
-        ok, witness = check_fully_supermodular(fn)
+        ok, witness = check_pairs(fn, True)
         assert not ok and witness == (1, 2)
 
 
@@ -67,56 +63,28 @@ class TestRestrictedChecks:
 
     def test_connectivity_function_is_crossing_only(self):
         fn = self._cycle_cut_table(1)
-        assert check_crossing_supermodular(fn)[0]
-        ok_full, witness = check_fully_supermodular(fn)
+        assert check_pairs(fn, True, "crossing")[0]
+        ok_full, witness = check_pairs(fn, True)
         assert not ok_full
         x, y = witness
         assert x & y == 0 or x | y == 0b1111  # breaks only outside crossing pairs
 
     def test_intersecting_stricter_than_crossing(self):
         fn = self._cycle_cut_table(1)
-        ok, witness = check_intersecting_supermodular(fn)
+        ok, witness = check_pairs(fn, True, "intersecting")
         assert not ok and (witness[0] | witness[1]) == 0b1111
 
     def test_crossing_violation_detected(self):
         table = [0] * 16
         table[0b0011] = 9
-        assert not check_crossing_supermodular(SetFn(4, table=table))[0]
+        assert not check_pairs(SetFn(4, table=table), True, "crossing")[0]
 
     def test_fully_supermodular_passes_all_variants(self):
         rng = random.Random(14)
         for _ in range(20):
             base = random_base(rng, 4)
-            assert check_intersecting_supermodular(base.p)[0]
-            assert check_crossing_supermodular(base.p)[0]
-
-
-class TestComplement:
-    def test_involution(self):
-        rng = random.Random(2)
-        for _ in range(20):
-            n = rng.randint(1, 4)
-            fn = SetFn(n, table=[0] + [rng.randint(-4, 4) for _ in range((1 << n) - 1)])
-            back = complement(complement(fn))
-            assert all(back(m) == fn(m) for m in range(1 << n))
-
-    def test_zero(self):
-        fn = complement(SetFn(3, table=[0] * 8))
-        assert all(fn(m) == 0 for m in range(8))
-
-    def test_direct_formula(self):
-        fn = SetFn(2, table=[0, -1, 0, 0])
-        comp = complement(fn)
-        assert comp(0b01) == 0 and comp(0b10) == 1
-
-    def test_swaps_modularity_sense(self):
-        rng = random.Random(9)
-        for _ in range(60):
-            n = rng.randint(2, 4)
-            base = random_base(rng, n)
-            if not all(isinstance(v, int) for v in base.p.table):
-                continue
-            assert check_fully_submodular(complement(base.p))[0]
+            assert check_pairs(base.p, True, "intersecting")[0]
+            assert check_pairs(base.p, True, "crossing")[0]
 
 
 class TestCutDifference:
@@ -142,7 +110,7 @@ class TestCutDifference:
             arcs = tuple((u, v) for u in range(n) for v in range(n) if u != v)
             d = Digraph(n, arcs)
             fn = cut_difference(d, random_bounds(rng, len(arcs)))
-            assert check_fully_submodular(fn)[0]
+            assert check_pairs(fn, False)[0]
 
 
 class TestBruteExtremize:
@@ -175,12 +143,12 @@ class TestEnvelope:
 
     def test_single_point_is_modular(self):
         fn = envelope_setfn([(2, -1, -1)], 3)
-        mod = SetFn.modular((2, -1, -1))
+        mod = SetFn(3, subset_sums((2, -1, -1)).tolist())
         assert all(fn(m) == mod(m) for m in range(8))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            envelope_value([], 0)
+            BaseOracle.from_points([], 2)
 
     def test_supermodular_and_roundtrip_on_base_points(self):
         # over the exact integral point set of a bounded base polyhedron the
@@ -194,7 +162,7 @@ class TestEnvelope:
             pts = enumerate_base_points(base, lo, hi)
             assert pts, "finite base polyhedra are never empty"
             env = envelope_setfn(pts, n)
-            assert check_fully_supermodular(env)[0]
+            assert check_pairs(env, True)[0]
             assert all(env(m) == base.p(m) for m in range(1 << n))
             checked += 1
 
@@ -218,7 +186,7 @@ class TestBaseOracle:
 class TestFaceContract:
     def test_empty_chain_identity(self, b3_points):
         base = BaseOracle.from_points(b3_points, 2)
-        assert base.face_contract(Chain.empty(2)) is base
+        assert base.face_contract(Chain(2, ())) is base
 
     def test_three_point_face(self, b3_points):
         base = BaseOracle.from_points(b3_points, 2)
@@ -226,7 +194,7 @@ class TestFaceContract:
         assert enumerate_base_points(face, -2, 2) == [(-1, 1)]
 
     def test_modular_base_has_full_faces(self):
-        base = BaseOracle.from_table(3, SetFn.modular((1, -2, 1)).table)
+        base = BaseOracle.from_table(3, subset_sums((1, -2, 1)).tolist())
         face = base.face_contract(Chain(3, (0b001, 0b011)))
         assert all(face.p(m) == base.p(m) for m in range(8))
 
@@ -268,5 +236,5 @@ class TestFaceContract:
     def test_face_stays_supermodular(self, b3_points):
         base = BaseOracle.from_points(b3_points, 2)
         face = base.face_contract(Chain(2, (0b10,)))
-        assert check_fully_supermodular(face.p)[0]
+        assert check_pairs(face.p, True)[0]
         assert face.face_chains == (Chain(2, (0b10,)),)
