@@ -18,16 +18,19 @@ count at the widest W differs from its count at the narrowest.
 
 `orient` times an in-process `fairflow orient` on 7-node graphs with m
 edges, k = 1: a 7-cycle of edges plus m - 7 node pairs drawn from
-`random.Random(f"orient7/{m}")`.  Prints one JSON line per m with the
-seconds, the number of distinct in-degree vectors the encoder checked and
-the exit code, and exits 1 if any run exits non-zero.
+`random.Random(f"orient7/{m}")`.  It also solves each graph through the
+2n-node reference encoding (`decmin_orientation` with all-zero edge
+costs).  Prints one JSON line per m with the seconds of both, the number
+of distinct in-degree vectors the CLI run checked and its exit code, and
+exits 1 if any run exits non-zero or the two sorted in-degree profiles
+differ.
 
     PYTHONPATH=src python scripts/scale.py orient [m ...]   # default 20 28 36
 """
 
+import io
 import itertools
 import json
-import os
 import random
 import sys
 import tempfile
@@ -61,14 +64,15 @@ def time_library(n, arcs, lower, upper):
 
 
 def run_cli(command, doc):
-    """(exit code, seconds) of an in-process `fairflow <command>` on doc."""
+    """(exit code, seconds, stdout) of an in-process `fairflow <command>`
+    on doc."""
     with tempfile.NamedTemporaryFile("w", suffix=".json") as fh:
         json.dump(doc, fh)
         fh.flush()
-        with open(os.devnull, "w") as sink, redirect_stdout(sink):
+        with redirect_stdout(io.StringIO()) as out:
             t = time.perf_counter()
             code = main([command, fh.name])
-            return code, time.perf_counter() - t
+            return code, time.perf_counter() - t, out.getvalue()
 
 
 def time_cli(n, arcs, lower, upper):
@@ -76,7 +80,7 @@ def time_cli(n, arcs, lower, upper):
            "arcs": [{"id": f"e{e}", "tail": f"v{t}", "head": f"v{h}", "f": lo, "g": hi}
                     for e, ((t, h), lo, hi) in enumerate(zip(arcs, lower, upper))],
            "F": [f"e{e}" for e in range(len(arcs))]}
-    code, elapsed = run_cli("solve", doc)
+    code, elapsed, _ = run_cli("solve", doc)
     assert code == 0, code
     return elapsed
 
@@ -128,11 +132,16 @@ def time_orient(edge_counts):
             return real(vec)
 
         with mock.patch.object(orient, "subset_sums", counting):
-            code, seconds = run_cli("orient", doc)
-        vectors = sum(rows)
-        print(json.dumps({"m": m, "s": round(seconds, 3), "vectors": vectors,
-                          "exit": code}), flush=True)
-        ok = ok and code == 0
+            code, seconds, out = run_cli("orient", doc)
+        t = time.perf_counter()
+        _, dense = orient.decmin_orientation(orient.MixedGraph(7, (), tuple(edges)),
+                                             edge_costs=[(0, 0)] * m)
+        dense_seconds = time.perf_counter() - t
+        same = code == 0 and sorted(json.loads(out)["in_degrees"].values()) == sorted(dense)
+        print(json.dumps({"m": m, "s": round(seconds, 3), "dense_s": round(dense_seconds, 3),
+                          "vectors": sum(rows), "exit": code, "same_profile": same}),
+              flush=True)
+        ok = ok and same
     return 0 if ok else 1
 
 

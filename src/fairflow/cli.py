@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Dict, List, Optional, Tuple
 
 from .core import (
@@ -417,7 +418,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok_all else EXIT_MISMATCH
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after."""
     parser = argparse.ArgumentParser(
         prog="fairflow",
         description="Fair (decreasingly-minimal) integral base-flow solver")

@@ -1,26 +1,32 @@
 """Decreasingly-minimal in-degree orientations of mixed graphs.
 
-An orientation instance is encoded as a bounded base-flow problem: one
-[0,1] flip arc per undirected edge (value 1 reverses the reference
-direction) and one in-degree arc per original node from a private
-auxiliary node, whose value the base polyhedron pins to the oriented
-in-degree.  Cut connectivity of an orientation depends only on its
-in-degree vector (arcs inside a node set are direction-blind), so the
-polyhedron built from the enumerated in-degree vectors of k-edge-connected
-orientations captures connectivity exactly; the focus set is the in-degree
-arcs.
+The in-degree vectors of the k-edge-connected orientations are the
+integral points of one base polyhedron (Frank, 1980).  Cut connectivity of
+an orientation depends only on its in-degree vector (arcs inside a node set
+are direction-blind), so that polyhedron is the envelope of the enumerated
+vectors that pass a connectivity check.  `_top` enumerates them on arrays.
+An in-degree vector h is an integer key whose mixed-radix digit v counts
+the edges oriented into v (radix d_E(v) + 1, d_E(v) the undirected edges at
+v); each edge (u, v) maps the key set to its shifts by place[u] and
+place[v], sorted and deduplicated.  One stacked k-edge-connectivity check,
+in blocks of `_BLOCK_ENTRIES` subset sums, keeps top(Z) = max h(Z) over the
+vectors that pass.  The work grows with the number of vectors, at most
+min(2^|E|, prod_v (d_E(v) + 1)), with no budget and no up-front refusal, so
+the enumeration is capped at 7 nodes.
 
-The encoder works on arrays.  An in-degree vector h is an integer key
-whose mixed-radix digit v counts the edges oriented into v (radix
-d_E(v) + 1, d_E(v) the undirected edges at v); each edge (u, v) maps the
-key set to its shifts by place[u] and place[v], sorted and deduplicated.
-One stacked k-edge-connectivity check, in blocks of `_BLOCK_ENTRIES`
-subset sums, keeps top(Z) = max h(Z) over the vectors that pass.  The
-point (dref, -h) sums to dref(Z & V) - h(Z >> n) over Z, so the envelope
-is the outer sum subset_sums(dref) - top.  The work still grows with the
-number of vectors, at most min(2^|E|, prod_v (d_E(v) + 1)), with no
-budget and no up-front refusal.  The cap of 7 nodes bounds the dense
-base, which has 2n nodes, not the enumeration.
+Two encodings are built from top:
+- `hub_instance`, for the uncosted solve: one in-degree arc hub -> v per
+  node over a base on V + hub (n + 1 nodes), whose integral points are the
+  vectors (h, -|A| - |E|).  `decmin_orientation` solves on it and turns the
+  fair in-degree vector into edge directions by `find_feasible` on the flip
+  arcs over the single-point base dref - h.
+- `encode`, the 2n-node reference whose integral flows are the
+  orientations themselves: one [0,1] flip arc per undirected edge (value 1
+  reverses the reference direction) and one in-degree arc per node from a
+  private auxiliary node.  The point (dref, -h) sums to
+  dref(Z & V) - h(Z >> n) over Z, so the envelope is the outer sum
+  subset_sums(dref) - top.  The costed path of `decmin_orientation` runs on
+  it, because its flip arcs carry the edge costs.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import Bounds, Digraph
-from .baseflow import Instance, min_cost_flow
+from .baseflow import CertificateError, Infeasible, Instance, find_feasible, min_cost_flow
 from .decmin import solve_decmin
 from .setfn import BaseOracle, ExtArray, int_dtype, subset_sums
 
@@ -118,12 +124,12 @@ def cut_certificate(mg: MixedGraph) -> Optional[int]:
     return int(bad.argmax()) + 1 if bad.any() else None
 
 
-def encode(mg: MixedGraph, degree_bounds: Optional[Dict[int, Tuple[int, int]]] = None
-           ) -> OrientEncoding:
-    """Build the base-flow instance whose integral flows are the k-ec
-    orientations, with in-degrees exposed on the focus arcs."""
+def _top(mg: MixedGraph) -> np.ndarray:
+    """top(Z) = max h(Z) over the in-degree vectors h of the k-ec
+    orientations, indexed by node mask; OrientationInfeasible, with the cut
+    certificate, when there is none."""
     n = mg.node_count
-    if 2 * n > 14:
+    if n > 7:
         raise ValueError("orientation encoding limited to 7 nodes")
     fixed = _indegrees(n, mg.arcs)
     incident = _indegrees(n, mg.edges + tuple((v, u) for u, v in mg.edges))
@@ -148,24 +154,18 @@ def encode(mg: MixedGraph, degree_bounds: Optional[Dict[int, Tuple[int, int]]] =
     if top[0] < 0:  # no vector passed
         raise OrientationInfeasible(
             f"no {mg.k}-edge-connected orientation exists", cut_certificate(mg))
-    # point (dref, -h) sums to dref(Z & V) - h(Z >> n) over Z: the envelope
-    # of all of them is an outer sum, indexed (Z >> n, Z & V)
-    dref = _indegrees(n, mg.arcs + mg.edges)
-    fin = (subset_sums(dref)[None, :] - top[:, None]).ravel()
-    no_inf = np.zeros(len(fin), dtype=bool)
-    base = BaseOracle(2 * n, ExtArray.tight(fin, no_inf, no_inf))
-    arcs = []
-    flip_ids = []
-    for u, v in mg.edges:
-        flip_ids.append(len(arcs))
-        arcs.append((u, v))
-    indeg_ids = []
-    lower = [0] * len(mg.edges)
-    upper = [1] * len(mg.edges)
-    for v in range(n):
-        indeg_ids.append(len(arcs))
-        arcs.append((n + v, v))
-        lo, hi = 0, fixed[v] + incident[v]
+    return top
+
+
+def _indegree_bounds(mg: MixedGraph,
+                     degree_bounds: Optional[Dict[int, Tuple[int, int]]]) -> tuple:
+    """(lower, upper) in-degree per node: [0, total degree], narrowed by
+    the given degree bounds."""
+    incident = _indegrees(mg.node_count, mg.arcs + mg.edges
+                          + tuple((v, u) for u, v in mg.edges))
+    lower, upper = [], []
+    for v, hi in enumerate(incident):
+        lo = 0
         if degree_bounds and v in degree_bounds:
             ulo, uhi = degree_bounds[v]
             lo, hi = max(lo, ulo), min(hi, uhi)
@@ -173,23 +173,80 @@ def encode(mg: MixedGraph, degree_bounds: Optional[Dict[int, Tuple[int, int]]] =
             raise OrientationInfeasible(f"empty degree interval at node {v}")
         lower.append(lo)
         upper.append(hi)
-    digraph = Digraph(2 * n, tuple(arcs))
-    inst = Instance(digraph, Bounds(tuple(lower), tuple(upper)), base,
-                    frozenset(indeg_ids))
-    return OrientEncoding(mg, inst, tuple(flip_ids), tuple(indeg_ids))
+    return tuple(lower), tuple(upper)
+
+
+def _finite_base(n: int, fin: np.ndarray) -> BaseOracle:
+    no_inf = np.zeros(len(fin), dtype=bool)
+    return BaseOracle(n, ExtArray.tight(fin, no_inf, no_inf))
+
+
+def hub_instance(mg: MixedGraph,
+                 degree_bounds: Optional[Dict[int, Tuple[int, int]]] = None) -> Instance:
+    """The base-flow instance on V + hub (hub on bit n) whose integral flows
+    are the in-degree vectors of the k-ec orientations: arc v runs hub -> v,
+    every arc is in focus.  With T = |A| + |E| and Z inside V, the base is
+    p(Z) = T - top(V - Z) and p(Z + hub) = -top(V - Z)."""
+    n = mg.node_count
+    top = _top(mg)[::-1]  # top(V - Z), indexed by Z
+    total = len(mg.arcs) + len(mg.edges)
+    base = _finite_base(n + 1, np.concatenate((total - top, -top)))
+    return Instance(Digraph(n + 1, tuple((n, v) for v in range(n))),
+                    Bounds(*_indegree_bounds(mg, degree_bounds)), base, frozenset(range(n)))
+
+
+def encode(mg: MixedGraph, degree_bounds: Optional[Dict[int, Tuple[int, int]]] = None
+           ) -> OrientEncoding:
+    """Build the base-flow instance whose integral flows are the k-ec
+    orientations, with in-degrees exposed on the focus arcs."""
+    n = mg.node_count
+    top = _top(mg)
+    # point (dref, -h) sums to dref(Z & V) - h(Z >> n) over Z: the envelope
+    # of all of them is an outer sum, indexed (Z >> n, Z & V)
+    dref = _indegrees(n, mg.arcs + mg.edges)
+    base = _finite_base(2 * n, (subset_sums(dref)[None, :] - top[:, None]).ravel())
+    lower, upper = _indegree_bounds(mg, degree_bounds)
+    m = len(mg.edges)
+    arcs = mg.edges + tuple((n + v, v) for v in range(n))
+    inst = Instance(Digraph(2 * n, arcs), Bounds((0,) * m + lower, (1,) * m + upper),
+                    base, frozenset(range(m, m + n)))
+    return OrientEncoding(mg, inst, tuple(range(m)), tuple(range(m, m + n)))
+
+
+def _orientation(mg: MixedGraph, flips: Sequence[int], indeg: Sequence[int]
+                 ) -> Tuple[tuple, tuple]:
+    """(oriented arc list, in-degree vector), after checking that the flips
+    give the in-degrees."""
+    oriented = list(mg.arcs)
+    for flipped, (u, v) in zip(flips, mg.edges):
+        oriented.append((v, u) if flipped else (u, v))
+    indeg = tuple(indeg)
+    if _indegrees(mg.node_count, oriented) != indeg:
+        raise CertificateError("in-degree arcs disagree with the decoded orientation")
+    return tuple(oriented), indeg
 
 
 def decode(enc: OrientEncoding, x: Sequence[int]) -> Tuple[tuple, tuple]:
     """Recover (oriented arc list, in-degree vector) from a flow vector."""
-    mg = enc.mixed
-    oriented = list(mg.arcs)
-    for j, (u, v) in enumerate(mg.edges):
-        flipped = x[enc.flip_arcs[j]]
-        oriented.append((v, u) if flipped else (u, v))
-    indeg = tuple(x[enc.indeg_arcs[v]] for v in range(mg.node_count))
-    if _indegrees(mg.node_count, oriented) != indeg:
-        raise ValueError("in-degree arcs disagree with the decoded orientation")
-    return tuple(oriented), indeg
+    return _orientation(enc.mixed, [x[e] for e in enc.flip_arcs],
+                        [x[e] for e in enc.indeg_arcs])
+
+
+def _orient_to(mg: MixedGraph, h: Sequence[int]) -> Tuple[tuple, tuple]:
+    """An orientation with in-degree vector h, a vector of a k-ec one: the
+    flips are a feasible flow of the [0,1] flip arcs over the single-point
+    base dref - h.  Failing to find one is an engine fault."""
+    n, m = mg.node_count, len(mg.edges)
+    if sum(h) != len(mg.arcs) + m:
+        raise CertificateError("fair in-degrees do not add up to the arc and edge count")
+    dref = _indegrees(n, mg.arcs + mg.edges)
+    flips = Instance(Digraph(n, mg.edges), Bounds((0,) * m, (1,) * m),
+                     BaseOracle.from_points([tuple(d - x for d, x in zip(dref, h))], n))
+    try:
+        x = find_feasible(flips)
+    except Infeasible as exc:
+        raise CertificateError(f"no orientation has the fair in-degrees ({exc})") from exc
+    return _orientation(mg, x, h)
 
 
 def brute_orientations(mg: MixedGraph) -> List[Tuple[int, tuple]]:
@@ -226,17 +283,22 @@ def decmin_orientation(mg: MixedGraph,
                        degree_bounds: Optional[Dict[int, Tuple[int, int]]] = None,
                        edge_costs: Optional[Sequence[Tuple[int, int]]] = None
                        ) -> Tuple[tuple, tuple]:
-    """Fairest k-ec orientation: encode, narrow, optionally pick the
-    cheapest flow under per-edge direction costs, decode."""
+    """Fairest k-ec orientation as (oriented arc list, in-degree vector).
+
+    Without edge costs, the fair in-degree vector is solved on the n + 1
+    node `hub_instance` and oriented by `_orient_to`.  With per-edge
+    (forward, reverse) direction costs, the solve runs on the 2n-node
+    `encode`, whose flip arcs carry the costs, and the cheapest fair flow is
+    decoded.
+    """
+    if edge_costs is None:
+        return _orient_to(mg, solve_decmin(hub_instance(mg, degree_bounds)).witness)
     enc = encode(mg, degree_bounds)
     result = solve_decmin(enc.instance)
-    if edge_costs is not None:
-        if len(edge_costs) != len(mg.edges):
-            raise ValueError("one (forward, reverse) cost pair per edge required")
-        cost = [0] * enc.instance.digraph.arc_count
-        for j, (fwd, rev) in enumerate(edge_costs):
-            cost[enc.flip_arcs[j]] = rev - fwd
-        x, _ = min_cost_flow(result.final, tuple(cost))
-    else:
-        x = result.witness
+    if len(edge_costs) != len(mg.edges):
+        raise ValueError("one (forward, reverse) cost pair per edge required")
+    cost = [0] * enc.instance.digraph.arc_count
+    for j, (fwd, rev) in enumerate(edge_costs):
+        cost[enc.flip_arcs[j]] = rev - fwd
+    x, _ = min_cost_flow(result.final, tuple(cost))
     return decode(enc, x)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import sys
@@ -225,6 +226,18 @@ class TestOrient:
         if expected == EXIT_INPUT:
             assert "degree_bounds['a']" in err
 
+    def test_unorientable_fair_indegrees_exit_5(self, capsys, monkeypatch):
+        # the flip solve failing on the fair in-degrees is an engine fault:
+        # exit 5, never the exit 3 of an infeasible instance
+        import fairflow.orient as orient
+
+        def infeasible(inst):
+            raise orient.Infeasible(1, -1)
+
+        monkeypatch.setattr(orient, "find_feasible", infeasible)
+        code, _ = run(capsys, "orient", path("triangle.json"))
+        assert code == EXIT_MISMATCH
+
     @pytest.mark.parametrize("nodes", [["a", "b", "a"], ["a", "", "c"], []])
     def test_bad_node_names_rejected(self, capsys, tmp_path, nodes):
         # a repeated name used to collapse two nodes into one and report a
@@ -235,6 +248,25 @@ class TestOrient:
         src.write_text(json.dumps(doc))
         code, _ = run(capsys, "orient", str(src))
         assert code == EXIT_INPUT
+
+
+def test_parser_built_once(capsys, monkeypatch):
+    # building the parser costs about as much as a small solve, so
+    # repeated in-process calls share one
+    built = []  # each build adds the subcommands once
+    real = argparse.ArgumentParser.add_subparsers
+
+    def counting(self, **kwargs):
+        built.append(self.prog)
+        return real(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    code, out = run(capsys, "solve", "--min-cost", path("i1.json"))
+    assert code == EXIT_OK and "min_cost_witness" in json.loads(out)
+    code, out = run(capsys, "solve", path("i1.json"))  # defaults come back
+    assert code == EXIT_OK and "min_cost_witness" not in json.loads(out)
+    assert run(capsys, "orient", path("triangle.json"))[0] == EXIT_OK
+    assert len(built) <= 1
 
 
 class TestVerify:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fairflow.orient
-from fairflow.baseflow import Infeasible
+from fairflow.baseflow import CertificateError, Infeasible
 from fairflow.oracle import check_pairs, enumerate_Q
 from fairflow.orient import (
     MixedGraph,
@@ -18,6 +18,7 @@ from fairflow.orient import (
     decmin_orientation,
     decode,
     encode,
+    hub_instance,
 )
 from fairflow.setfn import BaseOracle, subset_sums
 
@@ -69,6 +70,16 @@ class TestEncode:
     def test_degree_bound_narrows(self):
         enc = encode(triangle(), degree_bounds={0: (0, 0)})
         assert enumerate_Q(enc.instance) == []
+
+    def test_decode_rejects_inconsistent_flow(self):
+        # in-degree arcs that no flip vector matches are an engine fault,
+        # not bad input
+        enc = encode(triangle())
+        x = list(enumerate_Q(enc.instance)[0])
+        x[enc.indeg_arcs[0]] += 1
+        x[enc.indeg_arcs[1]] -= 1
+        with pytest.raises(CertificateError):
+            decode(enc, x)
 
 
 class TestCutCertificate:
@@ -318,3 +329,76 @@ class TestOrientationPremise:
         for h in product(*box):
             assert base.contains([a - b for a, b in zip(h, dref)]) == (h in indegs)
             assert enc_base.contains(dref + tuple(-d for d in h)) == (h in indegs)
+
+
+def outcome(call):
+    """(sorted in-degree profile, orientation, in-degrees) of a solve, or
+    (exception type, cut mask, None)."""
+    try:
+        oriented, indeg = call()
+    except (OrientationInfeasible, Infeasible) as err:
+        return type(err), getattr(err, "cut_mask", None), None
+    return tuple(sorted(indeg, reverse=True)), oriented, indeg
+
+
+class TestHubEncoding:
+    """The uncosted solve runs on V + hub: its integral flows are the
+    in-degree vectors, and the orientation is recovered from them."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(mixed_graphs(max_nodes=4, max_edges=6))
+    def test_integral_points_are_the_indegree_vectors(self, mg):
+        indegs = {h for _, h in brute_orientations(mg)}
+        if not indegs:
+            with pytest.raises(OrientationInfeasible) as err:
+                hub_instance(mg)
+            assert err.value.cut_mask == cut_certificate(mg)
+            return
+        inst = hub_instance(mg)
+        assert inst.digraph.node_count == mg.node_count + 1
+        assert sorted(enumerate_Q(inst)) == sorted(indegs)
+
+    def test_matches_dense_encoding(self):
+        # edge costs send the solve to the 2n-node `encode`; all-zero costs
+        # leave its fair set as it is
+        rng = random.Random(23)
+        solved = 0
+        for _ in range(120):
+            n = rng.randint(2, 5)
+            pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+            edges = tuple(rng.choice(pairs) for _ in range(rng.randint(n - 1, 8)))
+            arcs = tuple(rng.choice(pairs) for _ in range(rng.randint(0, 3)))
+            mg = MixedGraph(n, arcs, edges, rng.choice([1, 2]))
+            bounds = None
+            if rng.random() < 0.5:
+                bounds = {v: tuple(sorted(rng.randint(0, 4) for _ in "lh"))
+                          for v in rng.sample(range(n), rng.randint(1, n))}
+            hub = outcome(lambda: decmin_orientation(mg, bounds))
+            dense = outcome(lambda: decmin_orientation(
+                mg, bounds, edge_costs=[(0, 0)] * len(edges)))
+            assert hub[0] == dense[0]
+            if hub[2] is None:
+                assert hub[1] == dense[1]
+                continue
+            solved += 1
+            oriented, indeg = hub[1], hub[2]
+            assert oriented[:len(arcs)] == arcs
+            assert all(o in (e, e[::-1]) for o, e in zip(oriented[len(arcs):], edges))
+            assert tuple(sum(1 for _, v in oriented if v == w) for w in range(n)) == indeg
+            assert all(sum(1 for u, v in oriented if (z >> v) & 1 and not (z >> u) & 1) >= mg.k
+                       for z in range(1, (1 << n) - 1))
+            if bounds:
+                assert all(lo <= indeg[v] <= hi for v, (lo, hi) in bounds.items())
+        assert solved >= 30
+
+    @pytest.mark.parametrize("h", [(0, 0, 3), (2, 2, 2)], ids=["no-flips", "wrong-total"])
+    def test_unorientable_indegrees_are_an_engine_fault(self, h):
+        with pytest.raises(CertificateError):
+            fairflow.orient._orient_to(triangle(), h)
+
+    def test_flips_checked_against_indegrees(self, monkeypatch):
+        # two parallel edges 0 -> 1 reach in-degrees (1, 1) only with a flip
+        monkeypatch.setattr(fairflow.orient, "find_feasible",
+                            lambda inst: (0,) * inst.digraph.arc_count)
+        with pytest.raises(CertificateError):
+            fairflow.orient._orient_to(MixedGraph(2, (), ((0, 1), (0, 1))), (1, 1))
