@@ -6,8 +6,9 @@ focus arc set.  Feasibility follows the cut criterion
 dominate the base function on every node subset); a feasible integral flow
 is built by exact coordinate fixing; minimum-cost flows are computed by
 canceling negative cycles in the exchange auxiliary digraph (bottleneck
-augmentation, halved until membership holds), and integer
-dual node potentials are read off shortest-path distances at optimality.
+augmentation, halved until membership holds).  The final cycle search,
+which finds no negative cycle, also yields the integer dual node
+potentials: its layered walk costs give the shortest-walk distances.
 The binding contract of the solver is the certificate it returns, not the
 method: complementary slackness and tightness of every potential level set
 are verified before returning.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -255,24 +256,15 @@ def exchange_capacity(base: BaseOracle, y: Sequence[int], s: int, t: int) -> Ext
 
 # --- minimum-cost flow -----------------------------------------------------
 
-def _blocked_exchange_pairs(base: BaseOracle, psi: Sequence[int]) -> set:
-    """Pairs (s, t) for which psi + chi_s - chi_t leaves the base.
-
-    Moving a unit from t to s hurts exactly the subsets containing t and
-    avoiding s, so the move is blocked iff s lies outside the intersection
-    of the tight sets containing t.
-    """
-    p = base.values
-    meets = principal_sets(base.n, (subset_sums(psi) == p.fin) & ~p.pos & ~p.neg)
-    return {(s, t) for t, meet in enumerate(meets) for s in range(base.n) if not (meet >> s) & 1}
-
-
-def _aux_arcs(inst: Instance, x: Sequence[int], cost: Sequence[int]) -> list:
-    """Arcs of the exchange auxiliary digraph at the current flow.
+def _aux_arcs(inst: Instance, x: Sequence[int], psi: Sequence[int],
+              cost: Sequence[int]) -> list:
+    """Arcs of the exchange auxiliary digraph at flow x with net in-flows psi.
 
     Entries are (tail, head, cost, tag); tags are ('up', e) for a unit
     increase on arc e, ('down', e) for a unit decrease, and ('exch', s, t)
-    for moving a unit of net in-flow from t to s inside the base.
+    for moving a unit of net in-flow from t to s inside the base.  That
+    move hurts exactly the subsets containing t and avoiding s, so it is
+    allowed iff s lies in the meet of the tight sets containing t.
     """
     arcs = []
     b = inst.bounds
@@ -281,26 +273,32 @@ def _aux_arcs(inst: Instance, x: Sequence[int], cost: Sequence[int]) -> list:
             arcs.append((u, v, cost[e], ("up", e)))
         if x[e] > b.lower[e]:
             arcs.append((v, u, -cost[e], ("down", e)))
-    psi = node_net_inflow(inst.digraph, x)
-    blocked = _blocked_exchange_pairs(inst.base, psi)
-    n = inst.digraph.node_count
+    n = inst.base.n
+    p = inst.base.values
+    meets = principal_sets(n, (subset_sums(psi) == p.fin) & ~p.pos & ~p.neg)
     for s in range(n):
-        for t in range(n):
-            if s != t and (s, t) not in blocked:
+        for t, meet in enumerate(meets):
+            if s != t and (meet >> s) & 1:
                 arcs.append((s, t, 0, ("exch", s, t)))
     return arcs
 
 
-def _min_arc_negative_cycle(n: int, arcs: list) -> Optional[list]:
-    """Negative-cost dicycle with the fewest arcs, as a list of aux arcs.
+def _min_arc_negative_cycle(n: int, arcs: list) -> Union[list, DualPotential]:
+    """Negative-cost dicycle with the fewest arcs, as a list of aux arcs,
+    or the potentials that certify there is none.
 
     Layered relaxation: dist[k][u][v] is the cheapest walk with exactly k
     arcs.  The first layer producing a negative closed walk yields a simple
-    cycle (a shorter negative sub-walk would contradict minimality).
+    cycle (a shorter negative sub-walk would contradict minimality).  With
+    no negative cycle every shortest walk has fewer than n arcs, so the
+    least entry of each column over the layers is the distance from an
+    implicit all-zero source; shifted to minimum zero, these are the
+    potentials.
     """
     dist = [[None] * n for _ in range(n)]
     for u in range(n):
         dist[u][u] = 0
+    reach = [0] * n  # least walk cost into each node; layer 0 holds the empty walks
     parent = {}
     for k in range(1, n + 1):
         ndist = [[None] * n for _ in range(n)]
@@ -315,9 +313,11 @@ def _min_arc_negative_cycle(n: int, arcs: list) -> Optional[list]:
                     ndist[u][bb] = cand
                     parent[(k, u, bb)] = (a, (a, bb, c, tag))
                     improved = True
+                    if cand < reach[bb]:
+                        reach[bb] = cand
         dist = ndist
         if not improved:
-            return None
+            break
         for u in range(n):
             if dist[u][u] is not None and dist[u][u] < 0:
                 cycle = []
@@ -328,17 +328,17 @@ def _min_arc_negative_cycle(n: int, arcs: list) -> Optional[list]:
                     node = prev
                 cycle.reverse()
                 return cycle
-    return None
+    low = min(reach, default=0)
+    return DualPotential(tuple(d - low for d in reach))
 
 
-def _bottleneck(inst: Instance, x: Sequence[int], cycle: list) -> int:
+def _bottleneck(inst: Instance, x: Sequence[int], psi: Sequence[int], cycle: list) -> int:
     """Least residual width over the arcs of an aux cycle (+inf loses).
 
     An ('exch', s, t) arc moves net in-flow from t to s, so its width is
-    the exchange capacity from t to s at the current net in-flows.
+    the exchange capacity from t to s at the net in-flows psi of x.
     """
     b = inst.bounds
-    psi = node_net_inflow(inst.digraph, x)
     delta = min(b.upper[tag[1]] - x[tag[1]] if tag[0] == "up"
                 else x[tag[1]] - b.lower[tag[1]] if tag[0] == "down"
                 else exchange_capacity(inst.base, psi, tag[2], tag[1])
@@ -354,23 +354,6 @@ def _apply_cycle(x: list, cycle: list, delta: int) -> None:
             x[tag[1]] += delta
         elif tag[0] == "down":
             x[tag[1]] -= delta
-
-
-def _potentials(n: int, arcs: list) -> list:
-    """Shortest-walk distances from an implicit all-zero source."""
-    d = [0] * n
-    for _ in range(n + 1):
-        changed = False
-        for (a, b, c, _) in arcs:
-            if d[a] + c < d[b]:
-                d[b] = d[a] + c
-                changed = True
-        if not changed:
-            break
-    else:
-        raise CertificateError("negative cycle survived cancellation")
-    base = min(d) if d else 0
-    return [v - base for v in d]
 
 
 def verify_optimality(inst: Instance, cost: Sequence[int], x: Sequence[int],
@@ -411,28 +394,24 @@ def min_cost_flow(inst: Instance, cost: Sequence[int]) -> Tuple[tuple, DualPoten
         if c != 0 and not (is_finite(b.lower[e]) and is_finite(b.upper[e])):
             raise ValueError(f"arc {e}: nonzero cost requires finite bounds")
     x = list(find_feasible(inst))
-    if all(b.lower[e] == b.upper[e] for e in range(len(b))):
-        pi = DualPotential((0,) * inst.digraph.node_count)
-        return tuple(x), pi
     n = inst.digraph.node_count
     while True:
-        arcs = _aux_arcs(inst, x, cost)
-        cycle = _min_arc_negative_cycle(n, arcs)
-        if cycle is None:
+        psi = node_net_inflow(inst.digraph, x)
+        found = _min_arc_negative_cycle(n, _aux_arcs(inst, x, psi, cost))
+        if isinstance(found, DualPotential):
             break
         # each aux arc admits the bottleneck alone, but several exchange
         # arcs together may not; on a fewest-arc cycle a unit step does
-        delta = _bottleneck(inst, x, cycle)
+        delta = _bottleneck(inst, x, psi, found)
         while True:
             y = list(x)
-            _apply_cycle(y, cycle, delta)
+            _apply_cycle(y, found, delta)
             if membership(inst, y):
                 break
             if delta == 1:
                 raise CertificateError("augmentation left the feasible region")
             delta //= 2
         x = y
-    pi = DualPotential(tuple(_potentials(n, arcs)))
     xt = tuple(x)
-    verify_optimality(inst, cost, xt, pi)
-    return xt, pi
+    verify_optimality(inst, cost, xt, found)
+    return xt, found

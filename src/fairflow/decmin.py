@@ -85,7 +85,7 @@ def newton_dinkelbach(h: SetFn, b: SetFn) -> Tuple[int, List[tuple]]:
             raise ValueError("b must be finite and nonnegative")
         if h(m) > 0:
             raise ValueError("no good mu exists: positive h on a zero of b")
-    val, xmask = brute_extremize(h, "max")
+    val, xmask = brute_extremize(h)
     if not val > 0:
         raise ValueError("mu = 0 is already good")
     log = [(0, xmask)]
@@ -99,7 +99,7 @@ def newton_dinkelbach(h: SetFn, b: SetFn) -> Tuple[int, List[tuple]]:
         dtype = int_dtype(bound)
         fin = hv.fin.astype(dtype, copy=False) - mu * bv.fin.astype(dtype, copy=False)
         gap = SetFn(h.n, ExtArray(fin, hv.pos, hv.neg, bound))
-        val, xmask = brute_extremize(gap, "max")
+        val, xmask = brute_extremize(gap)
         log.append((mu, xmask))
         if val <= 0:
             return mu, log

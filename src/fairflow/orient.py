@@ -293,10 +293,10 @@ def decmin_orientation(mg: MixedGraph,
     """
     if edge_costs is None:
         return _orient_to(mg, solve_decmin(hub_instance(mg, degree_bounds)).witness)
-    enc = encode(mg, degree_bounds)
-    result = solve_decmin(enc.instance)
     if len(edge_costs) != len(mg.edges):
         raise ValueError("one (forward, reverse) cost pair per edge required")
+    enc = encode(mg, degree_bounds)
+    result = solve_decmin(enc.instance)
     cost = [0] * enc.instance.digraph.arc_count
     for j, (fwd, rev) in enumerate(edge_costs):
         cost[enc.flip_arcs[j]] = rev - fwd

@@ -2,22 +2,22 @@
 
 A SetFn is an evaluation oracle over bitmask subsets: a scalar view of one
 dense `ExtArray` table.  This module provides the cut-difference function of
-a bounded digraph, exhaustive extremization (the swap-ready stand-in for a
+a bounded digraph, exhaustive maximization (the swap-ready stand-in for a
 submodular-function-minimization routine), the pointwise-minimum envelope of
 an enumerated base polyhedron, face contraction of a base oracle along a
 chain, and `principal_sets`, the per-node meet of a mask family that the jump
-structure and the blocked exchange pairs read.
+structure and the exchange arcs of the min-cost auxiliary digraph read.
 
 Whole-table computations (subset sums, cut values, slacks) run on numpy
 arrays indexed by bitmask: see `subset_sums` and `ExtArray`.  A
 `BaseOracle` owns its bounding function as one `ExtArray`, built once by
 each constructor (`ExtArray.from_values` is the one list-to-array
 conversion); slacks, membership, face contraction, jump structures,
-exchange pairs, exchange capacities and `orient` read it, and reference
+exchange arcs, exchange capacities and `orient` read it, and reference
 and certificate readers use the scalar view `BaseOracle.p`.
 `brute_extremize` and the Newton ratio search are whole-table array scans
-behind the same contract (the extreme value over all subsets, lowest mask
-on ties), so that a submodular-function minimizer can replace them.
+behind the same contract (the maximum over all subsets, lowest mask on
+ties), so that a submodular-function minimizer can replace them.
 """
 
 from __future__ import annotations
@@ -183,18 +183,16 @@ def cut_difference(digraph: Digraph, bounds: Bounds) -> SetFn:
     return SetFn(digraph.node_count, cut)
 
 
-def brute_extremize(fn: SetFn, mode: str = "max"):
-    """Exhaustive scan for the extreme value of a set function over all
-    subsets, ties to the smallest bitmask.
+def brute_extremize(fn: SetFn):
+    """Exhaustive scan for the maximum of a set function over all subsets,
+    ties to the smallest bitmask.
 
-    One argmax over the table (numpy returns the first extreme; "min" is
-    the max of -fn): a +inf entry wins, -inf entries sit below every finite
-    value, and an entry holding infinities of both signs raises, as reading
-    it through the scalar oracle does.
+    One argmax over the table (numpy returns the first maximum): a +inf
+    entry wins, -inf entries sit below every finite value, and an entry
+    holding infinities of both signs raises, as reading it through the
+    scalar oracle does.
     """
-    if mode not in ("max", "min"):
-        raise ValueError("mode must be 'max' or 'min'")
-    a = fn.values if mode == "max" else -fn.values
+    a = fn.values
     pos, neg = a.pos != 0, a.neg != 0  # counts after plus_cut, not bools
     if (pos & neg).any():
         raise ArithmeticError("cannot add infinities of opposite sign")
@@ -202,7 +200,7 @@ def brute_extremize(fn: SetFn, mode: str = "max"):
         mask = int(pos.argmax())
     else:
         mask = int(np.where(neg, -a.bound - 1, a.fin).argmax())
-    return fn.values.value(mask), mask
+    return a.value(mask), mask
 
 
 def _envelope(points: Sequence[Sequence[int]]) -> ExtArray:

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fairflow import baseflow
-from fairflow.core import Bounds, Digraph, NEG_INF, POS_INF, node_net_inflow
+from fairflow.core import Bounds, Digraph, NEG_INF, POS_INF, is_finite, node_net_inflow
 from fairflow.baseflow import (
     CertificateError,
     DualPotential,
@@ -24,6 +24,7 @@ from fairflow.baseflow import (
     min_cost_flow,
     verify_optimality,
 )
+from fairflow.lupmin import augment_instance
 from fairflow.setfn import BaseOracle
 from fairflow.oracle import enumerate_Q
 
@@ -154,11 +155,14 @@ class TestMinCostFlow:
         x, _ = min_cost_flow(i1, (-1, 0))
         assert x == (2, 2)
 
-    def test_all_tight_short_circuit(self):
+    def test_all_tight_short_circuit(self, b3_points):
+        # with every arc fixed the cycle search sees only zero-cost
+        # exchange arcs: none under the zero base, both ways under b3
         d = Digraph(2, ((0, 1), (1, 0)))
-        inst = Instance(d, Bounds((2, 2), (2, 2)), BaseOracle.zero(2))
-        x, pi = min_cost_flow(inst, (7, -7))
-        assert x == (2, 2) and pi.values == (0, 0)
+        for base in (BaseOracle.zero(2), BaseOracle.from_points(b3_points, 2)):
+            inst = Instance(d, Bounds((2, 2), (2, 2)), base)
+            x, pi = min_cost_flow(inst, (7, -7))
+            assert x == (2, 2) and pi.values == (0, 0)
 
     def test_infinite_bound_with_cost_rejected(self):
         d = Digraph(2, ((0, 1), (1, 0)))
@@ -181,6 +185,21 @@ class TestMinCostFlow:
             assert got == best
             verify_optimality(inst, cost, x, pi)
 
+    def test_potentials_are_distances_on_augmented_corpus(self):
+        # lupmin's phase instances: a unit-cost copy of every finite,
+        # non-tight arc
+        levels = set()
+        for inst in feasible_corpus(13, 80, require_arcs=True):
+            b = inst.bounds
+            L = {e for e in inst.digraph.arc_ids() if is_finite(b.lower[e])
+                 and is_finite(b.upper[e]) and b.lower[e] != b.upper[e]}
+            if L:
+                aug = augment_instance(inst, L)
+                x, pi = min_cost_flow(aug.instance, aug.cost)
+                assert_potentials_are_distances(aug.instance, aug.cost, x, pi)
+                levels.add(len(set(pi.values)))
+        assert levels == {1, 2, 3}
+
 
 def ref_min_cost_flow(inst, cost):
     """The unit-step loop that min_cost_flow ran before bottleneck steps:
@@ -188,16 +207,42 @@ def ref_min_cost_flow(inst, cost):
     x = list(find_feasible(inst))
     n = inst.digraph.node_count
     while True:
-        cycle = baseflow._min_arc_negative_cycle(n, baseflow._aux_arcs(inst, x, cost))
-        if cycle is None:
+        psi = node_net_inflow(inst.digraph, x)
+        found = baseflow._min_arc_negative_cycle(n, baseflow._aux_arcs(inst, x, psi, cost))
+        if isinstance(found, DualPotential):
             return tuple(x)
-        for (_, _, _, tag) in cycle:
+        for (_, _, _, tag) in found:
             if tag[0] == "up":
                 x[tag[1]] += 1
             elif tag[0] == "down":
                 x[tag[1]] -= 1
         if not baseflow.membership(inst, x):
             raise CertificateError("augmentation left the feasible region")
+
+
+def ref_potentials(n, arcs):
+    """Shortest-walk distances from an implicit all-zero source, by a
+    separate Bellman-Ford pass, shifted to minimum zero."""
+    d = [0] * n
+    for _ in range(n + 1):
+        changed = False
+        for (a, b, c, _) in arcs:
+            if d[a] + c < d[b]:
+                d[b] = d[a] + c
+                changed = True
+        if not changed:
+            break
+    else:
+        raise CertificateError("negative cycle survived cancellation")
+    base = min(d) if d else 0
+    return [v - base for v in d]
+
+
+def assert_potentials_are_distances(inst, cost, x, pi):
+    """The potentials min_cost_flow returned with x are the Bellman-Ford
+    distances over the auxiliary arcs at x."""
+    arcs = baseflow._aux_arcs(inst, x, node_net_inflow(inst.digraph, x), cost)
+    assert list(pi.values) == ref_potentials(inst.digraph.node_count, arcs)
 
 
 def counting_membership():
@@ -248,6 +293,7 @@ class TestBottleneckAugmentation:
             ref = ref_min_cost_flow(inst, cost)
         assert flow_cost(cost, x) == flow_cost(cost, ref)
         verify_optimality(inst, cost, x, pi)
+        assert_potentials_are_distances(inst, cost, x, pi)
         assert calls <= spy.call_count
 
     @pytest.mark.parametrize("base", ["zero", "points"])

@@ -35,7 +35,7 @@ from fairflow.baseflow import (
     CertificateError,
     Infeasible,
     Instance,
-    _blocked_exchange_pairs,
+    _aux_arcs,
     exchange_capacity,
     find_feasible,
     find_violator,
@@ -256,11 +256,11 @@ def ref_cut_certificate(mg):
     return None
 
 
-def ref_brute_extremize(fn, n, mode):
+def ref_brute_extremize(fn, n):
     best_val = best_mask = None
     for m in range(1 << n):
         v = fn(m)
-        if best_val is None or (v > best_val if mode == "max" else v < best_val):
+        if best_val is None or v > best_val:
             best_val, best_mask = v, m
     return best_val, best_mask
 
@@ -272,7 +272,7 @@ def ref_newton_dinkelbach(h, b):
             raise ValueError("b must be finite and nonnegative")
         if bv == 0 and h(m) > 0:
             raise ValueError("no good mu exists: positive h on a zero of b")
-    val, xmask = ref_brute_extremize(h, h.n, "max")
+    val, xmask = ref_brute_extremize(h, h.n)
     if not val > 0:
         raise ValueError("mu = 0 is already good")
     log = [(0, xmask)]
@@ -282,7 +282,7 @@ def ref_newton_dinkelbach(h, b):
         if not mu_next > mu:
             raise CertificateError("ratio candidates failed to increase")
         mu = mu_next
-        val, xmask = ref_brute_extremize(lambda m: h(m) - mu * b(m), h.n, "max")
+        val, xmask = ref_brute_extremize(lambda m: h(m) - mu * b(m), h.n)
         log.append((mu, xmask))
         if val <= 0:
             return mu, log
@@ -407,7 +407,11 @@ def test_family_scans_match_reference(inst, rng):
     table = [0] + [rng.choice((sums[z], sums[z], sums[z] - 1, NEG_INF, POS_INF))
                    for z in range(1, (1 << n) - 1)] + [0]
     tight_base = BaseOracle.from_table(n, table)
-    assert _blocked_exchange_pairs(tight_base, psi) == ref_blocked_exchange_pairs(tight_base, psi)
+    blocked = ref_blocked_exchange_pairs(tight_base, psi)
+    arc_free = Instance(Digraph(n, ()), Bounds((), ()), tight_base)
+    assert _aux_arcs(arc_free, (), psi, ()) == [
+        (s, t, 0, ("exch", s, t)) for s in range(n) for t in range(n)
+        if s != t and (s, t) not in blocked]
 
 
 @settings(deadline=None)
@@ -460,9 +464,7 @@ def test_ratio_search_matches_reference(n, both_inf, with_inf, repair, rng):
     h = with_both_infinities(rng, n, h, both_inf)
     b = with_both_infinities(rng, n, b, both_inf)
     for fn in (h, b):
-        for mode in ("max", "min"):
-            assert (outcome(brute_extremize, fn, mode)
-                    == outcome(ref_brute_extremize, fn, n, mode))
+        assert outcome(brute_extremize, fn) == outcome(ref_brute_extremize, fn, n)
     assert ratio_outcome(newton_dinkelbach, h, b) == ratio_outcome(ref_newton_dinkelbach, h, b)
 
 
@@ -563,11 +565,10 @@ class TestExactness:
         values = ExtArray.from_values([0, POS_INF, NEG_INF, 0])
         values.pos[3] = values.neg[3] = True
         fn = SetFn(2, values)
-        for mode in ("max", "min"):
-            with pytest.raises(ArithmeticError):
-                ref_brute_extremize(fn, 2, mode)
-            with pytest.raises(ArithmeticError):
-                brute_extremize(fn, mode)
+        with pytest.raises(ArithmeticError):
+            ref_brute_extremize(fn, 2)
+        with pytest.raises(ArithmeticError):
+            brute_extremize(fn)
 
 
 class TestTables:

@@ -141,6 +141,16 @@ class TestDecminOrientation:
         assert fwd == ((0, 1), (1, 2), (2, 0))
         assert rev == ((1, 0), (2, 1), (0, 2))
 
+    def test_edge_costs_length_checked_before_solving(self, monkeypatch):
+        # a single edge has no strong orientation, so encoding it would
+        # raise OrientationInfeasible and hide the bad cost list
+        def no_solve(inst):
+            raise AssertionError("solve_decmin ran before the input check")
+
+        monkeypatch.setattr(fairflow.orient, "solve_decmin", no_solve)
+        with pytest.raises(ValueError, match="one \\(forward, reverse\\) cost pair per edge"):
+            decmin_orientation(MixedGraph(2, (), ((0, 1),)), edge_costs=[])
+
 
 class TestRandomFamily:
     def test_matches_oracle(self):

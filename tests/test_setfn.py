@@ -115,21 +115,20 @@ class TestCutDifference:
 
 class TestBruteExtremize:
     def test_tie_breaks_to_smallest_mask(self):
-        val, mask = brute_extremize(SetFn(3, table=[0] * 8), "max")
+        val, mask = brute_extremize(SetFn(3, table=[0] * 8))
         assert (val, mask) == (0, 0)
 
     def test_singleton_scan(self):
         # h({s}) = 5 - 3*2 = -1, h(empty) = 0
         fn = SetFn(1, table=[0, -1])
-        assert brute_extremize(fn, "max") == (0, 0)
+        assert brute_extremize(fn) == (0, 0)
 
-    def test_min_over_all_subsets(self):
-        # cut values 0, 2, 2, 0: the minimum ties between the empty and the
-        # full set, and the lowest mask wins; the maximum ties likewise
+    def test_max_over_all_subsets(self):
+        # cut values 0, 2, 2, 0: the maximum ties between the singletons,
+        # and the lowest mask wins
         d = Digraph(2, ((0, 1), (1, 0)))
         diff = cut_difference(d, Bounds((0, 0), (2, 2)))
-        assert brute_extremize(diff, "min") == (0, 0)
-        assert brute_extremize(diff, "max") == (2, 0b01)
+        assert brute_extremize(diff) == (2, 0b01)
 
 
 class TestEnvelope:
