@@ -26,6 +26,17 @@ exits 1 if any run exits non-zero or the two sorted in-degree profiles
 differ.
 
     PYTHONPATH=src python scripts/scale.py orient [m ...]   # default 20 28 36
+
+`levels` times `solve_decmin` on instances with many distinct upper
+levels: a zero base, m = 3n arcs (a Hamiltonian cycle plus 2n random
+pairs), every arc in focus, all upper bounds distinct (drawn from
+1..4m - 1) and lower bounds in -3..0.  It counts the `find_violator` probes
+of each `compute_beta` call and prints one JSON line per (n, seed) with the
+seconds, the total probes and the most made by one call.  It exits 1 when
+a call makes more than ceil(log2(2m)) + 1 probes: the bisection over the
+at most 2m focus bounds plus the check of the final clamp.
+
+    PYTHONPATH=src python scripts/scale.py levels [n ...]   # default 18 20
 """
 
 import io
@@ -38,7 +49,7 @@ import time
 from contextlib import redirect_stdout
 from unittest import mock
 
-from fairflow import Bounds, Digraph, Instance, baseflow, orient, solve_decmin
+from fairflow import Bounds, Digraph, Instance, baseflow, decmin, orient, solve_decmin
 from fairflow.cli import main
 from fairflow.setfn import BaseOracle
 
@@ -55,12 +66,61 @@ def instance(n, seed):
     return arcs, lower, [lo + w for lo, w in zip(lower, widths)]
 
 
-def time_library(n, arcs, lower, upper):
-    inst = Instance(Digraph(n, tuple(arcs)), Bounds(tuple(lower), tuple(upper)),
+def zero_base_instance(n, arcs, lower, upper):
+    return Instance(Digraph(n, tuple(arcs)), Bounds(tuple(lower), tuple(upper)),
                     BaseOracle.zero(n), frozenset(range(len(arcs))))
+
+
+def time_library(n, arcs, lower, upper):
+    inst = zero_base_instance(n, arcs, lower, upper)
     t = time.perf_counter()
     solve_decmin(inst)
     return time.perf_counter() - t
+
+
+def levels_instance(n, seed):
+    """Zero-base instance on n nodes with m = 3n arcs, every arc in focus
+    and every upper bound distinct; the zero flow is feasible."""
+    rng = random.Random(f"levels/{n}/{seed}")
+    order = rng.sample(range(n), n)
+    arcs = [(order[i], order[(i + 1) % n]) for i in range(n)]
+    arcs += [tuple(rng.sample(range(n), 2)) for _ in range(2 * n)]
+    m = len(arcs)
+    upper = rng.sample(range(1, 4 * m), m)
+    lower = [-rng.randint(0, 3) for _ in arcs]
+    return zero_base_instance(n, arcs, lower, upper)
+
+
+def probe_bound(m):
+    """Most `find_violator` probes one `compute_beta` call may make on m
+    focus arcs: ceil(log2(2m)) bisection steps plus the final check."""
+    return (2 * m - 1).bit_length() + 1
+
+
+def time_levels(sizes):
+    ok = True
+    for n in sizes:
+        for seed in (1, 2):
+            inst = levels_instance(n, seed)
+            probes = []  # find_violator calls of each compute_beta call
+            with mock.patch.object(decmin, "find_violator",
+                                   wraps=decmin.find_violator) as spy:
+                def counting(cur, real=decmin.compute_beta):
+                    before = spy.call_count
+                    out = real(cur)
+                    probes.append(spy.call_count - before)
+                    return out
+
+                with mock.patch.object(decmin, "compute_beta", counting):
+                    t = time.perf_counter()
+                    solve_decmin(inst)
+                    seconds = time.perf_counter() - t
+            bound = probe_bound(inst.digraph.arc_count)
+            print(json.dumps({"n": n, "seed": seed, "s": round(seconds, 3),
+                              "probes": sum(probes), "max_probes": max(probes),
+                              "bound": bound}), flush=True)
+            ok = ok and max(probes) <= bound
+    return 0 if ok else 1
 
 
 def run_cli(command, doc):
@@ -150,6 +210,8 @@ if __name__ == "__main__":
         sys.exit(sweep_mincost())
     if sys.argv[1:2] == ["orient"]:
         sys.exit(time_orient(map(int, sys.argv[2:] or (20, 28, 36))))
+    if sys.argv[1:2] == ["levels"]:
+        sys.exit(time_levels(map(int, sys.argv[2:] or (18, 20))))
     timer = time_cli if sys.argv[1:2] == ["cli"] else time_library
     for n in map(int, sys.argv[2:] or (14, 16, 18, 20)):
         for seed in (1, 2):

@@ -244,21 +244,27 @@ def exchange_capacity(base: BaseOracle, y: Sequence[int], s: int, t: int) -> Ext
     """
     if s == t:
         raise ValueError("exchange endpoints must differ")
+    return _exchange_capacity(base, subset_sums(y), s, t)
+
+
+def _exchange_capacity(base: BaseOracle, sums: np.ndarray, s: int, t: int) -> ExtInt:
+    """`exchange_capacity` read off the subset sums of y."""
     p = base.values
     masks = np.arange(1 << base.n)
     separating = ((masks >> s) & 1 == 1) & ((masks >> t) & 1 == 0) & (p.pos == 0) & (p.neg == 0)
     if not separating.any():
         return POS_INF
-    dtype = int_dtype(sum(abs(v) for v in y) + p.bound)
-    slack = subset_sums(y).astype(dtype, copy=False) - p.fin.astype(dtype, copy=False)
-    return int(slack[separating].min())
+    dtype = int_dtype(int(np.abs(sums).max()) + p.bound)
+    slack = sums[separating].astype(dtype) - p.fin[separating].astype(dtype)
+    return int(slack.min())
 
 
 # --- minimum-cost flow -----------------------------------------------------
 
-def _aux_arcs(inst: Instance, x: Sequence[int], psi: Sequence[int],
+def _aux_arcs(inst: Instance, x: Sequence[int], sums: np.ndarray,
               cost: Sequence[int]) -> list:
-    """Arcs of the exchange auxiliary digraph at flow x with net in-flows psi.
+    """Arcs of the exchange auxiliary digraph at flow x, whose net in-flows
+    psi have the subset sums `sums`.
 
     Entries are (tail, head, cost, tag); tags are ('up', e) for a unit
     increase on arc e, ('down', e) for a unit decrease, and ('exch', s, t)
@@ -275,7 +281,7 @@ def _aux_arcs(inst: Instance, x: Sequence[int], psi: Sequence[int],
             arcs.append((v, u, -cost[e], ("down", e)))
     n = inst.base.n
     p = inst.base.values
-    meets = principal_sets(n, (subset_sums(psi) == p.fin) & ~p.pos & ~p.neg)
+    meets = principal_sets(n, (sums == p.fin) & ~p.pos & ~p.neg)
     for s in range(n):
         for t, meet in enumerate(meets):
             if s != t and (meet >> s) & 1:
@@ -332,16 +338,17 @@ def _min_arc_negative_cycle(n: int, arcs: list) -> Union[list, DualPotential]:
     return DualPotential(tuple(d - low for d in reach))
 
 
-def _bottleneck(inst: Instance, x: Sequence[int], psi: Sequence[int], cycle: list) -> int:
+def _bottleneck(inst: Instance, x: Sequence[int], sums: np.ndarray, cycle: list) -> int:
     """Least residual width over the arcs of an aux cycle (+inf loses).
 
     An ('exch', s, t) arc moves net in-flow from t to s, so its width is
-    the exchange capacity from t to s at the net in-flows psi of x.
+    the exchange capacity from t to s at the net in-flows of x, read off
+    their subset sums `sums`.
     """
     b = inst.bounds
     delta = min(b.upper[tag[1]] - x[tag[1]] if tag[0] == "up"
                 else x[tag[1]] - b.lower[tag[1]] if tag[0] == "down"
-                else exchange_capacity(inst.base, psi, tag[2], tag[1])
+                else _exchange_capacity(inst.base, sums, tag[2], tag[1])
                 for (_, _, _, tag) in cycle)
     if delta is POS_INF:
         raise CertificateError("negative cycle of unbounded width")
@@ -396,13 +403,13 @@ def min_cost_flow(inst: Instance, cost: Sequence[int]) -> Tuple[tuple, DualPoten
     x = list(find_feasible(inst))
     n = inst.digraph.node_count
     while True:
-        psi = node_net_inflow(inst.digraph, x)
-        found = _min_arc_negative_cycle(n, _aux_arcs(inst, x, psi, cost))
+        sums = subset_sums(node_net_inflow(inst.digraph, x))  # one table per augmentation
+        found = _min_arc_negative_cycle(n, _aux_arcs(inst, x, sums, cost))
         if isinstance(found, DualPotential):
             break
         # each aux arc admits the bottleneck alone, but several exchange
         # arcs together may not; on a fewest-arc cycle a unit step does
-        delta = _bottleneck(inst, x, psi, found)
+        delta = _bottleneck(inst, x, sums, found)
         while True:
             y = list(x)
             _apply_cycle(y, found, delta)

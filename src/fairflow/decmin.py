@@ -1,18 +1,18 @@
 """Driver for decreasingly-minimal integral base-flows on a focus arc set.
 
 Each phase computes the least attainable top value on the focus set (a
-staircase of feasibility probes plus a discrete Newton ratio search when a
-probe fails), minimizes the number of arcs pinned at that value, narrows
-the bounds and the base polyhedron along the certifying chain, and drops
-the pinned arcs from the focus set.  The loop ends with a bounding pair of
-width at most one on every focus arc whose integral flows are exactly the
-decreasingly-minimal ones.
+bisection of feasibility probes over the focus bounds plus one discrete
+Newton ratio search in the bracketing segment), minimizes the number of
+arcs pinned at that value, narrows the bounds and the base polyhedron
+along the certifying chain, and drops the pinned arcs from the focus set.
+The loop ends with a bounding pair of width at most one on every focus arc
+whose integral flows are exactly the decreasingly-minimal ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .core import Bounds, Chain, chain_classify, is_finite
 from .baseflow import (
@@ -105,73 +105,73 @@ def newton_dinkelbach(h: SetFn, b: SetFn) -> Tuple[int, List[tuple]]:
             return mu, log
 
 
-def _feasible_with(inst: Instance, bounds: Bounds) -> bool:
-    return find_violator(inst.with_bounds(bounds)) is None
-
-
-def compute_beta(inst: Instance) -> Tuple[Optional[int], Instance]:
+def compute_beta(inst: Instance) -> Tuple[int, Instance]:
     """Least attainable maximum flow value on the focus set.
 
-    Staircase loop: uniformly lower the top upper-bound level of the focus
-    arcs to the next candidate (largest lower bound or second-highest upper
-    level) while the instance stays feasible, stripping arcs that become
-    tight.  When a probe fails, the exact overshoot is the smallest good
-    ratio of the slack function against the entering count of the top
-    level, found by the Newton ratio search.
+    The clamp at a level caps every focus arc at max(f_e, min(g_e, level))
+    and keeps the other bounds; at the top level it is the entry instance.
+    Its feasibility is monotone in the level, so one bisection over the
+    sorted focus bounds finds the least feasible level b and the
+    infeasible level a just below it.  Between them only the arcs with
+    f_e <= a < g_e move, so the overshoot over a is the smallest good ratio
+    of the slack at a against their entering count (Newton ratio search).
 
-    Returns the clamped instance with the surviving focus set.  Every clamp
-    is a verified-feasible lowering, so the fair set of the entry focus is
-    untouched; the returned value is the least attainable maximum of the
-    surviving focus over the clamped instance (when arcs were stripped it
-    refers to the last probe level, and the caller only needs the bounds).
+    Returns the value and the clamp at it, with the arcs it pins dropped
+    from the focus (all of them when the least f_e is a feasible level).
+    Every clamp is a verified-feasible lowering, so the fair set of the
+    entry focus is untouched.
     """
-    if not inst.focus:
+    bounds, focus = inst.bounds, inst.focus
+    if not focus:
         raise ValueError("focus set must be nonempty")
-    bounds = inst.bounds
-    focus = set(inst.focus)
     for e in focus:
         if not (is_finite(bounds.lower[e]) and is_finite(bounds.upper[e])):
             raise ValueError(f"arc {e}: focus bounds must be finite")
         if bounds.is_tight(e):
             raise ValueError(f"arc {e}: focus must contain no tight arcs")
-    beta = None
-    while focus:
-        gvals = sorted({bounds.upper[e] for e in focus}, reverse=True)
-        g1 = gvals[0]
-        f1 = max(bounds.lower[e] for e in focus)
-        top = {e for e in focus if bounds.upper[e] == g1}
-        beta1 = max(f1, gvals[1]) if len(gvals) >= 2 else f1
-        probe = inst.with_bounds(bounds.with_upper({e: beta1 for e in top}))
+
+    def clamp(level: int) -> Instance:
+        out = inst.with_bounds(bounds.with_upper(
+            {e: max(bounds.lower[e], min(bounds.upper[e], level)) for e in focus}))
+        return out.with_focus(strip_tight(focus, out.bounds))
+
+    levels = sorted({v for e in focus for v in (bounds.lower[e], bounds.upper[e])})
+    lo, hi = 0, len(levels) - 1  # levels[hi] is feasible, those below lo are not
+    while lo < hi:
+        # the lowest probe within ceil(log2(#levels)); most calls pin every arc
+        mid = max(lo, hi - (1 << ((hi - lo).bit_length() - 1)))
+        probe = clamp(levels[mid])
         if find_violator(probe) is None:
-            bounds = probe.bounds
-            beta = beta1
-            tight = {e for e in focus if bounds.is_tight(e)}
-            focus -= tight
-            continue
-        mu, _ = newton_dinkelbach(_nd_slack_fn(probe), _nd_entering_fn(inst, top))
-        beta = beta1 + mu
-        bounds = bounds.with_upper({e: beta for e in top})
-        if not _feasible_with(inst, bounds):
-            raise CertificateError("clamp at the smallest good ratio is infeasible")
-        if max(bounds.upper[e] for e in focus) != beta:
-            raise CertificateError("focus upper bounds exceed the computed top value")
-        return beta, inst.with_bounds(bounds).with_focus(focus)
-    return beta, inst.with_bounds(bounds).with_focus(focus)
+            hi = mid
+        else:
+            lo, below = mid + 1, probe
+    if hi == 0:
+        return levels[0], clamp(levels[0])
+    a = levels[hi - 1]
+    moving = {e for e in focus if bounds.lower[e] <= a < bounds.upper[e]}
+    mu, _ = newton_dinkelbach(_nd_slack_fn(below), _nd_entering_fn(inst, moving))
+    beta = a + mu
+    out = clamp(beta)
+    if find_violator(out) is not None:
+        raise CertificateError("clamp at the smallest good ratio is infeasible")
+    if max(out.bounds.upper[e] for e in out.focus) != beta:
+        raise CertificateError("focus upper bounds exceed the computed top value")
+    return beta, out
 
 
 def _nd_slack_fn(probe: Instance) -> SetFn:
     """Base function minus the probe's cut difference (the negated slack
-    vector); positive values mark the sets a uniform raise on the top level
-    must cover."""
+    vector); positive values mark the sets a uniform raise on the moving
+    arcs must cover."""
     return SetFn(probe.digraph.node_count, -probe.slack)
 
 
-def _nd_entering_fn(inst: Instance, top) -> SetFn:
-    """Number of top-level arcs entering each set: the cut difference of
-    unit upper bounds on the top level and zero elsewhere."""
+def _nd_entering_fn(inst: Instance, moving) -> SetFn:
+    """Number of moving arcs entering each set: the cut difference of unit
+    upper bounds on the moving arcs and zero elsewhere."""
     d = inst.digraph
     zero = (0,) * d.arc_count
-    unit = tuple(int(e in top) for e in d.arc_ids())
+    unit = tuple(int(e in moving) for e in d.arc_ids())
     return cut_difference(d, Bounds(zero, unit))
 
 
@@ -192,8 +192,8 @@ def predecmin_phase(inst: Instance) -> Tuple[PhaseTrace, Instance]:
     if not is_finite(beta):
         raise ValueError("focus upper bounds must be finite")
     l_beta = frozenset(e for e in focus if bounds.upper[e] == beta)
-    probe = bounds.with_upper({e: beta - 1 for e in l_beta})
-    if _feasible_with(inst, probe):
+    probe = inst.with_bounds(bounds.with_upper({e: beta - 1 for e in l_beta}))
+    if find_violator(probe) is None:
         raise ValueError("top value not minimal: lowering the top level stays feasible")
     res = lupmin_solve(inst, l_beta)
     l_prime = frozenset(

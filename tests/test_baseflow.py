@@ -25,7 +25,7 @@ from fairflow.baseflow import (
     verify_optimality,
 )
 from fairflow.lupmin import augment_instance
-from fairflow.setfn import BaseOracle
+from fairflow.setfn import BaseOracle, subset_sums
 from fairflow.oracle import enumerate_Q
 
 from conftest import all_small_digraphs, feasible_corpus, random_instance
@@ -207,8 +207,8 @@ def ref_min_cost_flow(inst, cost):
     x = list(find_feasible(inst))
     n = inst.digraph.node_count
     while True:
-        psi = node_net_inflow(inst.digraph, x)
-        found = baseflow._min_arc_negative_cycle(n, baseflow._aux_arcs(inst, x, psi, cost))
+        sums = subset_sums(node_net_inflow(inst.digraph, x))
+        found = baseflow._min_arc_negative_cycle(n, baseflow._aux_arcs(inst, x, sums, cost))
         if isinstance(found, DualPotential):
             return tuple(x)
         for (_, _, _, tag) in found:
@@ -241,7 +241,7 @@ def ref_potentials(n, arcs):
 def assert_potentials_are_distances(inst, cost, x, pi):
     """The potentials min_cost_flow returned with x are the Bellman-Ford
     distances over the auxiliary arcs at x."""
-    arcs = baseflow._aux_arcs(inst, x, node_net_inflow(inst.digraph, x), cost)
+    arcs = baseflow._aux_arcs(inst, x, subset_sums(node_net_inflow(inst.digraph, x)), cost)
     assert list(pi.values) == ref_potentials(inst.digraph.node_count, arcs)
 
 
@@ -304,6 +304,19 @@ class TestBottleneckAugmentation:
                 min_cost_flow(mincost_instance(width, base), MINCOST_COST)
             counts.append(spy.call_count)
         assert counts[0] == counts[1]
+
+    def test_one_subset_sum_table_per_cycle_search(self):
+        # the exchange arcs and the bottleneck's exchange capacities are
+        # read off the same table: 4 searches (3 augmentations, then the
+        # potentials) make 4 tables
+        with mock.patch.object(baseflow, "subset_sums", wraps=subset_sums) as tables, \
+                mock.patch.object(baseflow, "_min_arc_negative_cycle",
+                                  wraps=baseflow._min_arc_negative_cycle) as searches, \
+                mock.patch.object(baseflow, "_bottleneck", wraps=baseflow._bottleneck) as widths:
+            min_cost_flow(mincost_instance(10 ** 6, "points"), MINCOST_COST)
+        assert any(tag[0] == "exch" for call in widths.call_args_list
+                   for (_, _, _, tag) in call.args[3])
+        assert searches.call_count == tables.call_count == 4
 
     def reject_after_steps(self, monkeypatch, rejects):
         """Record the step of every candidate and let `rejects(steps)`

@@ -1,11 +1,17 @@
+import os
 import random
+import sys
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
-from fairflow.core import Bounds, Digraph, decmin_compare
-from fairflow.baseflow import Infeasible, Instance, membership
+from fairflow import decmin
+from fairflow.core import Bounds, Digraph, decmin_compare, is_finite
+from fairflow.baseflow import CertificateError, Infeasible, Instance, find_violator, membership
 from fairflow.decmin import (
+    _nd_entering_fn,
+    _nd_slack_fn,
     compute_beta,
     newton_dinkelbach,
     predecmin_phase,
@@ -17,6 +23,10 @@ from fairflow.setfn import BaseOracle, SetFn
 from fairflow.oracle import brute_decmin, enumerate_Q
 
 from conftest import feasible_corpus
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "scripts"))
+from scale import levels_instance, probe_bound  # noqa: E402
 
 
 class TestStripTight:
@@ -112,8 +122,8 @@ class TestComputeBeta:
             points = enumerate_Q(inst)
             beta, out = compute_beta(work)
             clamped = enumerate_Q(out)
-            # the staircase clamps never cut into the fair set of the focus
-            # it was handed
+            # the clamps never cut into the fair set of the focus they were
+            # handed
             entry_fair = sorted(tuple(p) for p in brute_decmin(points, focus))
             out_fair = sorted(tuple(p) for p in brute_decmin(clamped, focus))
             assert entry_fair == out_fair
@@ -123,10 +133,11 @@ class TestComputeBeta:
                 assert beta == min(max(p[e] for e in out.focus) for p in clamped)
                 assert max(out.bounds.upper[e] for e in out.focus) == beta
             else:
-                # everything got pinned across possibly several levels; the
-                # driver only needs the fair-set equality asserted above, and
-                # the last probe level is what the bounds realize
-                assert beta in {out.bounds.upper[e] for e in focus}
+                # the least lower bound is a feasible level, where every
+                # focus arc is pinned; the driver only needs the fair-set
+                # equality asserted above
+                assert beta == min(inst.bounds.lower[e] for e in focus)
+                assert all(out.bounds.is_tight(e) for e in focus)
 
     def test_requires_finite_focus(self):
         from fairflow.core import POS_INF
@@ -135,6 +146,79 @@ class TestComputeBeta:
                         frozenset([0]))
         with pytest.raises(ValueError):
             compute_beta(inst)
+
+    @staticmethod
+    def phase_entries():
+        """Entry instances of compute_beta: the corpus with every non-tight
+        arc in focus, and each phase of the distinct-level solves (n = 2..6,
+        zero base, m = 3n, all upper bounds distinct)."""
+        for inst in feasible_corpus(73, 80, require_arcs=True):
+            focus = strip_tight(frozenset(inst.digraph.arc_ids()), inst.bounds)
+            if focus:
+                yield inst.with_focus(focus)
+        for n in range(2, 7):
+            for seed in range(1, 9):
+                cur = levels_instance(n, seed)
+                while cur.focus:
+                    yield cur
+                    _, cur = ref_compute_beta(cur)
+                    if cur.focus:
+                        _, cur = predecmin_phase(cur)
+                        cur = cur.with_focus(strip_tight(cur.focus, cur.bounds))
+
+    def test_matches_the_staircase(self):
+        for work in self.phase_entries():
+            beta, out = compute_beta(work)
+            ref_beta, ref_out = ref_compute_beta(work)
+            assert (beta, out.bounds, out.focus) == (ref_beta, ref_out.bounds, ref_out.focus)
+
+    def test_probes_logarithmic_in_arc_count(self):
+        for work in self.phase_entries():
+            with mock.patch.object(decmin, "find_violator", wraps=find_violator) as probes, \
+                    mock.patch.object(decmin, "newton_dinkelbach",
+                                      wraps=newton_dinkelbach) as searches:
+                compute_beta(work)
+            assert probes.call_count <= probe_bound(work.digraph.arc_count)
+            assert searches.call_count <= 1
+
+
+def ref_compute_beta(inst):
+    """The staircase that computed the top value before the bisection: it
+    lowers the top upper level of the focus one distinct value at a time,
+    with a feasibility probe per step, and runs the Newton ratio search in
+    the segment where a probe first fails."""
+    if not inst.focus:
+        raise ValueError("focus set must be nonempty")
+    bounds = inst.bounds
+    focus = set(inst.focus)
+    for e in focus:
+        if not (is_finite(bounds.lower[e]) and is_finite(bounds.upper[e])):
+            raise ValueError(f"arc {e}: focus bounds must be finite")
+        if bounds.is_tight(e):
+            raise ValueError(f"arc {e}: focus must contain no tight arcs")
+    beta = None
+    while focus:
+        gvals = sorted({bounds.upper[e] for e in focus}, reverse=True)
+        g1 = gvals[0]
+        f1 = max(bounds.lower[e] for e in focus)
+        top = {e for e in focus if bounds.upper[e] == g1}
+        beta1 = max(f1, gvals[1]) if len(gvals) >= 2 else f1
+        probe = inst.with_bounds(bounds.with_upper({e: beta1 for e in top}))
+        if find_violator(probe) is None:
+            bounds = probe.bounds
+            beta = beta1
+            tight = {e for e in focus if bounds.is_tight(e)}
+            focus -= tight
+            continue
+        mu, _ = newton_dinkelbach(_nd_slack_fn(probe), _nd_entering_fn(inst, top))
+        beta = beta1 + mu
+        bounds = bounds.with_upper({e: beta for e in top})
+        if find_violator(inst.with_bounds(bounds)) is not None:
+            raise CertificateError("clamp at the smallest good ratio is infeasible")
+        if max(bounds.upper[e] for e in focus) != beta:
+            raise CertificateError("focus upper bounds exceed the computed top value")
+        return beta, inst.with_bounds(bounds).with_focus(focus)
+    return beta, inst.with_bounds(bounds).with_focus(focus)
 
 
 class TestPredecminPhase:
