@@ -19,11 +19,12 @@ count at the widest W differs from its count at the narrowest.
 `orient` times an in-process `fairflow orient` on 7-node graphs with m
 edges, k = 1: a 7-cycle of edges plus m - 7 node pairs drawn from
 `random.Random(f"orient7/{m}")`.  It also solves each graph through the
-2n-node reference encoding (`decmin_orientation` with all-zero edge
-costs).  Prints one JSON line per m with the seconds of both, the number
-of distinct in-degree vectors the CLI run checked and its exit code, and
-exits 1 if any run exits non-zero or the two sorted in-degree profiles
-differ.
+2n-node reference encoding (`encode`, `solve_decmin`, `decode`), and
+through the costed library path (`decmin_orientation` with edge costs
+0..9 drawn from `random.Random(f"costs/{m}")`).  Prints one JSON line per
+m with the seconds of all three, the number of distinct in-degree vectors
+the CLI run checked and its exit code, and exits 1 if any run exits
+non-zero or a sorted in-degree profile differs from the CLI run's.
 
     PYTHONPATH=src python scripts/scale.py orient [m ...]   # default 20 28 36
 
@@ -193,14 +194,21 @@ def time_orient(edge_counts):
 
         with mock.patch.object(orient, "subset_sums", counting):
             code, seconds, out = run_cli("orient", doc)
+        mg = orient.MixedGraph(7, (), tuple(edges))
         t = time.perf_counter()
-        _, dense = orient.decmin_orientation(orient.MixedGraph(7, (), tuple(edges)),
-                                             edge_costs=[(0, 0)] * m)
+        enc = orient.encode(mg)
+        _, dense = orient.decode(enc, solve_decmin(enc.instance).witness)
         dense_seconds = time.perf_counter() - t
-        same = code == 0 and sorted(json.loads(out)["in_degrees"].values()) == sorted(dense)
+        cost_rng = random.Random(f"costs/{m}")
+        costs = [(cost_rng.randint(0, 9), cost_rng.randint(0, 9)) for _ in edges]
+        t = time.perf_counter()
+        _, costed = orient.decmin_orientation(mg, edge_costs=costs)
+        costed_seconds = time.perf_counter() - t
+        same = code == 0 and (sorted(json.loads(out)["in_degrees"].values())
+                              == sorted(dense) == sorted(costed))
         print(json.dumps({"m": m, "s": round(seconds, 3), "dense_s": round(dense_seconds, 3),
-                          "vectors": sum(rows), "exit": code, "same_profile": same}),
-              flush=True)
+                          "costed_s": round(costed_seconds, 3), "vectors": sum(rows),
+                          "exit": code, "same_profile": same}), flush=True)
         ok = ok and same
     return 0 if ok else 1
 

@@ -1,7 +1,8 @@
 """Decreasingly-minimal in-degree orientations of mixed graphs.
 
-The in-degree vectors of the k-edge-connected orientations are the
-integral points of one base polyhedron (Frank, 1980).  Cut connectivity of
+When at most k fixed arcs enter any node set, the in-degree vectors of
+the k-edge-connected orientations are the integral points of one base
+polyhedron (Frank, 1980); with more they need not be.  Cut connectivity of
 an orientation depends only on its in-degree vector (arcs inside a node set
 are direction-blind), so that polyhedron is the envelope of the enumerated
 vectors that pass a connectivity check.  `_top` enumerates them on arrays.
@@ -15,18 +16,17 @@ min(2^|E|, prod_v (d_E(v) + 1)), with no budget and no up-front refusal, so
 the enumeration is capped at 7 nodes.
 
 Two encodings are built from top:
-- `hub_instance`, for the uncosted solve: one in-degree arc hub -> v per
-  node over a base on V + hub (n + 1 nodes), whose integral points are the
-  vectors (h, -|A| - |E|).  `decmin_orientation` solves on it and turns the
-  fair in-degree vector into edge directions by `find_feasible` on the flip
-  arcs over the single-point base dref - h.
+- `hub_instance`, on which `decmin_orientation` solves every orientation:
+  one in-degree arc hub -> v per node over a base on V + hub (n + 1
+  nodes), whose integral points are the vectors (h, -|A| - |E|).  Edge
+  directions are [0,1] flip arcs over the point dref - h, or with edge
+  costs over `_fair_flip_base`, read off the narrowed hub instance.
 - `encode`, the 2n-node reference whose integral flows are the
   orientations themselves: one [0,1] flip arc per undirected edge (value 1
   reverses the reference direction) and one in-degree arc per node from a
   private auxiliary node.  The point (dref, -h) sums to
   dref(Z & V) - h(Z >> n) over Z, so the envelope is the outer sum
-  subset_sums(dref) - top.  The costed path of `decmin_orientation` runs on
-  it, because its flip arcs carry the edge costs.
+  subset_sums(dref) - top.  No solve runs on it.
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Bounds, Digraph
-from .baseflow import CertificateError, Infeasible, Instance, find_feasible, min_cost_flow
+from .core import Bounds, Digraph, node_net_inflow
+from .baseflow import (CertificateError, Infeasible, Instance, find_feasible, membership,
+                       min_cost_flow)
 from .decmin import solve_decmin
 from .setfn import BaseOracle, ExtArray, int_dtype, subset_sums
 
@@ -157,22 +158,24 @@ def _top(mg: MixedGraph) -> np.ndarray:
     return top
 
 
+def _int_pair(pair) -> bool:
+    return isinstance(pair, (tuple, list)) and len(pair) == 2 and all(type(c) is int for c in pair)
+
+
 def _indegree_bounds(mg: MixedGraph,
                      degree_bounds: Optional[Dict[int, Tuple[int, int]]]) -> tuple:
     """(lower, upper) in-degree per node: [0, total degree], narrowed by
     the given degree bounds."""
-    incident = _indegrees(mg.node_count, mg.arcs + mg.edges
-                          + tuple((v, u) for u, v in mg.edges))
-    lower, upper = [], []
-    for v, hi in enumerate(incident):
-        lo = 0
-        if degree_bounds and v in degree_bounds:
-            ulo, uhi = degree_bounds[v]
-            lo, hi = max(lo, ulo), min(hi, uhi)
+    lower = [0] * mg.node_count
+    upper = list(_indegrees(mg.node_count, mg.arcs + mg.edges
+                            + tuple((v, u) for u, v in mg.edges)))
+    for v, pair in (degree_bounds or {}).items():
+        if not (type(v) is int and 0 <= v < mg.node_count and _int_pair(pair)):
+            raise ValueError(f"degree bound {v!r}: {pair!r} is not a node and two integers")
+        lower[v], upper[v] = max(0, pair[0]), min(upper[v], pair[1])
+    for v, (lo, hi) in enumerate(zip(lower, upper)):
         if lo > hi:
             raise OrientationInfeasible(f"empty degree interval at node {v}")
-        lower.append(lo)
-        upper.append(hi)
     return tuple(lower), tuple(upper)
 
 
@@ -232,21 +235,20 @@ def decode(enc: OrientEncoding, x: Sequence[int]) -> Tuple[tuple, tuple]:
                         [x[e] for e in enc.indeg_arcs])
 
 
-def _orient_to(mg: MixedGraph, h: Sequence[int]) -> Tuple[tuple, tuple]:
-    """An orientation with in-degree vector h, a vector of a k-ec one: the
-    flips are a feasible flow of the [0,1] flip arcs over the single-point
-    base dref - h.  Failing to find one is an engine fault."""
-    n, m = mg.node_count, len(mg.edges)
-    if sum(h) != len(mg.arcs) + m:
-        raise CertificateError("fair in-degrees do not add up to the arc and edge count")
-    dref = _indegrees(n, mg.arcs + mg.edges)
-    flips = Instance(Digraph(n, mg.edges), Bounds((0,) * m, (1,) * m),
-                     BaseOracle.from_points([tuple(d - x for d, x in zip(dref, h))], n))
-    try:
-        x = find_feasible(flips)
-    except Infeasible as exc:
-        raise CertificateError(f"no orientation has the fair in-degrees ({exc})") from exc
-    return _orientation(mg, x, h)
+def _fair_flip_base(final: Instance, dref: Sequence[int]) -> BaseOracle:
+    """The base on V of the points dref - h, h a fair in-degree vector (a
+    flow of `final`, the narrowed, finite hub instance).  Its base p keeps
+    p(Z + hub) = p(Z) - T, T = |A| + |E|, through every face contraction, so
+    the hub coordinate is -T and h ranges over B(p) on V; the [f, g] box of
+    the hub arcs enters one node at a time (Fujishige, 2005), giving r, and
+    dref - h sums to dref(Z) - T + h(V - Z) >= dref(Z) - T + r(V - Z)."""
+    n, total, p, b = len(dref), sum(dref), final.base.values, final.bounds
+    r = p.fin[:1 << n].astype(int_dtype(p.bound + 2 * total + sum(map(abs, b.lower + b.upper))))
+    for v in range(n):  # r(Z) <- max(r(Z), r(Z + v) - g_v), r(Z + v) <- max(., r(Z) + f_v)
+        view = r.reshape(-1, 2, 1 << v)  # [:, 0] leaves v out, [:, 1] holds it
+        np.maximum(view[:, 0], view[:, 1] - b.upper[v], out=view[:, 0])
+        np.maximum(view[:, 1], view[:, 0] + b.lower[v], out=view[:, 1])
+    return _finite_base(n, subset_sums(dref) - total + r[::-1])
 
 
 def brute_orientations(mg: MixedGraph) -> List[Tuple[int, tuple]]:
@@ -285,20 +287,29 @@ def decmin_orientation(mg: MixedGraph,
                        ) -> Tuple[tuple, tuple]:
     """Fairest k-ec orientation as (oriented arc list, in-degree vector).
 
-    Without edge costs, the fair in-degree vector is solved on the n + 1
-    node `hub_instance` and oriented by `_orient_to`.  With per-edge
-    (forward, reverse) direction costs, the solve runs on the 2n-node
-    `encode`, whose flip arcs carry the costs, and the cheapest fair flow is
-    decoded.
+    The fair in-degree vectors h are solved on the n + 1 node `hub_instance`
+    and oriented by a flow of the [0,1] flip arcs with net in-flow dref - h:
+    over the solve's witness h, or with per-edge (forward, reverse) direction
+    costs the cheapest over `_fair_flip_base`, whose h must be fair.
     """
-    if edge_costs is None:
-        return _orient_to(mg, solve_decmin(hub_instance(mg, degree_bounds)).witness)
-    if len(edge_costs) != len(mg.edges):
-        raise ValueError("one (forward, reverse) cost pair per edge required")
-    enc = encode(mg, degree_bounds)
-    result = solve_decmin(enc.instance)
-    cost = [0] * enc.instance.digraph.arc_count
-    for j, (fwd, rev) in enumerate(edge_costs):
-        cost[enc.flip_arcs[j]] = rev - fwd
-    x, _ = min_cost_flow(result.final, tuple(cost))
-    return decode(enc, x)
+    if edge_costs is not None and (len(edge_costs) != len(mg.edges)
+                                   or not all(map(_int_pair, edge_costs))):
+        raise ValueError("one (forward, reverse) cost pair per edge required, two integers")
+    result = solve_decmin(hub_instance(mg, degree_bounds))
+    n, m = mg.node_count, len(mg.edges)
+    dref, h = _indegrees(n, mg.arcs + mg.edges), result.witness
+    if edge_costs is None and sum(h) != len(mg.arcs) + m:
+        raise CertificateError("fair in-degrees do not add up to the arc and edge count")
+    base = (BaseOracle.from_points([tuple(d - x for d, x in zip(dref, h))], n)
+            if edge_costs is None else _fair_flip_base(result.final, dref))
+    flips = Instance(Digraph(n, mg.edges), Bounds((0,) * m, (1,) * m), base)
+    try:
+        x = find_feasible(flips) if edge_costs is None else min_cost_flow(
+            flips, tuple(rev - fwd for fwd, rev in edge_costs))[0]
+    except Infeasible as exc:
+        raise CertificateError(f"no orientation has the fair in-degrees ({exc})") from exc
+    if edge_costs is not None:
+        h = tuple(d - y for d, y in zip(dref, node_net_inflow(flips.digraph, x)))
+        if not membership(result.final, h):
+            raise CertificateError(f"cheapest flips give in-degrees {h}, which are not fair")
+    return _orientation(mg, x, h)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from itertools import combinations, product
 
@@ -7,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fairflow.baseflow
 import fairflow.orient
-from fairflow.baseflow import CertificateError, Infeasible
+from fairflow.baseflow import CertificateError, Infeasible, min_cost_flow
+from fairflow.decmin import solve_decmin
 from fairflow.oracle import check_pairs, enumerate_Q
 from fairflow.orient import (
     MixedGraph,
@@ -141,15 +144,35 @@ class TestDecminOrientation:
         assert fwd == ((0, 1), (1, 2), (2, 0))
         assert rev == ((1, 0), (2, 1), (0, 2))
 
-    def test_edge_costs_length_checked_before_solving(self, monkeypatch):
+    @pytest.mark.parametrize("mg, costs", [
+        (MixedGraph(2, (), ((0, 1),)), []),
+        (triangle(), [(0.5, 0), (0, 1), (0, 1)]),
+        (triangle(), [(True, False)] * 3),
+        (triangle(), [("0", "1")] * 3),
+        (triangle(), [(0, 1, 2)] * 3),
+        (triangle(), [0] * 3),
+    ], ids=["length", "float", "bool", "str", "triple", "scalar"])
+    def test_edge_costs_length_checked_before_solving(self, monkeypatch, mg, costs):
         # a single edge has no strong orientation, so encoding it would
-        # raise OrientationInfeasible and hide the bad cost list
+        # raise OrientationInfeasible and hide the bad cost list; a cost that
+        # is not a pair of integers is bad input, never an engine fault
         def no_solve(inst):
             raise AssertionError("solve_decmin ran before the input check")
 
         monkeypatch.setattr(fairflow.orient, "solve_decmin", no_solve)
         with pytest.raises(ValueError, match="one \\(forward, reverse\\) cost pair per edge"):
-            decmin_orientation(MixedGraph(2, (), ((0, 1),)), edge_costs=[])
+            decmin_orientation(mg, edge_costs=costs)
+
+    @pytest.mark.parametrize("bounds", [
+        {3: (0, 1)}, {-1: (0, 1)}, {True: (0, 1)}, {"0": (0, 1)},
+        {0: (0.5, 1)}, {0: (False, 1)}, {0: (0, 1, 2)}, {0: 1},
+    ], ids=["above", "negative", "bool-node", "str-node", "float", "bool", "triple",
+            "scalar"])
+    def test_degree_bounds_checked(self, bounds):
+        # the node keys used to be ignored, a bool bound read as an integer
+        # and the others failed inside the solve with a numpy or unpacking error
+        with pytest.raises(ValueError, match="is not a node and two integers"):
+            decmin_orientation(triangle(), degree_bounds=bounds)
 
 
 class TestRandomFamily:
@@ -317,9 +340,11 @@ class TestEncodeByIndegrees:
 
 class TestOrientationPremise:
     """The in-degree vectors of the k-ec orientations are the integral
-    points of one base polyhedron (Frank, 1980).  Points of a zero base sum
-    to 0, so the base is built on h - dref, dref the in-degree with every
-    edge in its reference direction, and a vector h is tested as h - dref."""
+    points of one base polyhedron (Frank, 1980) when at most k fixed arcs
+    enter any node set; `NOT_M_CONVEX` below has more.  Points of a zero
+    base sum to 0, so the base is built on h - dref, dref the in-degree with
+    every edge in its reference direction, and a vector h is tested as
+    h - dref."""
 
     @settings(deadline=None, max_examples=60)
     @given(mixed_graphs(max_nodes=4, max_edges=6))
@@ -369,8 +394,7 @@ class TestHubEncoding:
         assert sorted(enumerate_Q(inst)) == sorted(indegs)
 
     def test_matches_dense_encoding(self):
-        # edge costs send the solve to the 2n-node `encode`; all-zero costs
-        # leave its fair set as it is
+        # the 2n-node reference with all-zero costs has the same fair set
         rng = random.Random(23)
         solved = 0
         for _ in range(120):
@@ -384,8 +408,7 @@ class TestHubEncoding:
                 bounds = {v: tuple(sorted(rng.randint(0, 4) for _ in "lh"))
                           for v in rng.sample(range(n), rng.randint(1, n))}
             hub = outcome(lambda: decmin_orientation(mg, bounds))
-            dense = outcome(lambda: decmin_orientation(
-                mg, bounds, edge_costs=[(0, 0)] * len(edges)))
+            dense = outcome(lambda: ref_costed_orientation(mg, bounds, [(0, 0)] * len(edges)))
             assert hub[0] == dense[0]
             if hub[2] is None:
                 assert hub[1] == dense[1]
@@ -402,13 +425,151 @@ class TestHubEncoding:
         assert solved >= 30
 
     @pytest.mark.parametrize("h", [(0, 0, 3), (2, 2, 2)], ids=["no-flips", "wrong-total"])
-    def test_unorientable_indegrees_are_an_engine_fault(self, h):
+    def test_unorientable_indegrees_are_an_engine_fault(self, monkeypatch, h):
+        # a hub solve whose witness no flips reach, or whose total is not
+        # |A| + |E|, is an engine fault
+        real = fairflow.orient.solve_decmin
+        monkeypatch.setattr(fairflow.orient, "solve_decmin",
+                            lambda inst: dataclasses.replace(real(inst), witness=h))
         with pytest.raises(CertificateError):
-            fairflow.orient._orient_to(triangle(), h)
+            decmin_orientation(triangle())
 
     def test_flips_checked_against_indegrees(self, monkeypatch):
         # two parallel edges 0 -> 1 reach in-degrees (1, 1) only with a flip
         monkeypatch.setattr(fairflow.orient, "find_feasible",
                             lambda inst: (0,) * inst.digraph.arc_count)
         with pytest.raises(CertificateError):
-            fairflow.orient._orient_to(MixedGraph(2, (), ((0, 1), (0, 1))), (1, 1))
+            decmin_orientation(MixedGraph(2, (), ((0, 1), (0, 1))))
+
+
+def ref_costed_orientation(mg, degree_bounds, edge_costs):
+    """The costed path of `decmin_orientation` before it solved on the hub
+    instance: the cheapest fair flow of the 2n-node `encode`, decoded."""
+    enc = encode(mg, degree_bounds)
+    result = solve_decmin(enc.instance)
+    cost = [0] * enc.instance.digraph.arc_count
+    for j, (fwd, rev) in enumerate(edge_costs):
+        cost[enc.flip_arcs[j]] = rev - fwd
+    x, _ = min_cost_flow(result.final, tuple(cost))
+    return decode(enc, x)
+
+
+def costed_outcome(call, mg, costs):
+    """(sorted in-degree profile, cost) of a costed solve, or (exception
+    type, cut mask)."""
+    try:
+        oriented, indeg = call()
+    except (OrientationInfeasible, Infeasible) as err:
+        return type(err), getattr(err, "cut_mask", None)
+    assert oriented[:len(mg.arcs)] == mg.arcs
+    assert all(o in (e, e[::-1]) for o, e in zip(oriented[len(mg.arcs):], mg.edges))
+    flipped = [o != e for o, e in zip(oriented[len(mg.arcs):], mg.edges)]
+    return tuple(sorted(indeg, reverse=True)), sum(c[f] for c, f in zip(costs, flipped))
+
+
+def random_mixed_graph(rng):
+    """A mixed graph on 2-6 nodes with up to 9 edges and 3 fixed arcs, and
+    degree bounds on some of its nodes 40 % of the time."""
+    n = rng.randint(2, 6)
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    edges = tuple(rng.choice(pairs) for _ in range(rng.randint(n - 1, 9)))
+    arcs = tuple(rng.choice(pairs) for _ in range(rng.randint(0, 3)))
+    bounds = None
+    if rng.random() < 0.4:
+        bounds = {v: tuple(sorted(rng.randint(0, 5) for _ in "lh"))
+                  for v in rng.sample(range(n), rng.randint(1, n))}
+    return MixedGraph(n, arcs, edges, rng.choice([1, 2])), bounds
+
+
+class TestCostedOnHub:
+    """With edge costs, the solve runs on the hub instance too, and the
+    cheapest flips run over `_fair_flip_base`."""
+
+    def test_matches_2n_node_reference(self):
+        rng = random.Random(31)
+        solved = 0
+        for _ in range(600):
+            mg, bounds = random_mixed_graph(rng)
+            costs = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in mg.edges]
+            got = costed_outcome(lambda: decmin_orientation(mg, bounds, costs), mg, costs)
+            want = costed_outcome(lambda: ref_costed_orientation(mg, bounds, costs), mg, costs)
+            assert got == want
+            solved += isinstance(got[0], tuple)
+        assert solved >= 150
+
+    def test_hub_coordinate_stays_fixed(self):
+        # `_fair_flip_base` reads the fair set off the V half of the narrowed
+        # hub base, which needs p(Z + hub) = p(Z) - T through every face
+        rng = random.Random(37)
+        faces = 0
+        for _ in range(300):
+            mg, bounds = random_mixed_graph(rng)
+            try:
+                result = solve_decmin(hub_instance(mg, bounds))
+            except (OrientationInfeasible, Infeasible):
+                continue
+            fin, half = result.final.base.values.fin, 1 << mg.node_count
+            total = len(mg.arcs) + len(mg.edges)
+            assert (fin[half:] + total).tolist() == fin[:half].tolist()
+            faces += len(result.face_chains) > 0
+        assert faces >= 50
+
+    @pytest.mark.parametrize("costed", [False, True])
+    def test_no_instance_above_n_plus_one_nodes(self, monkeypatch, costed):
+        def unreachable(*args):
+            raise AssertionError("the 2n-node reference encoding was reached")
+
+        monkeypatch.setattr(fairflow.orient, "encode", unreachable)
+        monkeypatch.setattr(fairflow.orient, "decode", unreachable)
+        sizes = []
+        real = fairflow.baseflow.Instance.__post_init__
+
+        def counting(inst):
+            sizes.append(inst.digraph.node_count)
+            real(inst)
+
+        monkeypatch.setattr(fairflow.baseflow.Instance, "__post_init__", counting)
+        k4 = MixedGraph(4, ((0, 1),), tuple(combinations(range(4), 2)), 1)
+        for mg, bounds in ((triangle(), None), (k4, {0: (2, 3)}), (MANY_FIXED_ARCS, None)):
+            costs = [(j % 3, (j * 5) % 7) for j in range(len(mg.edges))] if costed else None
+            sizes.clear()
+            decmin_orientation(mg, bounds, costs)
+            assert sizes and max(sizes) == mg.node_count + 1
+
+    @pytest.mark.parametrize("flips", [(0, 0, 1), (1, 0, 0)])
+    def test_unfair_cheapest_flips_are_an_engine_fault(self, monkeypatch, flips):
+        # each gives a node in-degree 2 on the triangle, whose only fair
+        # vector is (1, 1, 1)
+        monkeypatch.setattr(fairflow.orient, "min_cost_flow", lambda inst, cost: (flips, None))
+        with pytest.raises(CertificateError, match="not fair"):
+            decmin_orientation(triangle(), edge_costs=[(0, 1)] * 3)
+
+
+# two fixed arcs, more than k = 1, enter {0, 2}: here the in-degree vectors
+# of the strong orientations are not the integral points of a base polyhedron
+NOT_M_CONVEX = MixedGraph(4, ((1, 0), (3, 2)),
+                          ((2, 3), (0, 2), (0, 2), (0, 1), (1, 0), (3, 1)), 1)
+
+
+def test_indegree_vectors_can_fail_the_exchange_axiom():
+    vectors = {h for _, h in brute_orientations(NOT_M_CONVEX)}
+    x, y = (4, 1, 1, 2), (1, 3, 3, 1)
+    assert x in vectors and y in vectors
+    # x_3 > y_3, and no j with x_j < y_j has x - e_3 + e_j and y + e_3 - e_j
+    # both in the set
+    for j in (1, 2):
+        step = [0] * 4
+        step[3], step[j] = 1, -1
+        assert (tuple(a - b for a, b in zip(x, step)) not in vectors
+                or tuple(a + b for a, b in zip(y, step)) not in vectors)
+    # and the hub base, the envelope of the vectors, is not supermodular
+    assert not check_pairs(hub_instance(NOT_M_CONVEX).base.p, True)[0]
+
+
+@pytest.mark.xfail(raises=CertificateError, strict=True,
+                   reason="the hub base of a non-M-convex in-degree set is not supermodular")
+@pytest.mark.parametrize("costs", [None, [(0, 0)] * 6], ids=["uncosted", "costed"])
+def test_indegrees_outside_a_base_polyhedron(costs):
+    bounds = {3: (0, 4), 1: (3, 4), 0: (1, 1)}
+    _, indeg = decmin_orientation(NOT_M_CONVEX, bounds, costs)
+    assert indeg == (1, 3, 3, 1)  # the only orientable vector in the bounds
