@@ -38,6 +38,19 @@ a call makes more than ceil(log2(2m)) + 1 probes: the bisection over the
 at most 2m focus bounds plus the check of the final clamp.
 
     PYTHONPATH=src python scripts/scale.py levels [n ...]   # default 18 20
+
+`table` writes a `fairflow solve` document on n nodes named v0, v1, ...
+(so their sorted order is not the node order once n > 10): m = 2n arcs
+(a Hamiltonian cycle plus random pairs) with bounds of width 1-2 in
+-2..3, every arc in focus, and a full `table` base that a random flow x
+in the bounds satisfies, p(Z) = psi_x(Z) + h(Z): psi_x the net in-flows
+of x, h a sum of one to three supermodular pair terms
+w (2 [u, v in Z] - [u in Z] - [v in Z]), which are at most 0.  It times
+`parse_instance` and `solve_decmin` on the parsed instance, and prints
+one JSON line per (n, seed).  It exits 1 when a parsed table differs
+from `BaseOracle.from_table` of the same values.
+
+    PYTHONPATH=src python scripts/scale.py table [n ...]   # default 16
 """
 
 import io
@@ -50,9 +63,12 @@ import time
 from contextlib import redirect_stdout
 from unittest import mock
 
+import numpy as np
+
 from fairflow import Bounds, Digraph, Instance, baseflow, decmin, orient, solve_decmin
-from fairflow.cli import main
-from fairflow.setfn import BaseOracle
+from fairflow.cli import main, parse_instance
+from fairflow.core import node_net_inflow
+from fairflow.setfn import BaseOracle, subset_sums
 
 MINCOST_COST = (-1, -2, 1)
 
@@ -121,6 +137,53 @@ def time_levels(sizes):
                               "probes": sum(probes), "max_probes": max(probes),
                               "bound": bound}), flush=True)
             ok = ok and max(probes) <= bound
+    return 0 if ok else 1
+
+
+def table_doc(n, seed):
+    """(solve document, its table as a list) on n nodes; see `table`."""
+    rng = random.Random(f"table/{n}/{seed}")
+    order = rng.sample(range(n), n)
+    arcs = [(order[i], order[(i + 1) % n]) for i in range(n)]
+    arcs += [tuple(rng.sample(range(n), 2)) for _ in range(n)]
+    lower = [rng.randint(-2, 1) for _ in arcs]
+    upper = [lo + rng.randint(1, 2) for lo in lower]
+    x = [rng.randint(lo, hi) for lo, hi in zip(lower, upper)]
+    masks = np.arange(1 << n)
+    table = subset_sums(node_net_inflow(Digraph(n, tuple(arcs)), x))
+    for _ in range(rng.randint(1, 3)):
+        (u, v), w = rng.sample(range(n), 2), rng.randint(1, 2)
+        holds_u, holds_v = (masks >> u) & 1, (masks >> v) & 1
+        table += w * (2 * holds_u * holds_v - holds_u - holds_v)
+    names = [f"v{v}" for v in range(n)]
+    p = {",".join(sorted(names[v] for v in range(n) if (m >> v) & 1)): value
+         for m, value in enumerate(table.tolist())}
+    doc = {"nodes": names, "base": {"type": "table", "p": p},
+           "arcs": [{"id": f"e{e}", "tail": names[t], "head": names[h], "f": lo, "g": hi}
+                    for e, ((t, h), lo, hi) in enumerate(zip(arcs, lower, upper))],
+           "F": [f"e{e}" for e in range(len(arcs))]}
+    return doc, table.tolist()
+
+
+def time_table(sizes):
+    ok = True
+    for n in sizes:
+        for seed in (1, 2):
+            doc, table = table_doc(n, seed)
+            t = time.perf_counter()
+            parsed = parse_instance(doc)
+            parse_seconds = time.perf_counter() - t
+            got = parsed.instance.base.values
+            want = BaseOracle.from_table(n, table).values
+            same = all(np.array_equal(a, b) for a, b in
+                       ((got.fin, want.fin), (got.pos, want.pos), (got.neg, want.neg)))
+            t = time.perf_counter()
+            solve_decmin(parsed.instance)
+            solve_seconds = time.perf_counter() - t
+            print(json.dumps({"n": n, "seed": seed, "parse_s": round(parse_seconds, 3),
+                              "solve_s": round(solve_seconds, 3), "same_table": same}),
+                  flush=True)
+            ok = ok and same
     return 0 if ok else 1
 
 
@@ -218,6 +281,8 @@ if __name__ == "__main__":
         sys.exit(sweep_mincost())
     if sys.argv[1:2] == ["orient"]:
         sys.exit(time_orient(map(int, sys.argv[2:] or (20, 28, 36))))
+    if sys.argv[1:2] == ["table"]:
+        sys.exit(time_table(map(int, sys.argv[2:] or (16,))))
     if sys.argv[1:2] == ["levels"]:
         sys.exit(time_levels(map(int, sys.argv[2:] or (18, 20))))
     timer = time_cli if sys.argv[1:2] == ["cli"] else time_library

@@ -73,28 +73,57 @@ class Instance:
 
     @cached_property
     def slack(self) -> ExtArray:
-        """Feasibility slack of every subset: upper in-cut - lower out-cut - p."""
+        """Feasibility slack of every subset: upper in-cut - lower out-cut - p.
+
+        Built on first read: derived from the slack of the instance that
+        `with_bounds` / `with_focus` were called on, when that one was built
+        (`ExtArray.shift_cut` touches the changed bounds only), and
+        otherwise, or when a changed bound is infinite, by one `plus_cut`
+        over all arcs."""
         b = self.bounds
+        source = self.__dict__.pop("_slack_source", None)
+        if source is not None:
+            slack = source[0].shift_cut(self.digraph, source[1], b)
+            if slack is not None:
+                return slack
         return (-self.base.values).plus_cut(self.digraph, b.upper, b.lower)
 
     def with_bounds(self, bounds: Bounds) -> "Instance":
-        return Instance(self.digraph, bounds, self.base, self.focus)
+        return self._child(bounds, self.focus)
 
     def with_focus(self, focus) -> "Instance":
-        return Instance(self.digraph, self.bounds, self.base, frozenset(focus))
+        return self._child(self.bounds, frozenset(focus))
+
+    def _child(self, bounds: Bounds, focus: frozenset) -> "Instance":
+        """A copy at other bounds or focus that derives its slack from the
+        nearest built one up the chain of copies, with that one's bounds."""
+        out = Instance(self.digraph, bounds, self.base, focus)
+        source = ((self.slack, self.bounds) if "slack" in self.__dict__
+                  else self.__dict__.get("_slack_source"))
+        if source is not None:
+            out.__dict__["_slack_source"] = source
+        return out
 
 
 @dataclass(frozen=True)
 class FeasCert:
-    """Either an integral feasible flow or a violating subset with deficit."""
+    """The verdict of `check_feasible`: a violating subset with its deficit,
+    or, for a feasible instance, an integral feasible flow.  The flow is
+    built by `find_feasible` when `witness` is first read, so a caller that
+    needs only the verdict pays for the cut scan alone."""
 
-    witness: Optional[tuple] = None
+    instance: Instance
     violator: Optional[int] = None
     deficit: Optional[ExtInt] = None
 
     @property
     def feasible(self) -> bool:
-        return self.witness is not None
+        return self.violator is None
+
+    @cached_property
+    def witness(self) -> Optional[tuple]:
+        """The feasible flow, None for an infeasible instance."""
+        return find_feasible(self.instance) if self.feasible else None
 
 
 @dataclass(frozen=True)
@@ -140,8 +169,8 @@ def check_feasible(inst: Instance) -> FeasCert:
     """Cut-criterion feasibility check with a constructive witness."""
     hit = find_violator(inst)
     if hit is not None:
-        return FeasCert(violator=hit[0], deficit=hit[1])
-    return FeasCert(witness=find_feasible(inst))
+        return FeasCert(inst, *hit)
+    return FeasCert(inst)
 
 
 def membership(inst: Instance, x: Sequence[int]) -> bool:

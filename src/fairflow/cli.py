@@ -37,7 +37,7 @@ from .oracle import (
     window_from_bounds,
 )
 from .orient import MixedGraph, OrientationInfeasible, decmin_orientation
-from .setfn import BaseOracle
+from .setfn import BaseOracle, ExtArray
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -174,30 +174,18 @@ def _parse_base(doc: dict, names: List[str], node_index: Dict[str, int]) -> Base
         return BaseOracle.zero(n)
     if kind == "table":
         _expect_keys(doc, ("type", "p"), (), "base")
-        table = [NEG_INF] * (1 << n)
+        comma = next((s for s in names if "," in s), None)
+        if comma is not None:
+            raise ParseError(f"base.p: node name {comma!r} contains ',', "
+                             "so no table key can name it")
         if not isinstance(doc["p"], dict):
             raise ParseError("base.p: expected an object")
-        for key, raw in doc["p"].items():
-            members = [] if key == "" else key.split(",")
-            mask = 0
-            for name in members:
-                if (bit := node_index.get(name)) is None:
-                    raise ParseError(f"base.p: unknown node {name!r} in key {key!r}")
-                if (mask >> bit) & 1:
-                    raise ParseError(f"base.p: repeated node in key {key!r}")
-                mask |= 1 << bit
-            if sorted(members) != members:
-                raise ParseError(f"base.p: key {key!r} must list sorted names")
-            # plain integers skip the parser, and with it building its message
-            v = raw if type(raw) is int else _parse_extint(raw, f"base.p[{key!r}]")
-            if v is POS_INF:
-                raise ParseError("base.p: +inf values not allowed")
-            table[mask] = v
-        if table[0] != 0:
+        values = _parse_table(doc["p"], names, node_index)
+        if values.value(0) != 0:
             raise ParseError("base.p: empty set must map to 0")
-        if table[(1 << n) - 1] != 0:
+        if values.value((1 << n) - 1) != 0:
             raise ParseError("base.p: full set must map to 0")
-        return BaseOracle.from_table(n, table)
+        return BaseOracle(n, values)
     if kind == "points":
         _expect_keys(doc, ("type", "points"), (), "base")
         pts = doc["points"]
@@ -211,6 +199,55 @@ def _parse_base(doc: dict, names: List[str], node_index: Dict[str, int]) -> Base
                 raise ParseError("base.points: every point must sum to zero")
         return BaseOracle.from_points([tuple(p) for p in pts], n)
     raise ParseError(f"base.type: unknown kind {kind!r}")
+
+
+def _table_keys(names: List[str], node_index: Dict[str, int]) -> Dict[str, int]:
+    """Every valid table key, mapped to its mask: the names of a node set
+    in sorted order, joined by ','.  Each name in sorted order doubles the
+    list of keys."""
+    keys, masks = [""], [0]
+    for name in sorted(names):
+        bit, suffix = 1 << node_index[name], "," + name
+        keys += [name] + [k + suffix for k in keys[1:]]
+        masks += [m | bit for m in masks]
+    return dict(zip(keys, masks))
+
+
+def _reject_key(key: str, node_index: Dict[str, int]):
+    """Raise the error of a table key that is not in `_table_keys`."""
+    mask = 0
+    for name in key.split(","):
+        if (bit := node_index.get(name)) is None:
+            raise ParseError(f"base.p: unknown node {name!r} in key {key!r}")
+        if (mask >> bit) & 1:
+            raise ParseError(f"base.p: repeated node in key {key!r}")
+        mask |= 1 << bit
+    raise ParseError(f"base.p: key {key!r} must list sorted names")
+
+
+def _parse_table(p: dict, names: List[str], node_index: Dict[str, int]) -> ExtArray:
+    """The table of a `table` base: the listed values at their keys' masks,
+    -inf at every mask not listed.  Errors name the first bad key or value
+    in document order, a key before its own value."""
+    keys, raw = list(p), list(p.values())
+    masks = list(map(_table_keys(names, node_index).get, keys))
+    stop = masks.index(None) if None in masks else len(keys)
+    fin, minus = raw, []
+    if set(map(type, raw)) - {int}:  # parse what is not a plain integer
+        fin = list(raw)
+        for i in range(stop):
+            if type(raw[i]) is not int:
+                v = _parse_extint(raw[i], f"base.p[{keys[i]!r}]")
+                if v is POS_INF:
+                    raise ParseError("base.p: +inf values not allowed")
+                if v is NEG_INF:
+                    fin[i] = 0
+                    minus.append(masks[i])
+                else:
+                    fin[i] = int(v)
+    if stop < len(keys):
+        _reject_key(keys[stop], node_index)
+    return ExtArray.scatter(len(names), masks, fin, minus)
 
 
 def instance_to_doc(parsed: ParsedInstance) -> dict:

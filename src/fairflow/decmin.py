@@ -130,28 +130,30 @@ def compute_beta(inst: Instance) -> Tuple[int, Instance]:
         if bounds.is_tight(e):
             raise ValueError(f"arc {e}: focus must contain no tight arcs")
 
-    def clamp(level: int) -> Instance:
-        out = inst.with_bounds(bounds.with_upper(
+    def clamp(level: int, near: Instance) -> Instance:
+        """The clamp at a level; its slack derives from that of `near`."""
+        out = near.with_bounds(bounds.with_upper(
             {e: max(bounds.lower[e], min(bounds.upper[e], level)) for e in focus}))
         return out.with_focus(strip_tight(focus, out.bounds))
 
     levels = sorted({v for e in focus for v in (bounds.lower[e], bounds.upper[e])})
     lo, hi = 0, len(levels) - 1  # levels[hi] is feasible, those below lo are not
+    probe = inst
     while lo < hi:
         # the lowest probe within ceil(log2(#levels)); most calls pin every arc
         mid = max(lo, hi - (1 << ((hi - lo).bit_length() - 1)))
-        probe = clamp(levels[mid])
+        probe = clamp(levels[mid], probe)
         if find_violator(probe) is None:
             hi = mid
         else:
             lo, below = mid + 1, probe
     if hi == 0:
-        return levels[0], clamp(levels[0])
+        return levels[0], clamp(levels[0], probe)
     a = levels[hi - 1]
     moving = {e for e in focus if bounds.lower[e] <= a < bounds.upper[e]}
     mu, _ = newton_dinkelbach(_nd_slack_fn(below), _nd_entering_fn(inst, moving))
     beta = a + mu
-    out = clamp(beta)
+    out = clamp(beta, probe)
     if find_violator(out) is not None:
         raise CertificateError("clamp at the smallest good ratio is infeasible")
     if max(out.bounds.upper[e] for e in out.focus) != beta:

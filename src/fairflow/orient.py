@@ -191,11 +191,12 @@ def hub_instance(mg: MixedGraph,
     every arc is in focus.  With T = |A| + |E| and Z inside V, the base is
     p(Z) = T - top(V - Z) and p(Z + hub) = -top(V - Z)."""
     n = mg.node_count
+    bounds = Bounds(*_indegree_bounds(mg, degree_bounds))  # bad bounds fail before _top
     top = _top(mg)[::-1]  # top(V - Z), indexed by Z
     total = len(mg.arcs) + len(mg.edges)
     base = _finite_base(n + 1, np.concatenate((total - top, -top)))
     return Instance(Digraph(n + 1, tuple((n, v) for v in range(n))),
-                    Bounds(*_indegree_bounds(mg, degree_bounds)), base, frozenset(range(n)))
+                    bounds, base, frozenset(range(n)))
 
 
 def encode(mg: MixedGraph, degree_bounds: Optional[Dict[int, Tuple[int, int]]] = None
@@ -203,12 +204,12 @@ def encode(mg: MixedGraph, degree_bounds: Optional[Dict[int, Tuple[int, int]]] =
     """Build the base-flow instance whose integral flows are the k-ec
     orientations, with in-degrees exposed on the focus arcs."""
     n = mg.node_count
+    lower, upper = _indegree_bounds(mg, degree_bounds)  # bad bounds fail before _top
     top = _top(mg)
     # point (dref, -h) sums to dref(Z & V) - h(Z >> n) over Z: the envelope
     # of all of them is an outer sum, indexed (Z >> n, Z & V)
     dref = _indegrees(n, mg.arcs + mg.edges)
     base = _finite_base(2 * n, (subset_sums(dref)[None, :] - top[:, None]).ravel())
-    lower, upper = _indegree_bounds(mg, degree_bounds)
     m = len(mg.edges)
     arcs = mg.edges + tuple((n + v, v) for v in range(n))
     inst = Instance(Digraph(2 * n, arcs), Bounds((0,) * m + lower, (1,) * m + upper),

@@ -11,10 +11,11 @@ structure and the exchange arcs of the min-cost auxiliary digraph read.
 Whole-table computations (subset sums, cut values, slacks) run on numpy
 arrays indexed by bitmask: see `subset_sums` and `ExtArray`.  A
 `BaseOracle` owns its bounding function as one `ExtArray`, built once by
-each constructor (`ExtArray.from_values` is the one list-to-array
-conversion); slacks, membership, face contraction, jump structures,
-exchange arcs, exchange capacities and `orient` read it, and reference
-and certificate readers use the scalar view `BaseOracle.p`.
+each constructor (`ExtArray.from_values` converts a dense list,
+`ExtArray.scatter` the listed entries of a sparse table); slacks,
+membership, face contraction, jump structures, exchange arcs, exchange
+capacities and `orient` read it, and reference and certificate readers
+use the scalar view `BaseOracle.p`.
 `brute_extremize` and the Newton ratio search are whole-table array scans
 behind the same contract (the maximum over all subsets, lowest mask on
 ties), so that a submodular-function minimizer can replace them.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -105,6 +106,21 @@ class ExtArray:
                    np.array([v is NEG_INF for v in values]), bound)
 
     @classmethod
+    def scatter(cls, n: int, masks: Sequence[int], fin: Sequence[int],
+                minus: Sequence[int] = ()) -> "ExtArray":
+        """A table over all 2^n masks from its listed entries: integer
+        `fin[i]` at `masks[i]`, -inf at the masks in `minus` (their `fin`
+        entries are 0) and at every mask not listed.  The masks must be
+        distinct."""
+        bound = max(max(fin, default=0), -min(fin, default=0))
+        values = np.zeros(1 << n, dtype=int_dtype(bound))
+        values[masks] = fin
+        neg = np.ones(1 << n, dtype=bool)
+        neg[masks] = False
+        neg[minus] = True
+        return cls(values, np.zeros(1 << n, dtype=bool), neg, bound)
+
+    @classmethod
     def tight(cls, fin: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> "ExtArray":
         """An array whose bound is max |fin|, in the dtype that bound picks."""
         bound = int(np.abs(fin).max())
@@ -142,6 +158,37 @@ class ExtArray:
             elif lo:
                 fin_view[leave] -= lo
         return ExtArray(fin, pos, self.neg, bound)
+
+    def shift_cut(self, digraph: Digraph, old: Bounds, new: Bounds) -> Optional["ExtArray"]:
+        """A `plus_cut` at the `old` bounds moved to the `new` ones, or None
+        when a changed bound is infinite on either side (the +inf counts
+        would move; rebuild with `plus_cut` then).
+
+        A changed upper bound adds its change to the subsets its arc
+        enters, a changed lower bound subtracts its change from those it
+        leaves: one strided view per changed bound.  The bound moves by the
+        change of the absolute values, so the result equals a `plus_cut` at
+        the new bounds, dtype included, and shares this array's infinity
+        counts.  The sums are taken in a dtype that also holds every
+        partial result, which may exceed both bounds.
+        """
+        bound, partial, moves = self.bound, self.bound, []
+        for side, sign, was, now in ((0, 1, old.upper, new.upper), (1, -1, old.lower, new.lower)):
+            for e, (a, b) in enumerate(zip(was, now)):
+                if a == b:
+                    continue
+                if not (is_finite(a) and is_finite(b)):
+                    return None
+                bound += abs(b) - abs(a)
+                partial += abs(b)
+                moves.append((digraph.arc_views[e][side], sign * (b - a)))
+        if not moves:
+            return self
+        fin = self.fin.astype(int_dtype(partial))
+        view = fin.reshape((2,) * digraph.node_count)
+        for index, delta in moves:
+            view[index] += delta
+        return ExtArray(fin.astype(int_dtype(bound), copy=False), self.pos, self.neg, bound)
 
     def value(self, mask: int) -> ExtInt:
         """One entry as an exact extended integer.  Infinities of both signs

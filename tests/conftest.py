@@ -146,6 +146,11 @@ def table_of(fn):
     return tuple(fn(m) for m in range(1 << fn.n))
 
 
+def ext_array_parts(a):
+    """Everything that tells two ExtArrays apart, dtype included."""
+    return a.fin.dtype, a.bound, a.fin.tolist(), a.pos.tolist(), a.neg.tolist()
+
+
 def base_point_box(base):
     """Exact bounding box of a finite-table base polyhedron."""
     full = (1 << base.n) - 1

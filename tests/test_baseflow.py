@@ -5,6 +5,7 @@ import sys
 from dataclasses import replace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -28,7 +29,7 @@ from fairflow.lupmin import augment_instance
 from fairflow.setfn import BaseOracle, subset_sums
 from fairflow.oracle import enumerate_Q
 
-from conftest import all_small_digraphs, feasible_corpus, random_instance
+from conftest import all_small_digraphs, ext_array_parts, feasible_corpus, random_instance
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "scripts"))
@@ -64,6 +65,104 @@ class TestCheckFeasible:
             assert cert.feasible == bool(points)
             if not cert.feasible:
                 assert cut_slack(inst, cert.violator) < 0
+
+    def test_witness_built_only_when_read(self, i1, monkeypatch):
+        calls = []
+        monkeypatch.setattr(baseflow, "find_feasible",
+                            lambda inst: calls.append(inst) or find_feasible(inst))
+        cert = check_feasible(i1)
+        assert cert.feasible and calls == []
+        assert cert.witness == find_feasible(i1) and calls == [i1]
+        assert cert.witness is cert.witness and len(calls) == 1  # built once
+
+    def test_infeasible_witness_is_none(self, i1, monkeypatch):
+        monkeypatch.setattr(baseflow, "find_feasible", mock.Mock(side_effect=AssertionError))
+        cert = check_feasible(replace(i1, base=BaseOracle.from_table(2, [0, -3, 3, 0])))
+        assert not cert.feasible and cert.witness is None
+
+
+def fresh_slack(inst):
+    b = inst.bounds
+    return (-inst.base.values).plus_cut(inst.digraph, b.upper, b.lower)
+
+
+HUGE = 1 << 62
+
+
+def random_side(rng, lower):
+    """A bound drawn from small values, an infinity (the rebuild fallback)
+    and values from 2^62 to past int64 (the int64 <-> object switches)."""
+    kind = rng.random()
+    if kind < 0.15:
+        return NEG_INF if lower else POS_INF
+    if kind < 0.3:
+        return rng.choice((-1, 1)) * (rng.choice((HUGE, 2 * HUGE + 1, HUGE << 8))
+                                      - rng.randint(0, 3))
+    return rng.randint(-3, 3)
+
+
+def random_bounds_with_infinities(rng, m):
+    lower, upper = [], []
+    for _ in range(m):
+        lo, hi = random_side(rng, True), random_side(rng, False)
+        if not lo <= hi:
+            lo, hi = (hi, lo) if is_finite(lo) and is_finite(hi) else (NEG_INF, POS_INF)
+        lower.append(lo)
+        upper.append(hi)
+    return Bounds(tuple(lower), tuple(upper))
+
+
+class TestDerivedSlack:
+    """`with_bounds` / `with_focus` copies derive their slack from the
+    nearest built one; it must equal a fresh `plus_cut`."""
+
+    def test_chains_match_a_rebuild(self):
+        rng = random.Random(18)
+        graphs = [d for d in all_small_digraphs(4, 4) if d.arc_count]
+        derived = rebuilt = wide = 0
+        for _ in range(300):
+            inst = random_instance(rng, rng.choice(graphs))
+            inst = inst.with_bounds(random_bounds_with_infinities(rng, inst.digraph.arc_count))
+            for _ in range(rng.randint(1, 6)):
+                if rng.random() < 0.6:
+                    b = inst.bounds
+                    arcs = rng.sample(range(len(b)), rng.randint(1, len(b)))
+                    fresh = random_bounds_with_infinities(rng, len(b))
+                    lower, upper = list(b.lower), list(b.upper)
+                    for e in arcs:
+                        lower[e], upper[e] = fresh.lower[e], fresh.upper[e]
+                    inst = inst.with_bounds(Bounds(tuple(lower), tuple(upper)))
+                else:
+                    inst = inst.with_focus(e for e in inst.focus if rng.random() < 0.7)
+                if rng.random() < 0.5:
+                    with mock.patch.object(baseflow.ExtArray, "plus_cut", autospec=True,
+                                           side_effect=baseflow.ExtArray.plus_cut) as spy:
+                        slack = inst.slack
+                    rebuilt += spy.call_count
+                    derived += 1 - spy.call_count
+                    wide += slack.fin.dtype == object
+                    assert ext_array_parts(slack) == ext_array_parts(fresh_slack(inst))
+        # both paths ran, and values past 2^62 widened some to Python ints
+        assert derived > 100 and rebuilt > 100 and wide > 100
+
+    def test_widens_to_object_and_back(self):
+        d = Digraph(2, ((0, 1), (1, 0)))
+        inst = Instance(d, Bounds((0, 0), (1, 1)), BaseOracle.zero(2))
+        assert inst.slack.fin.dtype == np.int64
+        wide = inst.with_bounds(Bounds((0, 0), (2 * HUGE + 1, 1)))  # past int64
+        assert wide.slack.fin.dtype == object
+        assert ext_array_parts(wide.slack) == ext_array_parts(fresh_slack(wide))
+        narrow = wide.with_bounds(inst.bounds)
+        assert ext_array_parts(narrow.slack) == ext_array_parts(inst.slack)
+
+    def test_focus_copy_shares_the_slack(self, i1):
+        slack = i1.slack
+        assert i1.with_focus(frozenset()).slack is slack
+
+    def test_unbuilt_parent_hands_down_nothing(self, i1):
+        child = i1.with_bounds(Bounds((0, 0), (1, 2)))
+        assert "slack" not in i1.__dict__
+        assert ext_array_parts(child.slack) == ext_array_parts(fresh_slack(child))
 
 
 class TestFindFeasible:

@@ -1,10 +1,13 @@
 import argparse
 import json
 import os
+import random
 import sys
 
+import numpy as np
 import pytest
 
+from fairflow.baseflow import find_feasible
 from fairflow.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT,
@@ -16,9 +19,16 @@ from fairflow.cli import (
     main,
     parse_instance,
 )
+from fairflow.core import NEG_INF
 from fairflow.existence import build_jump_structure, has_blocking_dicircuit
+from fairflow.oracle import check_pairs
+from fairflow.setfn import BaseOracle, SetFn
 
-from conftest import table_of
+from conftest import ext_array_parts, table_of
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "scripts"))
+from scale import table_doc, time_table  # noqa: E402
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -63,6 +73,16 @@ class TestCheck:
         code, out = run(capsys, "check", path("infeasible.json"))
         assert code == EXIT_INFEASIBLE
         assert json.loads(out) == {"violator": ["b"], "deficit": -1}
+
+    @pytest.mark.parametrize("name", ["i1.json", "i6.json", "points.json"])
+    def test_witness_built_once(self, capsys, monkeypatch, name):
+        with open(path(name)) as fh:
+            parsed = parse_instance(json.load(fh))
+        want = parsed.flow_doc(find_feasible(parsed.instance))
+        counts = count_calls(monkeypatch, "find_feasible")
+        code, out = run(capsys, "check", path(name))
+        assert code == EXIT_OK and json.loads(out) == {"witness": want}
+        assert counts["find_feasible"] == 1
 
     def test_malformed(self, capsys):
         code, _ = run(capsys, "check", path("malformed.json"))
@@ -349,7 +369,9 @@ class TestParsing:
         ("a,a", 0, "repeated node"),
         ("a", "+inf", r"\+inf values not allowed"),
         ("a", True, "expected integer or infinity string"),
-    ], ids=["unsorted", "unknown", "repeated", "pos-inf", "bool"])
+        ("a", 1.5, "expected integer, '-inf' or '\\+inf', got 1.5"),
+        ("", False, r"base.p\[''\]: expected integer or infinity string"),
+    ], ids=["unsorted", "unknown", "repeated", "pos-inf", "bool", "float", "bool-false"])
     def test_unsorted_table_key_rejected(self, key, value, message):
         doc = {
             "nodes": ["a", "b"],
@@ -359,6 +381,74 @@ class TestParsing:
         }
         with pytest.raises(ParseError, match=message):
             parse_instance(doc)
+
+    @pytest.mark.parametrize("p, message", [
+        ({"": 0, "a": 1, "b,a": 0, "a,b": 0}, "key 'b,a' must list sorted names"),
+        ({"": 0, "a": "x", "b,a": 0, "a,b": 0}, r"base.p\['a'\]: expected integer"),
+        ({"": 0, "b,a": 0, "a": "x", "a,b": 0}, "key 'b,a' must list sorted names"),
+        ({"": 0, "a,c": "x", "a,b": 0}, "unknown node 'c' in key 'a,c'"),
+        ({"": 0, "a": 1.5, "b": "+inf", "a,b": 0}, "got 1.5"),
+        ({"": 0, "a": "-inf", "b": "+inf", "a,b": 0}, r"\+inf values not allowed"),
+    ], ids=["key-after-good", "value-before-key", "key-before-value",
+            "key-before-own-value", "first-value", "pos-inf-after-neg-inf"])
+    def test_first_bad_table_entry_reported(self, p, message):
+        # keys and values are checked in document order, a key before its value
+        doc = {"nodes": ["a", "b"], "arcs": [], "F": [], "base": {"type": "table", "p": p}}
+        with pytest.raises(ParseError, match=message):
+            parse_instance(doc)
+
+    def test_table_parse_matches_from_table(self):
+        # partial tables in random key order: a missing key and "-inf" are
+        # -inf, values past 2^62 need Python ints; names sort apart from
+        # their node order
+        rng = random.Random(18)
+        pool = ["b", "a", "zz", "c1", "A", "a b", "\u00e9"]
+        dtypes = set()
+        for _ in range(200):
+            n = rng.randint(1, 5)
+            names = rng.sample(pool, n)
+            huge = rng.random() < 0.3
+            table = [NEG_INF if rng.random() < 0.3
+                     else rng.choice((-1, 1)) * rng.randint(1 << 62, 1 << 64) if huge
+                     and rng.random() < 0.2 else rng.randint(-5, 5) for _ in range(1 << n)]
+            table[0] = table[-1] = 0
+            p = {}
+            for m in rng.sample(range(1 << n), 1 << n):
+                if table[m] is NEG_INF and rng.random() < 0.5:
+                    continue
+                key = ",".join(sorted(names[v] for v in range(n) if (m >> v) & 1))
+                p[key] = "-inf" if table[m] is NEG_INF else table[m]
+            doc = {"nodes": names, "arcs": [], "F": [], "base": {"type": "table", "p": p}}
+            got = parse_instance(doc).instance.base.values
+            want = BaseOracle.from_table(n, table).values
+            assert ext_array_parts(got) == ext_array_parts(want)
+            dtypes.add(got.fin.dtype)
+        assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+
+    @pytest.mark.parametrize("kind", ["zero", "points", "table"])
+    def test_node_name_with_comma(self, capsys, tmp_path, kind):
+        # no table key can name such a node, so a table base is refused up
+        # front with the name; the other bases read no keys and accept it
+        base = {"zero": {"type": "zero"},
+                "points": {"type": "points", "points": [[0, 0]]},
+                "table": {"type": "table", "p": {"": 0, "a,b,c": 0}}}[kind]
+        src = tmp_path / "comma.json"
+        src.write_text(json.dumps({"nodes": ["a,b", "c"], "arcs": [], "F": [], "base": base}))
+        code = main(["check", str(src)])
+        err = capsys.readouterr().err
+        if kind == "table":
+            assert code == EXIT_INPUT and "node name 'a,b' contains ','" in err
+        else:
+            assert code == EXIT_OK and err == ""
+
+    def test_scale_table_documents(self, capsys):
+        # `scripts/scale.py table` writes supermodular tables, and its check
+        # that they parse back to the same values passes
+        for seed in (1, 2):
+            _, table = table_doc(5, seed)
+            assert check_pairs(SetFn(5, table), supermodular=True)[0]
+        assert time_table([5, 11]) == 0
+        assert capsys.readouterr().out.count('"same_table": true') == 4
 
     def test_nonzero_point_sum_rejected(self):
         doc = {

@@ -19,7 +19,7 @@ from fairflow.decmin import (
     solve_min_cost_decmin,
     strip_tight,
 )
-from fairflow.setfn import BaseOracle, SetFn
+from fairflow.setfn import BaseOracle, ExtArray, SetFn
 from fairflow.oracle import brute_decmin, enumerate_Q
 
 from conftest import feasible_corpus
@@ -290,6 +290,19 @@ class TestSolveDecmin:
             for p in points[1:]:
                 assert decmin_compare([p[e] for e in order],
                                       [ref[e] for e in order]) == 0
+
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_slack_rebuilds_grow_with_phases_not_probes(self, seed):
+        # per phase: the first probe on the new face, the Newton entering
+        # function and the lupmin instance; then the final witness.  The
+        # other probes derive their slack from the one before.
+        inst = levels_instance(10, seed)
+        with mock.patch.object(ExtArray, "plus_cut", autospec=True,
+                               side_effect=ExtArray.plus_cut) as rebuilds, \
+                mock.patch.object(decmin, "find_violator", wraps=find_violator) as probes:
+            phases = len(solve_decmin(inst).traces)
+        assert rebuilds.call_count <= 3 * phases + 2 < probes.call_count
 
 
 class TestMinCostDecmin:

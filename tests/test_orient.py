@@ -175,6 +175,16 @@ class TestDecminOrientation:
             decmin_orientation(triangle(), degree_bounds=bounds)
 
 
+    @pytest.mark.parametrize("build", [decmin_orientation, hub_instance, encode],
+                             ids=["decmin_orientation", "hub_instance", "encode"])
+    def test_degree_bounds_checked_before_enumerating(self, build):
+        # the path has no strong orientation; enumerating first reported
+        # that as OrientationInfeasible and hid the bad bound
+        path = MixedGraph(3, (), ((0, 1), (1, 2)))
+        with pytest.raises(ValueError, match="is not a node and two integers"):
+            build(path, degree_bounds={5: (0, 1)})
+
+
 class TestRandomFamily:
     def test_matches_oracle(self):
         rng = random.Random(17)
