@@ -75,18 +75,23 @@ class Instance:
     def slack(self) -> ExtArray:
         """Feasibility slack of every subset: upper in-cut - lower out-cut - p.
 
-        Built on first read: derived from the slack of the instance that
-        `with_bounds` / `with_focus` were called on, when that one was built
-        (`ExtArray.shift_cut` touches the changed bounds only), and
-        otherwise, or when a changed bound is infinite, by one `plus_cut`
+        Built on first read.  A `with_bounds` / `with_focus` copy moves the
+        slack of the instance it was made from (built first if unread) to
+        its own bounds, touching the changed bounds only
+        (`ExtArray.shift_cut`); any other instance makes one `plus_cut`
         over all arcs."""
-        b = self.bounds
-        source = self.__dict__.pop("_slack_source", None)
-        if source is not None:
-            slack = source[0].shift_cut(self.digraph, source[1], b)
-            if slack is not None:
-                return slack
-        return (-self.base.values).plus_cut(self.digraph, b.upper, b.lower)
+        parent = self.__dict__.pop("_parent", None)
+        if parent is None:
+            b = self.bounds
+            return (-self.base.values).plus_cut(self.digraph, b.upper, b.lower)
+        # read the unread copies above from the top down, one step deep
+        # each, dropping each once the copy below has moved its slack
+        unread = [parent]
+        while "slack" not in unread[-1].__dict__ and "_parent" in unread[-1].__dict__:
+            unread.append(unread[-1].__dict__["_parent"])
+        while unread:
+            slack = unread.pop().slack
+        return slack.shift_cut(self.digraph, parent.bounds, self.bounds)
 
     def with_bounds(self, bounds: Bounds) -> "Instance":
         return self._child(bounds, self.focus)
@@ -95,13 +100,10 @@ class Instance:
         return self._child(self.bounds, frozenset(focus))
 
     def _child(self, bounds: Bounds, focus: frozenset) -> "Instance":
-        """A copy at other bounds or focus that derives its slack from the
-        nearest built one up the chain of copies, with that one's bounds."""
+        """A copy at other bounds or focus whose slack derives from this
+        instance's."""
         out = Instance(self.digraph, bounds, self.base, focus)
-        source = ((self.slack, self.bounds) if "slack" in self.__dict__
-                  else self.__dict__.get("_slack_source"))
-        if source is not None:
-            out.__dict__["_slack_source"] = source
+        out.__dict__["_parent"] = self
         return out
 
 
@@ -238,14 +240,7 @@ def find_feasible(inst: Instance) -> tuple:
                 hi = c
         if not lo <= hi:
             raise CertificateError("coordinate-fixing interval collapsed on a feasible instance")
-        if lo is NEG_INF and hi is POS_INF:
-            val = 0
-        elif lo is NEG_INF:
-            val = min(0, hi)
-        elif hi is POS_INF:
-            val = max(0, lo)
-        else:
-            val = min(max(0, lo), hi)
+        val = min(max(0, lo), hi)
         lower[e] = upper[e] = val
         bound += max(abs(val - hi_fin), abs(lo_fin - val))
         if int_dtype(bound) is object and fin.dtype != object:

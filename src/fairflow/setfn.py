@@ -9,7 +9,10 @@ chain, and `principal_sets`, the per-node meet of a mask family that the jump
 structure and the exchange arcs of the min-cost auxiliary digraph read.
 
 Whole-table computations (subset sums, cut values, slacks) run on numpy
-arrays indexed by bitmask: see `subset_sums` and `ExtArray`.  A
+arrays indexed by bitmask: see `subset_sums` and `ExtArray`.  One loop
+adds and removes the bound terms of a cut table: `ExtArray.plus_cut`
+moves every bound from 0, `ExtArray.shift_cut` from one set of bounds to
+another, so a slack derives from that of the instance it was copied from.  A
 `BaseOracle` owns its bounding function as one `ExtArray`, built once by
 each constructor (`ExtArray.from_values` converts a dense list,
 `ExtArray.scatter` the listed entries of a sparse table); slacks,
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -136,59 +139,57 @@ class ExtArray:
 
     def plus_cut(self, digraph: Digraph, upper: Sequence[ExtInt],
                  lower: Sequence[ExtInt]) -> "ExtArray":
-        """A new array: this one plus Z -> (upper in-cut) - (lower out-cut).
+        """This array plus Z -> (upper in-cut) - (lower out-cut): every
+        bound moved from 0, so this array itself when all bounds are 0."""
+        zero = (0,) * digraph.arc_count
+        return self._move_cut(digraph, zip(digraph.arc_views, zero, upper, zero, lower))
 
-        Each arc adds its upper bound to the subsets it enters and subtracts
-        its lower bound from the subsets it leaves, both strided views of
-        the table: O(m) array operations in all.  A +inf upper or -inf lower
-        bound adds to the +inf count instead.
+    def shift_cut(self, digraph: Digraph, old: Bounds, new: Bounds) -> "ExtArray":
+        """A `plus_cut` at the `old` bounds moved to the `new` ones: equal
+        to a `plus_cut` at the new bounds, `fin` dtype included."""
+        return self._move_cut(digraph, zip(digraph.arc_views, old.upper, new.upper,
+                                           old.lower, new.lower))
+
+    def _move_cut(self, digraph: Digraph, arcs) -> "ExtArray":
+        """Move the cut terms of each arc, given as (views, old upper, new
+        upper, old lower, new lower), from its old bounds to its new ones.
+
+        An upper bound is a term on the subsets its arc enters and a lower
+        bound a negated term on those it leaves, each a strided view: one
+        array operation per changed side.  A +inf term is a +inf count
+        instead, so `pos` is copied to int64 counts only when one moves,
+        and shared otherwise.  The bound moves by the change of the finite
+        absolute values; the sums are taken in a dtype that also holds
+        every partial result, which may exceed both bounds.
         """
-        shape = (2,) * digraph.node_count
-        bound = self.bound + sum(abs(v) for v in (*upper, *lower) if is_finite(v))
-        fin = self.fin.astype(int_dtype(bound))
-        pos = self.pos.astype(np.int64)
-        fin_view, pos_view = fin.reshape(shape), pos.reshape(shape)
-        for (enter, leave), hi, lo in zip(digraph.arc_views, upper, lower):
-            if hi is POS_INF:
-                pos_view[enter] += 1
-            elif hi:
-                fin_view[enter] += hi
-            if lo is NEG_INF:
-                pos_view[leave] += 1
-            elif lo:
-                fin_view[leave] -= lo
-        return ExtArray(fin, pos, self.neg, bound)
-
-    def shift_cut(self, digraph: Digraph, old: Bounds, new: Bounds) -> Optional["ExtArray"]:
-        """A `plus_cut` at the `old` bounds moved to the `new` ones, or None
-        when a changed bound is infinite on either side (the +inf counts
-        would move; rebuild with `plus_cut` then).
-
-        A changed upper bound adds its change to the subsets its arc
-        enters, a changed lower bound subtracts its change from those it
-        leaves: one strided view per changed bound.  The bound moves by the
-        change of the absolute values, so the result equals a `plus_cut` at
-        the new bounds, dtype included, and shares this array's infinity
-        counts.  The sums are taken in a dtype that also holds every
-        partial result, which may exceed both bounds.
-        """
-        bound, partial, moves = self.bound, self.bound, []
-        for side, sign, was, now in ((0, 1, old.upper, new.upper), (1, -1, old.lower, new.lower)):
-            for e, (a, b) in enumerate(zip(was, now)):
-                if a == b:
-                    continue
-                if not (is_finite(a) and is_finite(b)):
-                    return None
-                bound += abs(b) - abs(a)
-                partial += abs(b)
-                moves.append((digraph.arc_views[e][side], sign * (b - a)))
+        moves = []  # (subsets, old term, new term) of each changed side
+        for (enter, leave), was_hi, hi, was_lo, lo in arcs:
+            if was_hi != hi:
+                moves.append((enter, was_hi, hi))
+            if was_lo != lo:
+                moves.append((leave, -was_lo, -lo))
         if not moves:
             return self
+        bound, partial, counts = self.bound, self.bound, False
+        for _, a, b in moves:
+            a_inf, b_inf = a is POS_INF, b is POS_INF
+            counts = counts or a_inf or b_inf
+            bound += (0 if b_inf else abs(b)) - (0 if a_inf else abs(a))
+            partial += 0 if b_inf else abs(b)
+        shape = (2,) * digraph.node_count
         fin = self.fin.astype(int_dtype(partial))
-        view = fin.reshape((2,) * digraph.node_count)
-        for index, delta in moves:
-            view[index] += delta
-        return ExtArray(fin.astype(int_dtype(bound), copy=False), self.pos, self.neg, bound)
+        pos = self.pos.astype(np.int64) if counts else self.pos
+        fin_view, pos_view = fin.reshape(shape), pos.reshape(shape)
+        for index, a, b in moves:
+            if a is POS_INF:
+                pos_view[index] -= 1
+                a = 0
+            if b is POS_INF:
+                pos_view[index] += 1
+                b = 0
+            if a != b:
+                fin_view[index] += b - a
+        return ExtArray(fin.astype(int_dtype(bound), copy=False), pos, self.neg, bound)
 
     def value(self, mask: int) -> ExtInt:
         """One entry as an exact extended integer.  Infinities of both signs
@@ -240,7 +241,7 @@ def brute_extremize(fn: SetFn):
     scalar oracle does.
     """
     a = fn.values
-    pos, neg = a.pos != 0, a.neg != 0  # counts after plus_cut, not bools
+    pos, neg = a.pos != 0, a.neg != 0  # bools, or counts once a +inf term moved in
     if (pos & neg).any():
         raise ArithmeticError("cannot add infinities of opposite sign")
     if pos.any():

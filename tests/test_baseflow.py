@@ -90,8 +90,9 @@ HUGE = 1 << 62
 
 
 def random_side(rng, lower):
-    """A bound drawn from small values, an infinity (the rebuild fallback)
-    and values from 2^62 to past int64 (the int64 <-> object switches)."""
+    """A bound drawn from small values, an infinity (a +inf count that
+    moves) and values from 2^62 to past int64 (the int64 <-> object
+    switches)."""
     kind = rng.random()
     if kind < 0.15:
         return NEG_INF if lower else POS_INF
@@ -112,9 +113,23 @@ def random_bounds_with_infinities(rng, m):
     return Bounds(tuple(lower), tuple(upper))
 
 
+def random_copy(rng, inst):
+    """A `with_bounds` copy with fresh bounds on some arcs, or a
+    `with_focus` copy that drops some focus arcs."""
+    if rng.random() < 0.6:
+        b = inst.bounds
+        arcs = rng.sample(range(len(b)), rng.randint(1, len(b)))
+        fresh = random_bounds_with_infinities(rng, len(b))
+        lower, upper = list(b.lower), list(b.upper)
+        for e in arcs:
+            lower[e], upper[e] = fresh.lower[e], fresh.upper[e]
+        return inst.with_bounds(Bounds(tuple(lower), tuple(upper)))
+    return inst.with_focus(e for e in inst.focus if rng.random() < 0.7)
+
+
 class TestDerivedSlack:
     """`with_bounds` / `with_focus` copies derive their slack from the
-    nearest built one; it must equal a fresh `plus_cut`."""
+    instance they were made from; it must equal a fresh `plus_cut`."""
 
     def test_chains_match_a_rebuild(self):
         rng = random.Random(18)
@@ -124,16 +139,7 @@ class TestDerivedSlack:
             inst = random_instance(rng, rng.choice(graphs))
             inst = inst.with_bounds(random_bounds_with_infinities(rng, inst.digraph.arc_count))
             for _ in range(rng.randint(1, 6)):
-                if rng.random() < 0.6:
-                    b = inst.bounds
-                    arcs = rng.sample(range(len(b)), rng.randint(1, len(b)))
-                    fresh = random_bounds_with_infinities(rng, len(b))
-                    lower, upper = list(b.lower), list(b.upper)
-                    for e in arcs:
-                        lower[e], upper[e] = fresh.lower[e], fresh.upper[e]
-                    inst = inst.with_bounds(Bounds(tuple(lower), tuple(upper)))
-                else:
-                    inst = inst.with_focus(e for e in inst.focus if rng.random() < 0.7)
+                inst = random_copy(rng, inst)
                 if rng.random() < 0.5:
                     with mock.patch.object(baseflow.ExtArray, "plus_cut", autospec=True,
                                            side_effect=baseflow.ExtArray.plus_cut) as spy:
@@ -144,6 +150,51 @@ class TestDerivedSlack:
                     assert ext_array_parts(slack) == ext_array_parts(fresh_slack(inst))
         # both paths ran, and values past 2^62 widened some to Python ints
         assert derived > 100 and rebuilt > 100 and wide > 100
+
+    def test_one_plus_cut_per_chain_at_its_root(self):
+        # chains that move bounds between finite values and infinities,
+        # read at random members and always at the last
+        rng = random.Random(19)
+        graphs = [d for d in all_small_digraphs(4, 4) if d.arc_count]
+        real = baseflow.ExtArray.plus_cut
+        shared = moved = kept = 0
+        for _ in range(200):
+            root = random_instance(rng, rng.choice(graphs))
+            root = replace(root, bounds=random_bounds_with_infinities(rng, root.digraph.arc_count))
+            chain = [root]
+            for _ in range(rng.randint(1, 6)):
+                chain.append(random_copy(rng, chain[-1]))
+            built = []
+            with mock.patch.object(baseflow.ExtArray, "plus_cut",
+                                   lambda *args: built.append(real(*args)) or built[-1]):
+                for inst in chain[1:]:
+                    if inst is chain[-1] or rng.random() < 0.5:
+                        inst.slack
+            assert len(built) == 1 and built[0] is root.slack
+            for parent, child in zip(chain, chain[1:]):
+                assert ext_array_parts(child.slack) == ext_array_parts(fresh_slack(child))
+                old, new = parent.bounds, child.bounds
+                changed = [v for pair in zip(old.upper + old.lower, new.upper + new.lower)
+                           if pair[0] != pair[1] for v in pair]
+                if all(map(is_finite, changed)):
+                    assert child.slack.pos is parent.slack.pos
+                    shared += 1
+                else:
+                    assert child.slack.pos.dtype == np.int64
+                    moved += 1
+            if all(map(is_finite, root.bounds.upper + root.bounds.lower)):
+                assert root.slack.pos is root.base.values.neg  # the bools of -p
+                kept += 1
+            else:
+                assert root.slack.pos.dtype == np.int64
+        assert shared > 100 and moved > 100 and kept > 5
+
+    def test_deep_chain_of_unread_copies(self):
+        d = Digraph(2, ((0, 1), (1, 0)))
+        inst = Instance(d, Bounds((0, 0), (1, 1)), BaseOracle.zero(2))
+        for k in range(3000):
+            inst = inst.with_bounds(Bounds((0, 0), (POS_INF if k % 7 == 0 else k % 3, 1)))
+        assert ext_array_parts(inst.slack) == ext_array_parts(fresh_slack(inst))
 
     def test_widens_to_object_and_back(self):
         d = Digraph(2, ((0, 1), (1, 0)))
@@ -159,10 +210,11 @@ class TestDerivedSlack:
         slack = i1.slack
         assert i1.with_focus(frozenset()).slack is slack
 
-    def test_unbuilt_parent_hands_down_nothing(self, i1):
+    def test_unbuilt_parent_is_built_first(self, i1):
         child = i1.with_bounds(Bounds((0, 0), (1, 2)))
         assert "slack" not in i1.__dict__
         assert ext_array_parts(child.slack) == ext_array_parts(fresh_slack(child))
+        assert ext_array_parts(i1.__dict__["slack"]) == ext_array_parts(fresh_slack(i1))
 
 
 class TestFindFeasible:
