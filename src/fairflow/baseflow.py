@@ -6,9 +6,12 @@ focus arc set.  Feasibility follows the cut criterion
 dominate the base function on every node subset); a feasible integral flow
 is built by exact coordinate fixing; minimum-cost flows are computed by
 canceling negative cycles in the exchange auxiliary digraph (bottleneck
-augmentation, halved until membership holds).  The final cycle search,
-which finds no negative cycle, also yields the integer dual node
-potentials: its layered walk costs give the shortest-walk distances.
+augmentation, halved until membership holds).  Each cycle search starts
+as Bellman-Ford from an all-zero source; when it settles, there is no
+negative cycle and its distances are the integer dual node potentials,
+and only when it does not is a fewest-arc cycle searched for layer by
+layer.  An instance is immutable, so it keeps the feasible flow of its
+one coordinate-fixing pass (`Instance.feasible_flow`).
 The binding contract of the solver is the certificate it returns, not the
 method: complementary slackness and tightness of every potential level set
 are verified before returning.
@@ -93,6 +96,12 @@ class Instance:
             slack = unread.pop().slack
         return slack.shift_cut(self.digraph, parent.bounds, self.bounds)
 
+    @cached_property
+    def feasible_flow(self) -> tuple:
+        """An integral feasible flow, built by `find_feasible` on first
+        read; raises `Infeasible` for an infeasible instance."""
+        return find_feasible(self)
+
     def with_bounds(self, bounds: Bounds) -> "Instance":
         return self._child(bounds, self.focus)
 
@@ -111,8 +120,8 @@ class Instance:
 class FeasCert:
     """The verdict of `check_feasible`: a violating subset with its deficit,
     or, for a feasible instance, an integral feasible flow.  The flow is
-    built by `find_feasible` when `witness` is first read, so a caller that
-    needs only the verdict pays for the cut scan alone."""
+    the instance's `feasible_flow`, built when `witness` is first read, so
+    a caller that needs only the verdict pays for the cut scan alone."""
 
     instance: Instance
     violator: Optional[int] = None
@@ -122,10 +131,10 @@ class FeasCert:
     def feasible(self) -> bool:
         return self.violator is None
 
-    @cached_property
+    @property
     def witness(self) -> Optional[tuple]:
         """The feasible flow, None for an infeasible instance."""
-        return find_feasible(self.instance) if self.feasible else None
+        return self.instance.feasible_flow if self.feasible else None
 
 
 @dataclass(frozen=True)
@@ -317,18 +326,37 @@ def _min_arc_negative_cycle(n: int, arcs: list) -> Union[list, DualPotential]:
     """Negative-cost dicycle with the fewest arcs, as a list of aux arcs,
     or the potentials that certify there is none.
 
+    Bellman-Ford from an implicit all-zero source first: with no negative
+    cycle every shortest walk has fewer than n arcs, so some pass among
+    the first n changes nothing, and its distances, shifted to minimum
+    zero, are the potentials.  Only when pass n still relaxes is there a
+    negative cycle, and `_layered_cycle` finds one with the fewest arcs.
+    """
+    reach = [0] * n  # least walk cost into each node; the empty walks cost 0
+    for _ in range(n):
+        changed = False
+        for (a, bb, c, _) in arcs:
+            cand = reach[a] + c
+            if cand < reach[bb]:
+                reach[bb] = cand
+                changed = True
+        if not changed:
+            low = min(reach, default=0)
+            return DualPotential(tuple(d - low for d in reach))
+    return _layered_cycle(n, arcs)
+
+
+def _layered_cycle(n: int, arcs: list) -> list:
+    """A fewest-arc negative-cost dicycle of aux arcs known to hold one.
+
     Layered relaxation: dist[k][u][v] is the cheapest walk with exactly k
     arcs.  The first layer producing a negative closed walk yields a simple
-    cycle (a shorter negative sub-walk would contradict minimality).  With
-    no negative cycle every shortest walk has fewer than n arcs, so the
-    least entry of each column over the layers is the distance from an
-    implicit all-zero source; shifted to minimum zero, these are the
-    potentials.
+    cycle (a shorter negative sub-walk would contradict minimality); a
+    simple negative cycle has at most n arcs.
     """
     dist = [[None] * n for _ in range(n)]
     for u in range(n):
         dist[u][u] = 0
-    reach = [0] * n  # least walk cost into each node; layer 0 holds the empty walks
     parent = {}
     for k in range(1, n + 1):
         ndist = [[None] * n for _ in range(n)]
@@ -343,8 +371,6 @@ def _min_arc_negative_cycle(n: int, arcs: list) -> Union[list, DualPotential]:
                     ndist[u][bb] = cand
                     parent[(k, u, bb)] = (a, (a, bb, c, tag))
                     improved = True
-                    if cand < reach[bb]:
-                        reach[bb] = cand
         dist = ndist
         if not improved:
             break
@@ -358,8 +384,7 @@ def _min_arc_negative_cycle(n: int, arcs: list) -> Union[list, DualPotential]:
                     node = prev
                 cycle.reverse()
                 return cycle
-    low = min(reach, default=0)
-    return DualPotential(tuple(d - low for d in reach))
+    raise CertificateError("Bellman-Ford still relaxed at pass n, but no negative cycle")
 
 
 def _bottleneck(inst: Instance, x: Sequence[int], sums: np.ndarray, cycle: list) -> int:
@@ -414,17 +439,19 @@ def min_cost_flow(inst: Instance, cost: Sequence[int]) -> Tuple[tuple, DualPoten
     fewest-arc negative cycles of the exchange auxiliary digraph: each
     cycle moves by its least residual width, and a step that leaves the
     feasible region is halved down to the always-valid unit step.
-    Arcs carrying nonzero cost must have finite bounds (otherwise the
-    optimum may be unbounded).
+    Costs must be Python ints (not bools), and arcs carrying nonzero cost
+    must have finite bounds (otherwise the optimum may be unbounded).
     """
     cost = tuple(cost)
     if len(cost) != inst.digraph.arc_count:
         raise ValueError("cost length must match arc count")
     b = inst.bounds
     for e, c in enumerate(cost):
+        if type(c) is not int:
+            raise ValueError(f"arc {e}: cost {c!r} is not an integer")
         if c != 0 and not (is_finite(b.lower[e]) and is_finite(b.upper[e])):
             raise ValueError(f"arc {e}: nonzero cost requires finite bounds")
-    x = list(find_feasible(inst))
+    x = list(inst.feasible_flow)
     n = inst.digraph.node_count
     while True:
         sums = subset_sums(node_net_inflow(inst.digraph, x))  # one table per augmentation

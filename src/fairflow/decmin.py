@@ -20,7 +20,6 @@ from .baseflow import (
     Infeasible,
     Instance,
     check_feasible,
-    find_feasible,
     find_violator,
     min_cost_flow,
 )
@@ -241,7 +240,7 @@ def solve_decmin(inst: Instance) -> SolveResult:
         trace, cur = predecmin_phase(cur)
         traces.append(trace)
         cur = cur.with_focus(strip_tight(cur.focus, cur.bounds))
-    witness = find_feasible(cur)
+    witness = cur.feasible_flow
     for e in original_focus:
         width = cur.bounds.upper[e] - cur.bounds.lower[e]
         if not 0 <= width <= 1:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import NEG_INF, POS_INF, is_finite
-from .baseflow import Instance, find_feasible, membership
+from .baseflow import Instance, membership
 from .setfn import principal_sets
 
 
@@ -136,7 +136,7 @@ def finitize_bounds(inst: Instance) -> Instance:
     circuit = has_blocking_dicircuit(js, inst.focus)
     if circuit is not None:
         raise BlockingCircuit(circuit)
-    witness = find_feasible(inst)
+    witness = inst.feasible_flow
     bounds = inst.bounds
     if witness:
         cap = max(witness)

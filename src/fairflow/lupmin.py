@@ -61,7 +61,8 @@ def _require_ldef(inst: Instance, L) -> None:
 
 def augment_instance(inst: Instance, L) -> AugmentedInstance:
     """Clone each L-arc with a [0,1] unit-cost copy; drop the original's
-    upper bound by one.  Decoding adds the copy back onto the original."""
+    upper bound by one.  Decoding adds the copy back onto the original.
+    The augmented instance shares the slack table of `inst`."""
     L = sorted(L)
     _require_ldef(inst, L)
     d = inst.digraph
@@ -80,6 +81,9 @@ def augment_instance(inst: Instance, L) -> AugmentedInstance:
         copy_of.append((e, copy_id))
     d1 = Digraph(d.node_count, tuple(arcs))
     inst1 = Instance(d1, Bounds(tuple(lower), tuple(upper)), inst.base)
+    # A copy adds its upper bound 1 on exactly the sets where its original
+    # lost 1, and its lower bound 0 adds nothing: the slack is inst's.
+    inst1.__dict__["slack"] = inst.slack
     return AugmentedInstance(inst1, tuple(cost), tuple(copy_of))
 
 

@@ -77,7 +77,13 @@ def subset_sums(vec) -> np.ndarray:
 def principal_sets(n: int, family: np.ndarray) -> list:
     """Per node v, the meet (bitwise AND) of the family's masks that hold v,
     or the full set when none does: the smallest member holding v when the
-    family is closed under intersection.  `family` flags each of 2^n masks."""
+    family is closed under intersection.  `family` flags each of 2^n masks.
+
+    A family of all 2^n masks holds every singleton, so its meets are the
+    singletons, read without the scan: every set is tight at a zero base,
+    and every set is finite for a base with finite values only."""
+    if family.all():
+        return [1 << v for v in range(n)]
     masks = np.flatnonzero(family)
     return [int(np.bitwise_and.reduce(masks[(masks >> v) & 1 == 1], initial=(1 << n) - 1))
             for v in range(n)]

@@ -25,11 +25,18 @@ from fairflow.baseflow import (
     min_cost_flow,
     verify_optimality,
 )
+from fairflow.decmin import solve_min_cost_decmin
 from fairflow.lupmin import augment_instance
 from fairflow.setfn import BaseOracle, subset_sums
 from fairflow.oracle import enumerate_Q
 
-from conftest import all_small_digraphs, ext_array_parts, feasible_corpus, random_instance
+from conftest import (
+    all_small_digraphs,
+    ext_array_parts,
+    feasible_corpus,
+    random_bounds,
+    random_instance,
+)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "scripts"))
@@ -315,6 +322,30 @@ class TestMinCostFlow:
             x, pi = min_cost_flow(inst, (7, -7))
             assert x == (2, 2) and pi.values == (0, 0)
 
+    @pytest.mark.parametrize("bad", [0.5, 1.0, True, np.int64(1), "1", None])
+    def test_non_int_cost_rejected_before_any_work(self, i1, bad):
+        with mock.patch.object(baseflow, "find_feasible", side_effect=AssertionError):
+            with pytest.raises(ValueError, match="arc 1: cost .* is not an integer"):
+                min_cost_flow(i1, (0, bad))
+        assert "slack" not in i1.__dict__
+
+    def test_fractional_costs_rejected(self):
+        # fractional costs used to reach the cycle search and end in a
+        # CertificateError, the verdict of an engine bug
+        rng = random.Random(3)
+        graphs = [d for d in all_small_digraphs(4, 4) if d.arc_count]
+        for _ in range(400):
+            d = rng.choice(graphs)
+            inst = Instance(d, random_bounds(rng, d.arc_count), BaseOracle.zero(d.node_count))
+            cost = [rng.randint(-3, 3) for _ in d.arc_ids()]
+            cost[rng.randrange(d.arc_count)] = rng.choice((-1, 1)) * rng.randint(1, 9) / 4
+            with pytest.raises(ValueError, match="is not an integer"):
+                min_cost_flow(inst, cost)
+
+    def test_min_cost_decmin_inherits_the_cost_check(self, i1):
+        with pytest.raises(ValueError, match="is not an integer"):
+            solve_min_cost_decmin(replace(i1, focus=frozenset({0})), (0.5, 0))
+
     def test_infinite_bound_with_cost_rejected(self):
         d = Digraph(2, ((0, 1), (1, 0)))
         inst = Instance(d, Bounds((0, 0), (POS_INF, POS_INF)), BaseOracle.zero(2))
@@ -389,6 +420,101 @@ def ref_potentials(n, arcs):
     return [v - base for v in d]
 
 
+def ref_min_arc_negative_cycle(n: int, arcs: list):
+    """The cycle search before it ran Bellman-Ford first: layered
+    relaxation to n arcs, the potentials read off the layers."""
+    dist = [[None] * n for _ in range(n)]
+    for u in range(n):
+        dist[u][u] = 0
+    reach = [0] * n  # least walk cost into each node; layer 0 holds the empty walks
+    parent = {}
+    for k in range(1, n + 1):
+        ndist = [[None] * n for _ in range(n)]
+        improved = False
+        for (a, bb, c, tag) in arcs:
+            for u in range(n):
+                du = dist[u][a]
+                if du is None:
+                    continue
+                cand = du + c
+                if ndist[u][bb] is None or cand < ndist[u][bb]:
+                    ndist[u][bb] = cand
+                    parent[(k, u, bb)] = (a, (a, bb, c, tag))
+                    improved = True
+                    if cand < reach[bb]:
+                        reach[bb] = cand
+        dist = ndist
+        if not improved:
+            break
+        for u in range(n):
+            if dist[u][u] is not None and dist[u][u] < 0:
+                cycle = []
+                node = u
+                for kk in range(k, 0, -1):
+                    prev, arc = parent[(kk, u, node)]
+                    cycle.append(arc)
+                    node = prev
+                cycle.reverse()
+                return cycle
+    low = min(reach, default=0)
+    return DualPotential(tuple(d - low for d in reach))
+
+
+def random_aux_arcs(rng, n):
+    """Aux arcs on n nodes with parallel arcs, costs that node potentials
+    make nonnegative (zero on some arcs, so zero-cost cycles), a few
+    arbitrary costs, and half the time one planted cycle of 1..n arcs with
+    negative cost."""
+    phi = [rng.randint(-4, 4) for _ in range(n)]
+    arcs = []
+    for _ in range(rng.randint(0, 3 * n)):
+        a, b = rng.randrange(n), rng.randrange(n)
+        if a == b and n > 1:
+            continue
+        reduced = rng.choice((0, 0, 1, 3)) if rng.random() < 0.9 else rng.randint(-3, 3)
+        for _ in range(1 if rng.random() < 0.8 else 2):  # parallel copies
+            arcs.append((a, b, phi[b] - phi[a] + reduced))
+            reduced += rng.randint(0, 1)
+    planted = 0
+    if rng.random() < 0.5:
+        planted = rng.randint(1, n)
+        nodes = rng.sample(range(n), planted)
+        reduced = [rng.randint(-2, 2) for _ in nodes]
+        reduced[-1] -= sum(reduced) + rng.randint(1, 3)  # a negative total
+        for i, (a, r) in enumerate(zip(nodes, reduced)):
+            b = nodes[(i + 1) % planted]
+            arcs.append((a, b, phi[b] - phi[a] + r))
+    rng.shuffle(arcs)
+    return [(a, b, c, (("up", "down", "exch")[i % 3], i))
+            for i, (a, b, c) in enumerate(arcs)], planted
+
+
+class TestCycleSearch:
+    def test_matches_the_layered_search(self):
+        rng = random.Random(20)
+        lengths, potentials = set(), 0
+        for _ in range(3000):
+            n = rng.randint(1, 8)
+            arcs, planted = random_aux_arcs(rng, n)
+            got = baseflow._min_arc_negative_cycle(n, arcs)
+            assert got == ref_min_arc_negative_cycle(n, arcs)
+            if isinstance(got, DualPotential):
+                assert not planted
+                potentials += 1
+            else:
+                lengths.add(len(got))
+        assert potentials > 500 and lengths == set(range(1, 9))
+
+    def test_potentials_of_a_long_descending_path(self):
+        # each pass settles one more node: n - 1 passes, then one quiet one
+        n = 8
+        arcs = [(v, v + 1, -1, ("up", v)) for v in range(n - 1)]
+        arcs.reverse()
+        got = baseflow._min_arc_negative_cycle(n, arcs)
+        assert got == ref_min_arc_negative_cycle(n, arcs)
+        assert got.values == tuple(range(n - 1, -1, -1))
+
+
 def assert_potentials_are_distances(inst, cost, x, pi):
     """The potentials min_cost_flow returned with x are the Bellman-Ford
     distances over the auxiliary arcs at x."""
@@ -441,7 +567,8 @@ class TestBottleneckAugmentation:
             x, pi = min_cost_flow(inst, cost)
         calls = spy.call_count
         with counting_membership() as spy:
-            ref = ref_min_cost_flow(inst, cost)
+            # its own instance, so neither solve reads a flow the other stored
+            ref = ref_min_cost_flow(Instance(inst.digraph, inst.bounds, inst.base), cost)
         assert flow_cost(cost, x) == flow_cost(cost, ref)
         verify_optimality(inst, cost, x, pi)
         assert_potentials_are_distances(inst, cost, x, pi)

@@ -166,6 +166,19 @@ class TestSolve:
         assert code == EXIT_OK
         assert counts == {"solve_decmin": 1, "build_jump_structure": 1}
 
+    def test_min_cost_fixes_coordinates_once_per_instance(self, capsys, monkeypatch):
+        # the min-cost flow on the narrowed instance starts from the flow
+        # solve_decmin built for the witness
+        seen = []
+        real = find_feasible
+        for module in [m for name, m in sys.modules.items() if name.startswith("fairflow")]:
+            if getattr(module, "find_feasible", None) is real:
+                monkeypatch.setattr(module, "find_feasible",
+                                    lambda inst: seen.append(inst) or real(inst))
+        code, out = run(capsys, "solve", path("i1.json"), "--min-cost")
+        assert code == EXIT_OK and "min_cost_witness" in json.loads(out)
+        assert seen and len({id(inst) for inst in seen}) == len(seen)
+
     def test_min_cost_without_costs_rejected_before_solving(self, capsys):
         code, out = run(capsys, "solve", path("infeasible.json"), "--min-cost")
         assert code == EXIT_INPUT and out == ""

@@ -1,5 +1,6 @@
 import random
 from typing import Optional, Sequence, Tuple
+from unittest import mock
 
 import pytest
 
@@ -13,7 +14,7 @@ from fairflow.lupmin import (
     lupmin_solve,
     saturated_count,
 )
-from fairflow.setfn import BaseOracle
+from fairflow.setfn import BaseOracle, ExtArray
 from fairflow.oracle import (
     all_chains,
     brute_chain_max,
@@ -122,6 +123,53 @@ class TestAugment:
         inst = Instance(d, Bounds((0,), (POS_INF,)), BaseOracle.zero(2))
         with pytest.raises(ValueError):
             augment_instance(inst, {0})
+
+
+def random_l(rng, inst):
+    """A random nonempty set of finite non-tight arcs, or None."""
+    b = inst.bounds
+    eligible = [e for e in inst.digraph.arc_ids() if isinstance(b.lower[e], int)
+                and isinstance(b.upper[e], int) and b.lower[e] != b.upper[e]]
+    if not eligible:
+        return None
+    return frozenset(rng.sample(eligible, rng.randint(1, len(eligible))))
+
+
+class TestAugmentedSlack:
+    """The augmented instance shares the slack table of the instance."""
+
+    def test_equals_a_fresh_plus_cut(self):
+        rng = random.Random(20)
+        nonpositive = 0
+        for inst in feasible_corpus(20, 150, max_nodes=4, require_arcs=True):
+            L = random_l(rng, inst)
+            if L is None:
+                continue
+            nonpositive += any(inst.bounds.upper[e] <= 0 for e in L)
+            aug = augment_instance(inst, L).instance
+            b = aug.bounds
+            fresh = (-aug.base.values).plus_cut(aug.digraph, b.upper, b.lower)
+            got = aug.slack
+            assert got is inst.slack
+            assert got.fin.tolist() == fresh.fin.tolist()
+            assert got.pos.tolist() == fresh.pos.tolist()
+            assert got.neg.tolist() == fresh.neg.tolist()
+            assert got.bound >= max(map(abs, got.fin.tolist()))
+        assert nonpositive > 20
+
+    def test_lupmin_builds_no_slack_table(self):
+        # plus_cut and shift_cut both run _move_cut
+        rng = random.Random(21)
+        solved = 0
+        for inst in feasible_corpus(21, 60, max_nodes=4, require_arcs=True):
+            L = random_l(rng, inst)
+            if L is None:
+                continue
+            inst.slack
+            with mock.patch.object(ExtArray, "_move_cut", side_effect=AssertionError):
+                lupmin_solve(inst, L)
+            solved += 1
+        assert solved > 30
 
 
 class TestExtractChain:

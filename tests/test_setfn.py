@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fairflow.core import Bounds, Chain, Digraph, NEG_INF, POS_INF
@@ -11,6 +12,7 @@ from fairflow.setfn import (
     brute_extremize,
     cut_difference,
     envelope_setfn,
+    principal_sets,
     subset_sums,
 )
 from fairflow.oracle import check_pairs, enumerate_base_points
@@ -237,3 +239,24 @@ class TestFaceContract:
         face = base.face_contract(Chain(2, (0b10,)))
         assert check_pairs(face.p, True)[0]
         assert face.face_chains == (Chain(2, (0b10,)),)
+
+
+def ref_principal_sets(n, family):
+    """The meet of the flagged masks holding each node, by a scan of them all."""
+    masks = np.flatnonzero(family)
+    return [int(np.bitwise_and.reduce(masks[(masks >> v) & 1 == 1], initial=(1 << n) - 1))
+            for v in range(n)]
+
+
+class TestPrincipalSets:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_all_masks(self, n):
+        family = np.ones(1 << n, dtype=bool)
+        assert principal_sets(n, family) == ref_principal_sets(n, family)
+
+    def test_random_families(self):
+        rng = random.Random(20)
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            family = np.array([rng.random() < 0.7 for _ in range(1 << n)])
+            assert principal_sets(n, family) == ref_principal_sets(n, family)
