@@ -40,7 +40,6 @@ from .baseflow import (
 )
 from .lupmin import (
     LupminResult,
-    augment_instance,
     derive_bounds,
     extract_chain,
     lupmin_solve,

@@ -6,12 +6,14 @@ focus arc set.  Feasibility follows the cut criterion
 dominate the base function on every node subset); a feasible integral flow
 is built by exact coordinate fixing; minimum-cost flows are computed by
 canceling negative cycles in the exchange auxiliary digraph (bottleneck
-augmentation, halved until membership holds).  Each cycle search starts
-as Bellman-Ford from an all-zero source; when it settles, there is no
-negative cycle and its distances are the integer dual node potentials,
-and only when it does not is a fewest-arc cycle searched for layer by
-layer.  An instance is immutable, so it keeps the feasible flow of its
-one coordinate-fixing pass (`Instance.feasible_flow`).
+augmentation, halved until membership holds); an arc may cost one more
+on its last unit, which is how lupmin counts the arcs at their upper
+bound on the original digraph.  Each cycle search starts as Bellman-Ford
+from an all-zero source; when it settles, there is no negative cycle and
+its distances are the integer dual node potentials, and only when it
+does not is a fewest-arc cycle searched for layer by layer.  An instance
+is immutable, so it keeps the feasible flow of its one coordinate-fixing
+pass (`Instance.feasible_flow`).
 The binding contract of the solver is the certificate it returns, not the
 method: complementary slackness and tightness of every potential level set
 are verified before returning.
@@ -194,12 +196,13 @@ def membership(inst: Instance, x: Sequence[int]) -> bool:
     return inst.base.contains(node_net_inflow(inst.digraph, x))
 
 
-def find_feasible(inst: Instance) -> tuple:
+def find_feasible(inst: Instance, saturating=frozenset()) -> tuple:
     """Build an integral feasible flow by exact coordinate fixing.
 
     Arcs are fixed in id order.  For arc e the set of values t that keep the
     residual instance feasible is an integer interval obtained from the cut
-    criterion with e's contribution separated out; we pick 0 clamped into
+    criterion with e's contribution separated out; we pick 0 (for an arc in
+    `saturating`, min(0, g - 1), below its costlier last unit) clamped into
     that interval, then freeze the arc and continue.  Exactness of the
     interval makes the procedure never backtrack.
 
@@ -249,7 +252,7 @@ def find_feasible(inst: Instance) -> tuple:
                 hi = c
         if not lo <= hi:
             raise CertificateError("coordinate-fixing interval collapsed on a feasible instance")
-        val = min(max(0, lo), hi)
+        val = min(max(min(0, hi_fin - 1) if e in saturating else 0, lo), hi)
         lower[e] = upper[e] = val
         bound += max(abs(val - hi_fin), abs(lo_fin - val))
         if int_dtype(bound) is object and fin.dtype != object:
@@ -294,8 +297,21 @@ def _exchange_capacity(base: BaseOracle, sums: np.ndarray, s: int, t: int) -> Ex
 
 # --- minimum-cost flow -----------------------------------------------------
 
+def _unit_costs(inst: Instance, x: Sequence[int], cost: Sequence[int],
+                saturating: frozenset):
+    """Per arc at flow x: (e, tail, head, cost of one more unit, cost of
+    the last unit), a cost None where the bound allows no such step.  An
+    arc in `saturating` costs one more on its last unit, from g - 1 to g."""
+    b = inst.bounds
+    for e, (u, v) in enumerate(inst.digraph.arcs):
+        g, extra = b.upper[e], e in saturating
+        up = cost[e] + (extra and x[e] == g - 1) if x[e] < g else None
+        down = cost[e] + (extra and x[e] == g) if x[e] > b.lower[e] else None
+        yield e, u, v, up, down
+
+
 def _aux_arcs(inst: Instance, x: Sequence[int], sums: np.ndarray,
-              cost: Sequence[int]) -> list:
+              cost: Sequence[int], saturating: frozenset = frozenset()) -> list:
     """Arcs of the exchange auxiliary digraph at flow x, whose net in-flows
     psi have the subset sums `sums`.
 
@@ -306,12 +322,11 @@ def _aux_arcs(inst: Instance, x: Sequence[int], sums: np.ndarray,
     allowed iff s lies in the meet of the tight sets containing t.
     """
     arcs = []
-    b = inst.bounds
-    for e, (u, v) in enumerate(inst.digraph.arcs):
-        if x[e] < b.upper[e]:
-            arcs.append((u, v, cost[e], ("up", e)))
-        if x[e] > b.lower[e]:
-            arcs.append((v, u, -cost[e], ("down", e)))
+    for e, u, v, up, down in _unit_costs(inst, x, cost, saturating):
+        if up is not None:
+            arcs.append((u, v, up, ("up", e)))
+        if down is not None:
+            arcs.append((v, u, -down, ("down", e)))
     n = inst.base.n
     p = inst.base.values
     meets = principal_sets(n, (sums == p.fin) & ~p.pos & ~p.neg)
@@ -387,18 +402,27 @@ def _layered_cycle(n: int, arcs: list) -> list:
     raise CertificateError("Bellman-Ford still relaxed at pass n, but no negative cycle")
 
 
-def _bottleneck(inst: Instance, x: Sequence[int], sums: np.ndarray, cycle: list) -> int:
+def _bottleneck(inst: Instance, x: Sequence[int], sums: np.ndarray, cycle: list,
+                saturating: frozenset) -> int:
     """Least residual width over the arcs of an aux cycle (+inf loses).
 
-    An ('exch', s, t) arc moves net in-flow from t to s, so its width is
-    the exchange capacity from t to s at the net in-flows of x, read off
-    their subset sums `sums`.
+    An up or down arc is as wide as its unit cost stays: an arc in
+    `saturating` rises to its breakpoint g - 1, or at g steps down one
+    unit.  An ('exch', s, t) arc moves net in-flow from t to s, so its
+    width is the exchange capacity from t to s at x, read off `sums`.
     """
     b = inst.bounds
-    delta = min(b.upper[tag[1]] - x[tag[1]] if tag[0] == "up"
-                else x[tag[1]] - b.lower[tag[1]] if tag[0] == "down"
-                else _exchange_capacity(inst.base, sums, tag[2], tag[1])
-                for (_, _, _, tag) in cycle)
+
+    def width(tag) -> int:
+        if tag[0] == "exch":
+            return _exchange_capacity(inst.base, sums, tag[2], tag[1])
+        e = tag[1]
+        g, extra = b.upper[e], e in saturating
+        if tag[0] == "up":
+            return g - x[e] - (extra and x[e] < g - 1)
+        return 1 if extra and x[e] == g else x[e] - b.lower[e]
+
+    delta = min(width(tag) for (_, _, _, tag) in cycle)
     if delta is POS_INF:
         raise CertificateError("negative cycle of unbounded width")
     return delta
@@ -413,54 +437,69 @@ def _apply_cycle(x: list, cycle: list, delta: int) -> None:
 
 
 def verify_optimality(inst: Instance, cost: Sequence[int], x: Sequence[int],
-                      pi: DualPotential) -> None:
+                      pi: DualPotential, saturating: frozenset = frozenset()) -> None:
     """Check complementary slackness and level-set tightness; raise on failure.
 
-    For every arc uv with potential rise above its cost the flow must sit at
-    the upper bound, with rise below cost at the lower bound; every upper
-    level set of the potentials must be tight for the base function.
+    On every arc uv the potential rise may not exceed the cost of one more
+    unit, nor fall below the cost of the last unit, where the bounds allow
+    that step; on an arc in `saturating` the unit from g - 1 to g costs
+    one more.  Every upper level set of the potentials must be tight for
+    the base function.
     """
-    b = inst.bounds
-    for e, (u, v) in enumerate(inst.digraph.arcs):
+    for e, u, v, up, down in _unit_costs(inst, x, cost, saturating):
         delta = pi[v] - pi[u]
-        if x[e] < b.upper[e] and not delta <= cost[e]:
-            raise CertificateError(f"arc {e}: rise {delta} exceeds cost with slack above")
-        if x[e] > b.lower[e] and not delta >= cost[e]:
-            raise CertificateError(f"arc {e}: rise {delta} below cost with slack below")
+        if up is not None and not delta <= up:
+            raise CertificateError(f"arc {e}: rise {delta} exceeds cost {up} with slack above")
+        if down is not None and not delta >= down:
+            raise CertificateError(f"arc {e}: rise {delta} below cost {down} with slack below")
     for zmask in reversed(pi.level_sets()):  # outermost first
         if cut_net(inst.digraph, x, zmask) != inst.base.p(zmask):
             raise CertificateError(f"potential level set {zmask:b} not tight")
 
 
-def min_cost_flow(inst: Instance, cost: Sequence[int]) -> Tuple[tuple, DualPotential]:
-    """Integral minimum-cost feasible base-flow with certifying potentials.
-
-    Bottleneck augmentation, halved until membership holds, along
-    fewest-arc negative cycles of the exchange auxiliary digraph: each
-    cycle moves by its least residual width, and a step that leaves the
-    feasible region is halved down to the always-valid unit step.
-    Costs must be Python ints (not bools), and arcs carrying nonzero cost
-    must have finite bounds (otherwise the optimum may be unbounded).
-    """
+def checked_costs(cost: Sequence[int], arc_count: int) -> tuple:
+    """The cost vector as a tuple of one Python int (not bool) per arc."""
     cost = tuple(cost)
-    if len(cost) != inst.digraph.arc_count:
+    if len(cost) != arc_count:
         raise ValueError("cost length must match arc count")
-    b = inst.bounds
     for e, c in enumerate(cost):
         if type(c) is not int:
             raise ValueError(f"arc {e}: cost {c!r} is not an integer")
-        if c != 0 and not (is_finite(b.lower[e]) and is_finite(b.upper[e])):
+    return cost
+
+
+def min_cost_flow(inst: Instance, cost: Sequence[int],
+                  saturating=frozenset()) -> Tuple[tuple, DualPotential]:
+    """Integral minimum-cost feasible base-flow with certifying potentials.
+
+    The cost is linear, except that an arc in `saturating` costs one more
+    on its last unit, from g - 1 to its upper bound g: a convex two-slope
+    cost on the original arc, so zero costs with saturating = L count the
+    arcs of L at their upper bound.  From a feasible flow (the instance's
+    own, or one fixed below the breakpoints where it can), bottleneck
+    augmentation, halved until membership holds, runs along fewest-arc
+    negative cycles of the exchange auxiliary digraph:
+    each cycle moves by its least residual width, which stops at a
+    breakpoint, and a step that leaves the feasible region is halved down
+    to the always-valid unit step.  Costs must be Python ints (not bools);
+    arcs carrying nonzero cost, and arcs in `saturating`, must have finite
+    bounds (otherwise the optimum may be unbounded).
+    """
+    cost = checked_costs(cost, inst.digraph.arc_count)
+    b = inst.bounds
+    for e, c in enumerate(cost):
+        if (c or e in saturating) and not (is_finite(b.lower[e]) and is_finite(b.upper[e])):
             raise ValueError(f"arc {e}: nonzero cost requires finite bounds")
-    x = list(inst.feasible_flow)
+    x = list(find_feasible(inst, saturating) if saturating else inst.feasible_flow)
     n = inst.digraph.node_count
     while True:
         sums = subset_sums(node_net_inflow(inst.digraph, x))  # one table per augmentation
-        found = _min_arc_negative_cycle(n, _aux_arcs(inst, x, sums, cost))
+        found = _min_arc_negative_cycle(n, _aux_arcs(inst, x, sums, cost, saturating))
         if isinstance(found, DualPotential):
             break
         # each aux arc admits the bottleneck alone, but several exchange
         # arcs together may not; on a fewest-arc cycle a unit step does
-        delta = _bottleneck(inst, x, sums, found)
+        delta = _bottleneck(inst, x, sums, found, saturating)
         while True:
             y = list(x)
             _apply_cycle(y, found, delta)
@@ -471,5 +510,5 @@ def min_cost_flow(inst: Instance, cost: Sequence[int]) -> Tuple[tuple, DualPoten
             delta //= 2
         x = y
     xt = tuple(x)
-    verify_optimality(inst, cost, xt, found)
+    verify_optimality(inst, cost, xt, found, saturating)
     return xt, found

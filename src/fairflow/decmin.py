@@ -20,6 +20,7 @@ from .baseflow import (
     Infeasible,
     Instance,
     check_feasible,
+    checked_costs,
     find_violator,
     min_cost_flow,
 )
@@ -250,8 +251,9 @@ def solve_decmin(inst: Instance) -> SolveResult:
 
 
 def solve_min_cost_decmin(inst: Instance, cost: Sequence[int]) -> tuple:
-    """Cheapest decreasingly-minimal flow under a linear cost: a plain
-    minimum-cost solve over the narrowed instance."""
+    """Cheapest decreasingly-minimal flow under a linear cost, checked
+    first: a plain minimum-cost solve over the narrowed instance."""
+    checked_costs(cost, inst.digraph.arc_count)
     result = solve_decmin(inst)
     x, _ = min_cost_flow(result.final, cost)
     return x

@@ -1,12 +1,14 @@
 """Saturation minimizers: the fewest upper-bound-tight arcs within a set L.
 
-The pipeline mirrors the min-max theory: clone every L-arc with a unit-cost
-parallel copy while lowering the original's upper bound by one, solve the
-0/1-cost minimum-cost base-flow, read the dual chain off the upper level
-sets of the node potentials, and translate the chain into a narrowed
-bounding pair plus a face of the base polyhedron.  The recomputed dual
-value must equal the primal optimum exactly; any mismatch raises instead of
-being papered over.
+The pipeline mirrors the min-max theory: solve the minimum-cost base-flow
+whose cost is zero except on the last unit of every L-arc, from g - 1 to
+its upper bound g, which costs one (a two-slope convex cost on the
+original arcs, `min_cost_flow(..., saturating=L)`); read the dual chain
+off the upper level sets of the node potentials; and translate the chain
+into a narrowed bounding pair plus a face of the base polyhedron.  The
+recomputed dual value must equal the primal optimum, the number of
+saturated L-arcs, exactly; any mismatch raises instead of being papered
+over.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from typing import Sequence
 from .core import (
     Bounds,
     Chain,
-    Digraph,
     chain_classify,
     chain_entering_count,
     is_finite,
@@ -31,13 +32,6 @@ from .baseflow import (
     min_cost_flow,
 )
 from .setfn import BaseOracle
-
-
-@dataclass(frozen=True)
-class AugmentedInstance:
-    instance: Instance
-    cost: tuple
-    copy_of: tuple  # pairs (original arc id, copy arc id)
 
 
 @dataclass(frozen=True)
@@ -57,34 +51,6 @@ def _require_ldef(inst: Instance, L) -> None:
             raise ValueError(f"arc {e}: L requires finite bounds")
         if lo == hi:
             raise ValueError(f"arc {e}: L must contain no tight arcs")
-
-
-def augment_instance(inst: Instance, L) -> AugmentedInstance:
-    """Clone each L-arc with a [0,1] unit-cost copy; drop the original's
-    upper bound by one.  Decoding adds the copy back onto the original.
-    The augmented instance shares the slack table of `inst`."""
-    L = sorted(L)
-    _require_ldef(inst, L)
-    d = inst.digraph
-    arcs = list(d.arcs)
-    lower = list(inst.bounds.lower)
-    upper = list(inst.bounds.upper)
-    cost = [0] * d.arc_count
-    copy_of = []
-    for e in L:
-        upper[e] = upper[e] - 1
-        copy_id = len(arcs)
-        arcs.append(d.arcs[e])
-        lower.append(0)
-        upper.append(1)
-        cost.append(1)
-        copy_of.append((e, copy_id))
-    d1 = Digraph(d.node_count, tuple(arcs))
-    inst1 = Instance(d1, Bounds(tuple(lower), tuple(upper)), inst.base)
-    # A copy adds its upper bound 1 on exactly the sets where its original
-    # lost 1, and its lower bound 0 adds nothing: the slack is inst's.
-    inst1.__dict__["slack"] = inst.slack
-    return AugmentedInstance(inst1, tuple(cost), tuple(copy_of))
 
 
 def extract_chain(pi: DualPotential, node_count: int) -> Chain:
@@ -160,22 +126,14 @@ def lupmin_solve(inst: Instance, L) -> LupminResult:
     and narrowed bounds.  L must have finite, non-tight bounds; strip tight
     arcs before calling."""
     L = frozenset(L)
-    aug = augment_instance(inst, L)
-    x1, pi = min_cost_flow(aug.instance, aug.cost)
-    primal = sum(aug.cost[e] * x1[e] for e in range(len(x1)))
-    x = list(x1[: inst.digraph.arc_count])
-    for orig, copy_id in aug.copy_of:
-        x[orig] += x1[copy_id]
-    x = tuple(x)
+    _require_ldef(inst, L)
+    x, pi = min_cost_flow(inst, (0,) * inst.digraph.arc_count, saturating=L)
+    primal = saturated_count(inst.bounds, L, x)
     chain = extract_chain(pi, inst.digraph.node_count)
     value = chain_value(inst, L, chain)
     if value != primal:
         raise CertificateError(
             f"dual chain value {value} differs from primal optimum {primal}")
-    nsat = saturated_count(inst.bounds, L, x)
-    if nsat != primal:
-        raise CertificateError(
-            f"decoded flow saturates {nsat} arcs, expected {primal}")
     bounds_l = derive_bounds(inst, L, chain)
     face = inst.base.face_contract(chain)
     if not membership(Instance(inst.digraph, bounds_l, face), x):

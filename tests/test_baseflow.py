@@ -25,8 +25,9 @@ from fairflow.baseflow import (
     min_cost_flow,
     verify_optimality,
 )
+from fairflow import decmin
 from fairflow.decmin import solve_min_cost_decmin
-from fairflow.lupmin import augment_instance
+from fairflow.lupmin import lupmin_solve
 from fairflow.setfn import BaseOracle, subset_sums
 from fairflow.oracle import enumerate_Q
 
@@ -233,6 +234,38 @@ class TestFindFeasible:
     def test_unique_point(self, i6):
         assert find_feasible(i6) == (1, 1)
 
+    def test_saturating_arcs_fixed_below_their_upper_bound(self):
+        d = Digraph(2, ((0, 1), (1, 0)))
+        at_most_zero = Instance(d, Bounds((-3, -3), (0, 0)), BaseOracle.zero(2))
+        assert find_feasible(at_most_zero) == (0, 0)
+        assert find_feasible(at_most_zero, {0}) == (-1, -1)
+        # greedy in id order: arc 0 takes 0 first, which pins arc 1 at its upper bound
+        assert find_feasible(at_most_zero, {1}) == (0, 0)
+        positive = Instance(d, Bounds((0, 0), (3, 3)), BaseOracle.zero(2))
+        assert find_feasible(positive, {0, 1}) == (0, 0)
+
+    def test_below_breakpoint_start_saves_lupmin_augmentations(self):
+        # lupmin's augmentations from the plain coordinate-fixing start, in
+        # which saturating arcs take 0 like any other
+        def augmentations(start):
+            with mock.patch.object(baseflow, "find_feasible", start), \
+                    mock.patch.object(baseflow, "_bottleneck",
+                                      wraps=baseflow._bottleneck) as widths:
+                for inst, L in cases:
+                    lupmin_solve(Instance(inst.digraph, inst.bounds, inst.base), L)
+            return widths.call_count
+
+        rng = random.Random(23)
+        cases = []
+        for inst in feasible_corpus(23, 300, max_nodes=4, require_arcs=True):
+            b = inst.bounds
+            L = [e for e in inst.digraph.arc_ids() if is_finite(b.lower[e])
+                 and is_finite(b.upper[e]) and b.lower[e] != b.upper[e]]
+            if L:
+                cases.append((inst, frozenset(rng.sample(L, rng.randint(1, len(L))))))
+        plain = augmentations(lambda inst, saturating=(): find_feasible(inst))
+        assert augmentations(find_feasible) < plain // 2
+
     def test_infeasible_raises(self, i1):
         bad = replace(i1, base=BaseOracle.from_table(2, [0, -3, 3, 0]))
         with pytest.raises(Infeasible):
@@ -346,6 +379,15 @@ class TestMinCostFlow:
         with pytest.raises(ValueError, match="is not an integer"):
             solve_min_cost_decmin(replace(i1, focus=frozenset({0})), (0.5, 0))
 
+    @pytest.mark.parametrize("cost, match", [
+        ((0.5, 0), "is not an integer"), ((0, True), "is not an integer"),
+        ((1,), "cost length"), ((1, 0, 0), "cost length")])
+    def test_min_cost_decmin_checks_costs_before_solving(self, i1, cost, match):
+        with mock.patch.object(decmin, "solve_decmin", wraps=decmin.solve_decmin) as spy:
+            with pytest.raises(ValueError, match=match):
+                solve_min_cost_decmin(replace(i1, focus=frozenset({0})), cost)
+        assert spy.call_count == 0
+
     def test_infinite_bound_with_cost_rejected(self):
         d = Digraph(2, ((0, 1), (1, 0)))
         inst = Instance(d, Bounds((0, 0), (POS_INF, POS_INF)), BaseOracle.zero(2))
@@ -367,18 +409,18 @@ class TestMinCostFlow:
             assert got == best
             verify_optimality(inst, cost, x, pi)
 
-    def test_potentials_are_distances_on_augmented_corpus(self):
-        # lupmin's phase instances: a unit-cost copy of every finite,
-        # non-tight arc
+    def test_potentials_are_distances_on_two_slope_corpus(self):
+        # lupmin's phase solves: zero costs, every finite, non-tight arc
+        # saturating (one more on its last unit)
         levels = set()
         for inst in feasible_corpus(13, 80, require_arcs=True):
             b = inst.bounds
             L = {e for e in inst.digraph.arc_ids() if is_finite(b.lower[e])
                  and is_finite(b.upper[e]) and b.lower[e] != b.upper[e]}
             if L:
-                aug = augment_instance(inst, L)
-                x, pi = min_cost_flow(aug.instance, aug.cost)
-                assert_potentials_are_distances(aug.instance, aug.cost, x, pi)
+                cost = (0,) * inst.digraph.arc_count
+                x, pi = min_cost_flow(inst, cost, saturating=L)
+                assert_potentials_are_distances(inst, cost, x, pi, L)
                 levels.add(len(set(pi.values)))
         assert levels == {1, 2, 3}
 
@@ -515,10 +557,11 @@ class TestCycleSearch:
         assert got.values == tuple(range(n - 1, -1, -1))
 
 
-def assert_potentials_are_distances(inst, cost, x, pi):
+def assert_potentials_are_distances(inst, cost, x, pi, saturating=frozenset()):
     """The potentials min_cost_flow returned with x are the Bellman-Ford
     distances over the auxiliary arcs at x."""
-    arcs = baseflow._aux_arcs(inst, x, subset_sums(node_net_inflow(inst.digraph, x)), cost)
+    arcs = baseflow._aux_arcs(inst, x, subset_sums(node_net_inflow(inst.digraph, x)), cost,
+                              saturating)
     assert list(pi.values) == ref_potentials(inst.digraph.node_count, arcs)
 
 
