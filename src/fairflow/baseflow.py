@@ -80,23 +80,10 @@ class Instance:
     def slack(self) -> ExtArray:
         """Feasibility slack of every subset: upper in-cut - lower out-cut - p.
 
-        Built on first read.  A `with_bounds` / `with_focus` copy moves the
-        slack of the instance it was made from (built first if unread) to
-        its own bounds, touching the changed bounds only
-        (`ExtArray.shift_cut`); any other instance makes one `plus_cut`
-        over all arcs."""
-        parent = self.__dict__.pop("_parent", None)
-        if parent is None:
-            b = self.bounds
-            return (-self.base.values).plus_cut(self.digraph, b.upper, b.lower)
-        # read the unread copies above from the top down, one step deep
-        # each, dropping each once the copy below has moved its slack
-        unread = [parent]
-        while "slack" not in unread[-1].__dict__ and "_parent" in unread[-1].__dict__:
-            unread.append(unread[-1].__dict__["_parent"])
-        while unread:
-            slack = unread.pop().slack
-        return slack.shift_cut(self.digraph, parent.bounds, self.bounds)
+        Built on first read by one `plus_cut` over all arcs; a `with_bounds`
+        / `with_focus` copy is given its slack when it is made."""
+        b = self.bounds
+        return (-self.base.values).plus_cut(self.digraph, b.upper, b.lower)
 
     @cached_property
     def feasible_flow(self) -> tuple:
@@ -111,10 +98,11 @@ class Instance:
         return self._child(self.bounds, frozenset(focus))
 
     def _child(self, bounds: Bounds, focus: frozenset) -> "Instance":
-        """A copy at other bounds or focus whose slack derives from this
-        instance's."""
+        """A copy at other bounds or focus, made with this instance's slack
+        moved to its bounds, touching the changed bounds only
+        (`ExtArray.shift_cut`)."""
         out = Instance(self.digraph, bounds, self.base, focus)
-        out.__dict__["_parent"] = self
+        out.__dict__["slack"] = self.slack.shift_cut(self.digraph, self.bounds, bounds)
         return out
 
 

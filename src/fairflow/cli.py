@@ -3,7 +3,8 @@
 Subcommands: check (feasibility), solve (fair flow, optionally min-cost),
 orient (fair k-edge-connected orientation), verify (oracle cross-checks).
 Exit codes: 0 ok, 2 input or budget error, 3 infeasible, 4 no fair flow
-exists, 5 verification mismatch.
+exists, 5 an internal certificate or an oracle cross-check failed (an
+engine bug, never bad input).
 """
 
 from __future__ import annotations

@@ -54,15 +54,6 @@ class Infinity:
             return (-self) + other
         return NotImplemented
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                raise ArithmeticError("cannot multiply infinity by zero")
-            return self if other > 0 else -self
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __lt__(self, other):
         if isinstance(other, (Infinity,) + _FINITE):
             return self.sign < 0 and other is not NEG_INF

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import NEG_INF, POS_INF, is_finite
-from .baseflow import Instance, membership
+from .baseflow import CertificateError, Instance, membership
 from .setfn import principal_sets
 
 
@@ -155,11 +155,14 @@ def finitize_bounds(inst: Instance) -> Instance:
         tail, head = inst.digraph.arcs[e]
         smask = _reachable(js, head)
         if (smask >> tail) & 1:
-            raise ValueError("blocking dicircuit present: no finite reduction exists")
+            raise CertificateError("blocking dicircuit present: no finite reduction exists")
+        # smask is a union of principal sets, finite for a base whose finite
+        # sets are closed under union and intersection; a table that is not
+        # is bad input
         if work.slack.pos[smask] or work.slack.neg[smask]:
             raise ValueError("reachable-set bound is not finite; structure broken")
         # e enters smask, so its cut inequality reads x_e >= upper[e] - slack
         lower_updates[e] = bounds.upper[e] - work.slack.value(smask)
     if lower_updates:
         bounds = bounds.with_lower(lower_updates)
-    return inst.with_bounds(bounds)
+    return work.with_bounds(bounds)

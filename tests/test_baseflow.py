@@ -27,6 +27,7 @@ from fairflow.baseflow import (
 )
 from fairflow import decmin
 from fairflow.decmin import solve_min_cost_decmin
+from fairflow.existence import finitize_bounds
 from fairflow.lupmin import lupmin_solve
 from fairflow.setfn import BaseOracle, subset_sums
 from fairflow.oracle import enumerate_Q
@@ -136,32 +137,30 @@ def random_copy(rng, inst):
 
 
 class TestDerivedSlack:
-    """`with_bounds` / `with_focus` copies derive their slack from the
-    instance they were made from; it must equal a fresh `plus_cut`."""
+    """`with_bounds` / `with_focus` copies are made with the slack of the
+    instance they were made from moved to their bounds; it must equal a
+    fresh `plus_cut`."""
 
     def test_chains_match_a_rebuild(self):
         rng = random.Random(18)
         graphs = [d for d in all_small_digraphs(4, 4) if d.arc_count]
-        derived = rebuilt = wide = 0
+        copies = wide = 0
         for _ in range(300):
             inst = random_instance(rng, rng.choice(graphs))
             inst = inst.with_bounds(random_bounds_with_infinities(rng, inst.digraph.arc_count))
             for _ in range(rng.randint(1, 6)):
-                inst = random_copy(rng, inst)
-                if rng.random() < 0.5:
-                    with mock.patch.object(baseflow.ExtArray, "plus_cut", autospec=True,
-                                           side_effect=baseflow.ExtArray.plus_cut) as spy:
-                        slack = inst.slack
-                    rebuilt += spy.call_count
-                    derived += 1 - spy.call_count
-                    wide += slack.fin.dtype == object
-                    assert ext_array_parts(slack) == ext_array_parts(fresh_slack(inst))
-        # both paths ran, and values past 2^62 widened some to Python ints
-        assert derived > 100 and rebuilt > 100 and wide > 100
+                with mock.patch.object(baseflow.ExtArray, "plus_cut", autospec=True,
+                                       side_effect=baseflow.ExtArray.plus_cut) as spy:
+                    inst = random_copy(rng, inst)
+                assert spy.call_count == 0  # a copy moves its parent's slack
+                copies += 1
+                wide += inst.slack.fin.dtype == object
+                assert ext_array_parts(inst.slack) == ext_array_parts(fresh_slack(inst))
+        # values past 2^62 widened some to Python ints
+        assert copies > 500 and wide > 100
 
     def test_one_plus_cut_per_chain_at_its_root(self):
-        # chains that move bounds between finite values and infinities,
-        # read at random members and always at the last
+        # chains that move bounds between finite values and infinities
         rng = random.Random(19)
         graphs = [d for d in all_small_digraphs(4, 4) if d.arc_count]
         real = baseflow.ExtArray.plus_cut
@@ -169,15 +168,12 @@ class TestDerivedSlack:
         for _ in range(200):
             root = random_instance(rng, rng.choice(graphs))
             root = replace(root, bounds=random_bounds_with_infinities(rng, root.digraph.arc_count))
-            chain = [root]
-            for _ in range(rng.randint(1, 6)):
-                chain.append(random_copy(rng, chain[-1]))
             built = []
             with mock.patch.object(baseflow.ExtArray, "plus_cut",
                                    lambda *args: built.append(real(*args)) or built[-1]):
-                for inst in chain[1:]:
-                    if inst is chain[-1] or rng.random() < 0.5:
-                        inst.slack
+                chain = [root]
+                for _ in range(rng.randint(1, 6)):
+                    chain.append(random_copy(rng, chain[-1]))
             assert len(built) == 1 and built[0] is root.slack
             for parent, child in zip(chain, chain[1:]):
                 assert ext_array_parts(child.slack) == ext_array_parts(fresh_slack(child))
@@ -197,7 +193,7 @@ class TestDerivedSlack:
                 assert root.slack.pos.dtype == np.int64
         assert shared > 100 and moved > 100 and kept > 5
 
-    def test_deep_chain_of_unread_copies(self):
+    def test_deep_chain_of_copies(self):
         d = Digraph(2, ((0, 1), (1, 0)))
         inst = Instance(d, Bounds((0, 0), (1, 1)), BaseOracle.zero(2))
         for k in range(3000):
@@ -219,10 +215,37 @@ class TestDerivedSlack:
         assert i1.with_focus(frozenset()).slack is slack
 
     def test_unbuilt_parent_is_built_first(self, i1):
-        child = i1.with_bounds(Bounds((0, 0), (1, 2)))
         assert "slack" not in i1.__dict__
+        child = i1.with_bounds(Bounds((0, 0), (1, 2)))
+        assert "slack" in i1.__dict__ and "slack" in child.__dict__
         assert ext_array_parts(child.slack) == ext_array_parts(fresh_slack(child))
-        assert ext_array_parts(i1.__dict__["slack"]) == ext_array_parts(fresh_slack(i1))
+        assert ext_array_parts(i1.slack) == ext_array_parts(fresh_slack(i1))
+
+    def test_finitize_without_changes_keeps_the_slack(self):
+        # finite focus bounds, none above the witness: no bound moves
+        d = Digraph(2, ((0, 1), (1, 0)))
+        inst = Instance(d, Bounds((-1, NEG_INF), (0, POS_INF)), BaseOracle.zero(2),
+                        frozenset([0]))
+        out = finitize_bounds(inst)
+        assert out.bounds == inst.bounds and out.slack is inst.slack
+
+    def test_finitize_moves_the_slack_once(self, i1):
+        # the focus arc's upper bound 2 is capped at the witness maximum 0;
+        # the result is derived from the capped copy, not from i1 again
+        real = baseflow.ExtArray._move_cut
+        moved = []
+
+        def counting(self, digraph, arcs):
+            out = real(self, digraph, arcs)
+            if out is not self:
+                moved.append(out)
+            return out
+
+        i1.slack
+        with mock.patch.object(baseflow.ExtArray, "_move_cut", counting):
+            out = finitize_bounds(i1)
+        assert out.bounds.upper == (0, 2)
+        assert len(moved) == 1 and moved[0] is out.slack
 
 
 class TestFindFeasible:

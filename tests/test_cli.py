@@ -137,6 +137,32 @@ class TestSolve:
         kinds = {(a["tail"], a["head"], a["kind"]) for a in doc["blocking_circuit"]}
         assert ("a", "b", "lower-inf") in kinds
 
+    def test_missed_blocking_circuit_exits_5(self, capsys, monkeypatch):
+        # finitize_bounds meeting a circuit the existence check missed is
+        # an engine fault: exit 5, never the exit 2 of bad input
+        import fairflow.existence as existence
+
+        monkeypatch.setattr(existence, "has_blocking_dicircuit", lambda js, focus: None)
+        code = main(["solve", path("i4p.json")])
+        err = capsys.readouterr().err
+        assert code == EXIT_MISMATCH
+        assert err.startswith("internal certificate failure:")
+
+    def test_table_not_closed_under_intersection_exits_2(self, capsys, tmp_path):
+        # {a,b} and {b,c} are finite but {b} is not: the set reachable from
+        # the focus arc's head has no finite bound, and that is bad input
+        doc = {"nodes": ["a", "b", "c"],
+               "arcs": [{"id": "e1", "tail": "a", "head": "b", "f": "-inf", "g": "+inf"}],
+               "F": ["e1"],
+               "base": {"type": "table", "p": {
+                   "": 0, "a": "-inf", "b": "-inf", "c": "-inf", "a,b": 0, "a,c": "-inf",
+                   "b,c": 0, "a,b,c": 0}}}
+        src = tmp_path / "ring.json"
+        src.write_text(json.dumps(doc))
+        code = main(["solve", str(src)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_min_cost(self, capsys):
         code, out = run(capsys, "solve", path("i1.json"), "--min-cost")
         assert code == EXIT_OK
