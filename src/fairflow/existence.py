@@ -6,7 +6,11 @@ the base polyhedron never blocks (pairs u -> v with v inside the smallest
 finite-valued set containing u), plus the arcs with no lower bound and the
 reversals of non-focus arcs with no upper bound.  A dicircuit through a
 focus arc yields an endless improvement; absence of such circuits makes
-every focus bound finitizable without changing the optimal set.
+every focus bound finitizable without changing the optimal set.  Only a
+`+inf` focus upper bound costs a coordinate-fixing pass (its cap is the
+maximum of a feasible flow); `-inf` focus lower bounds are read off the
+cut slack of a reachable set, and an instance whose focus upper bounds
+are all finite is finitized from its cut scan alone.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import NEG_INF, POS_INF, is_finite
-from .baseflow import CertificateError, Instance, membership
+from .baseflow import CertificateError, Infeasible, Instance, find_violator, membership
 from .setfn import principal_sets
 
 
@@ -124,30 +128,45 @@ def improve_along_circuit(inst: Instance, z: Sequence, circuit, step=1):
 def finitize_bounds(inst: Instance) -> Instance:
     """Replace infinite focus bounds by finite ones with the same optimum.
 
-    Upper bounds on focus arcs are truncated at the largest component of
-    one feasible witness.  A lower-unbounded focus arc is then bounded from
-    below through the set reachable from its head in the auxiliary digraph:
-    no auxiliary arc leaves that set, so its cut inequality pins the arc's
-    value from below with finite data.  Raises BlockingCircuit, carrying
-    the circuit, when a blocking dicircuit makes that impossible.
+    Only an instance with a `+inf` focus upper bound pays for a feasible
+    witness (`Instance.feasible_flow`): its focus upper bounds are then
+    truncated at the witness maximum.  Otherwise the verdict is the cut
+    scan's (`find_violator` on the instance's slack), and the bounds are
+    read at the instance's own finite bounds.  Either way an infeasible
+    instance raises `Infeasible` with the lowest violating set.
+
+    Finite focus upper bounds above every feasible value change no
+    output: the clamp that `compute_beta` returns lowers them to the top
+    value, which is at most the maximum of any feasible flow.
+
+    A lower-unbounded focus arc is then bounded from below through the set
+    S reachable from its head in the auxiliary digraph: no auxiliary arc
+    leaves S, so its cut inequality pins the arc's value from below.  No
+    infinite bound enters that inequality: a non-focus arc entering S with
+    no upper bound would give a reversed auxiliary arc leaving S, an arc
+    leaving S with no lower bound is itself an auxiliary arc leaving S, and
+    every focus upper bound is finite by then.  So slack(S) is finite
+    exactly when p(S) is, and x_e >= g_e - slack(S) is implied by S's own
+    cut inequality at the entry bounds.  Raises BlockingCircuit, carrying
+    the circuit, when a blocking dicircuit makes that impossible, and
+    ValueError, naming S, when a base table is not finite on S.
     """
     # truncating focus upper bounds below leaves the auxiliary digraph as is
     js = build_jump_structure(inst)
     circuit = has_blocking_dicircuit(js, inst.focus)
     if circuit is not None:
         raise BlockingCircuit(circuit)
-    witness = inst.feasible_flow
     bounds = inst.bounds
-    if witness:
-        cap = max(witness)
-        updates = {}
-        for e in inst.focus:
-            hi = bounds.upper[e]
-            if not is_finite(hi) or hi > cap:
-                updates[e] = cap
-        if updates:
-            bounds = bounds.with_upper(updates)
-    work = inst.with_bounds(bounds)
+    work = inst
+    if any(bounds.upper[e] is POS_INF for e in inst.focus):
+        cap = max(inst.feasible_flow)
+        bounds = bounds.with_upper({e: cap for e in inst.focus
+                                    if not is_finite(bounds.upper[e]) or bounds.upper[e] > cap})
+        work = inst.with_bounds(bounds)
+    else:
+        hit = find_violator(inst)
+        if hit is not None:
+            raise Infeasible(*hit)
     lower_updates = {}
     for e in sorted(inst.focus):
         if bounds.lower[e] is not NEG_INF:
@@ -160,9 +179,11 @@ def finitize_bounds(inst: Instance) -> Instance:
         # sets are closed under union and intersection; a table that is not
         # is bad input
         if work.slack.pos[smask] or work.slack.neg[smask]:
-            raise ValueError("reachable-set bound is not finite; structure broken")
+            raise ValueError(
+                "base table is not closed under union and intersection: p is not "
+                f"finite on the set reachable from the head of arc {e} (mask {smask:b})")
         # e enters smask, so its cut inequality reads x_e >= upper[e] - slack
         lower_updates[e] = bounds.upper[e] - work.slack.value(smask)
-    if lower_updates:
-        bounds = bounds.with_lower(lower_updates)
-    return work.with_bounds(bounds)
+    if not lower_updates:
+        return work
+    return work.with_bounds(bounds.with_lower(lower_updates))

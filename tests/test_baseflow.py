@@ -229,9 +229,11 @@ class TestDerivedSlack:
         out = finitize_bounds(inst)
         assert out.bounds == inst.bounds and out.slack is inst.slack
 
-    def test_finitize_moves_the_slack_once(self, i1):
-        # the focus arc's upper bound 2 is capped at the witness maximum 0;
-        # the result is derived from the capped copy, not from i1 again
+    def test_finitize_moves_the_slack_once(self):
+        # the focus arc's upper bound +inf is capped at the witness maximum
+        # 0; the result is derived from the capped copy, not from inst again
+        d = Digraph(2, ((0, 1), (1, 0)))
+        inst = Instance(d, Bounds((0, 0), (POS_INF, 2)), BaseOracle.zero(2), frozenset([0]))
         real = baseflow.ExtArray._move_cut
         moved = []
 
@@ -241,9 +243,9 @@ class TestDerivedSlack:
                 moved.append(out)
             return out
 
-        i1.slack
+        inst.slack
         with mock.patch.object(baseflow.ExtArray, "_move_cut", counting):
-            out = finitize_bounds(i1)
+            out = finitize_bounds(inst)
         assert out.bounds.upper == (0, 2)
         assert len(moved) == 1 and moved[0] is out.slack
 

@@ -161,7 +161,9 @@ class TestSolve:
         src.write_text(json.dumps(doc))
         code = main(["solve", str(src)])
         assert code == EXIT_INPUT
-        assert capsys.readouterr().err.startswith("error:")
+        assert capsys.readouterr().err == (
+            "error: base table is not closed under union and intersection: p is not "
+            "finite on the set reachable from the head of arc 0 (mask 10)\n")
 
     def test_min_cost(self, capsys):
         code, out = run(capsys, "solve", path("i1.json"), "--min-cost")
@@ -191,6 +193,14 @@ class TestSolve:
         code, _ = run(capsys, "solve", path("i1.json"), "--min-cost")
         assert code == EXIT_OK
         assert counts == {"solve_decmin": 1, "build_jump_structure": 1}
+
+    def test_finite_focus_bounds_need_no_finitizing_pass(self, capsys, monkeypatch):
+        # i1's focus bounds are finite, so finitize_bounds builds no witness;
+        # the one coordinate-fixing pass left is solve_decmin's final one
+        counts = count_calls(monkeypatch, "find_feasible")
+        code, _ = run(capsys, "solve", path("i1.json"))
+        assert code == EXIT_OK
+        assert counts == {"find_feasible": 1}
 
     def test_min_cost_fixes_coordinates_once_per_instance(self, capsys, monkeypatch):
         # the min-cost flow on the narrowed instance starts from the flow

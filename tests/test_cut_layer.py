@@ -197,17 +197,19 @@ def ref_finitize_bounds(inst):
     circuit = has_blocking_dicircuit(build_jump_structure(inst), inst.focus)
     if circuit is not None:
         raise BlockingCircuit(circuit)
-    witness = find_feasible(inst)
     bounds = inst.bounds
-    if witness:
-        cap = max(witness)
+    if any(bounds.upper[e] is POS_INF for e in inst.focus):
+        cap = max(find_feasible(inst))
         updates = {}
         for e in inst.focus:
             hi = bounds.upper[e]
             if not is_finite(hi) or hi > cap:
                 updates[e] = cap
-        if updates:
-            bounds = bounds.with_upper(updates)
+        bounds = bounds.with_upper(updates)
+    else:
+        hit = ref_find_violator(inst)
+        if hit is not None:
+            raise Infeasible(*hit)
     js = build_jump_structure(inst.with_bounds(bounds))
     d = inst.digraph
     p = inst.base.p
@@ -223,7 +225,9 @@ def ref_finitize_bounds(inst):
         rho = cut_in_sum(d, bounds.upper, smask)
         delta = cut_out_sum(d, bounds.lower, smask)
         if not (is_finite(pz) and is_finite(rho) and is_finite(delta)):
-            raise ValueError("reachable-set bound is not finite; structure broken")
+            raise ValueError(
+                "base table is not closed under union and intersection: p is not "
+                f"finite on the set reachable from the head of arc {e} (mask {smask:b})")
         lower_updates[e] = pz - (rho - bounds.upper[e]) + delta
     if lower_updates:
         bounds = bounds.with_lower(lower_updates)

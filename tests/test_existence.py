@@ -1,9 +1,11 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
 from fairflow.core import Bounds, Digraph, NEG_INF, POS_INF, decmin_compare
-from fairflow.baseflow import Instance, membership
+from fairflow import baseflow
+from fairflow.baseflow import Infeasible, Instance, find_violator, membership
 from fairflow.decmin import solve_decmin
 from fairflow.existence import (
     BlockingCircuit,
@@ -105,10 +107,38 @@ class TestImprove:
 
 class TestFinitize:
     def test_identity_when_finite(self, i1):
-        out = finitize_bounds(i1)
-        assert out.bounds.lower == i1.bounds.lower
-        # upper bounds may only be truncated at the witness maximum
-        assert all(out.bounds.upper[e] <= i1.bounds.upper[e] for e in range(2))
+        # finite focus bounds are kept as they are, even above every
+        # feasible value of the arc
+        assert finitize_bounds(i1).bounds == i1.bounds
+
+    def test_no_witness_when_focus_uppers_finite(self, i1, i4):
+        # i1 and i4 have finite focus upper bounds: the verdict is the cut
+        # scan's, and no coordinate-fixing pass runs
+        with mock.patch.object(baseflow, "find_feasible", wraps=baseflow.find_feasible) as ff:
+            finitize_bounds(i1)
+            finitize_bounds(i4)
+        assert ff.call_count == 0
+
+    def test_one_witness_when_a_focus_upper_is_infinite(self):
+        d = Digraph(2, ((0, 1), (1, 0)))
+        inst = Instance(d, Bounds((0, 1), (POS_INF, 3)), BaseOracle.zero(2), frozenset([0]))
+        with mock.patch.object(baseflow, "find_feasible", wraps=baseflow.find_feasible) as ff:
+            out = finitize_bounds(inst)
+        assert ff.call_count == 1
+        # capped at the witness maximum, which the return arc's lower bound sets
+        assert out.bounds.upper == (1, 3)
+
+    @pytest.mark.parametrize("upper", [2, POS_INF])
+    def test_infeasible_raises_the_violator(self, upper):
+        # the focus arc takes at least 1 out of a and the return arc brings
+        # nothing back: the lowest violating set is {a}, with or without a
+        # witness pass
+        d = Digraph(2, ((0, 1), (1, 0)))
+        inst = Instance(d, Bounds((1, 0), (upper, 0)), BaseOracle.zero(2), frozenset([0]))
+        with pytest.raises(Infeasible) as info:
+            finitize_bounds(inst)
+        assert (info.value.violator, info.value.deficit) == find_violator(inst)
+        assert info.value.violator == 0b01
 
     def test_reachable_set_lower_bound(self, i4):
         out = finitize_bounds(i4)
