@@ -33,6 +33,7 @@ from .core import (
     ExtInt,
     NEG_INF,
     POS_INF,
+    crossing_views,
     cut_net,
     is_finite,
     node_net_inflow,
@@ -81,7 +82,8 @@ class Instance:
         """Feasibility slack of every subset: upper in-cut - lower out-cut - p.
 
         Built on first read by one `plus_cut` over all arcs; a `with_bounds`
-        / `with_focus` copy is given its slack when it is made."""
+        / `with_focus` / `with_face` copy is given its slack when it is
+        made."""
         b = self.bounds
         return (-self.base.values).plus_cut(self.digraph, b.upper, b.lower)
 
@@ -92,17 +94,24 @@ class Instance:
         return find_feasible(self)
 
     def with_bounds(self, bounds: Bounds) -> "Instance":
-        return self._child(bounds, self.focus)
+        return self._child(bounds, self.focus, self.base)
 
     def with_focus(self, focus) -> "Instance":
-        return self._child(self.bounds, frozenset(focus))
+        return self._child(self.bounds, frozenset(focus), self.base)
 
-    def _child(self, bounds: Bounds, focus: frozenset) -> "Instance":
-        """A copy at other bounds or focus, made with this instance's slack
-        moved to its bounds, touching the changed bounds only
-        (`ExtArray.shift_cut`)."""
-        out = Instance(self.digraph, bounds, self.base, focus)
-        out.__dict__["slack"] = self.slack.shift_cut(self.digraph, self.bounds, bounds)
+    def with_face(self, bounds: Bounds, base: BaseOracle, focus) -> "Instance":
+        """A copy on a face of the base polyhedron, at narrowed bounds."""
+        return self._child(bounds, frozenset(focus), base)
+
+    def _child(self, bounds: Bounds, focus: frozenset, base: BaseOracle) -> "Instance":
+        """A copy at other bounds, focus or base, made with this instance's
+        slack moved to its bounds, touching the changed bounds only
+        (`ExtArray.shift_cut`), and then to its base (`ExtArray.swap_base`)."""
+        out = Instance(self.digraph, bounds, base, focus)
+        slack = self.slack.shift_cut(self.digraph, self.bounds, bounds)
+        if base is not self.base:
+            slack = slack.swap_base(self.base.values, base.values)
+        out.__dict__["slack"] = slack
         return out
 
 
@@ -204,28 +213,28 @@ def find_feasible(inst: Instance, saturating=frozenset()) -> tuple:
     d = inst.digraph
     lower = list(inst.bounds.lower)
     upper = list(inst.bounds.upper)
-    shape = (2,) * d.node_count
     slack = inst.slack
     bound = slack.bound
     fin = slack.fin.copy()
-    fin_view = fin.reshape(shape)
     # +inf terms per subset, None when there are none; p(z) = -inf counts
     # as one (no p(z) = +inf survives find_violator)
-    infs = slack.pos.reshape(shape).copy() if slack.pos.any() else None
-    for e, (enter, leave) in enumerate(d.arc_views):
+    infs = slack.pos.copy() if slack.pos.any() else None
+    for e, (shape, enter, leave) in enumerate(d.arc_views):
         if lower[e] == upper[e]:
             continue
         lo: ExtInt = lower[e]
         hi: ExtInt = upper[e]
         hi_inf, lo_inf = hi is POS_INF, lo is NEG_INF
         hi_fin, lo_fin = (0 if hi_inf else hi), (0 if lo_inf else lo)
+        fin_view = fin.reshape(shape)
+        inf_view = None if infs is None else infs.reshape(shape)
         # Only subsets whose sole infinite term is e's own bound constrain
         # t; `none` exceeds every |slack| and marks that there is none.
         none = bound + 1
         # e enters z: t >= p(z) - rest = upper[e] - slack(z)
         least = np.minimum.reduce(
             fin_view[enter], None, initial=none,
-            where=True if infs is None else infs[enter] == hi_inf)
+            where=True if inf_view is None else inf_view[enter] == hi_inf)
         if least < none:
             c = hi_fin - int(least)
             if c > lo:
@@ -233,7 +242,7 @@ def find_feasible(inst: Instance, saturating=frozenset()) -> tuple:
         # e leaves z: t <= rest - p(z) = slack(z) + lower[e]
         least = np.minimum.reduce(
             fin_view[leave], None, initial=none,
-            where=True if infs is None else infs[leave] == lo_inf)
+            where=True if inf_view is None else inf_view[leave] == lo_inf)
         if least < none:
             c = lo_fin + int(least)
             if c < hi:
@@ -251,9 +260,9 @@ def find_feasible(inst: Instance, saturating=frozenset()) -> tuple:
         if val != lo_fin:
             fin_view[leave] += lo_fin - val
         if hi_inf:
-            infs[enter] -= 1
+            inf_view[enter] -= 1
         if lo_inf:
-            infs[leave] -= 1
+            inf_view[leave] -= 1
     x = tuple(lower)
     if not membership(inst, x):
         raise CertificateError("constructed flow failed membership check")
@@ -274,12 +283,13 @@ def exchange_capacity(base: BaseOracle, y: Sequence[int], s: int, t: int) -> Ext
 def _exchange_capacity(base: BaseOracle, sums: np.ndarray, s: int, t: int) -> ExtInt:
     """`exchange_capacity` read off the subset sums of y."""
     p = base.values
-    masks = np.arange(1 << base.n)
-    separating = ((masks >> s) & 1 == 1) & ((masks >> t) & 1 == 0) & (p.pos == 0) & (p.neg == 0)
+    shape, holds_s, _ = crossing_views(base.n, s, t)
+    sums, fin, pos, neg = (a.reshape(shape)[holds_s] for a in (sums, p.fin, p.pos, p.neg))
+    separating = (pos == 0) & (neg == 0)
     if not separating.any():
         return POS_INF
     dtype = int_dtype(int(np.abs(sums).max()) + p.bound)
-    slack = sums[separating].astype(dtype) - p.fin[separating].astype(dtype)
+    slack = sums[separating].astype(dtype) - fin[separating].astype(dtype)
     return int(slack.min())
 
 

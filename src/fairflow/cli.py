@@ -317,8 +317,9 @@ def _parse_mixed(doc: dict) -> Tuple[MixedGraph, List[str], Optional[dict]]:
 
 
 def _emit(doc: dict) -> None:
-    json.dump(doc, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    # one write: `json.dump` writes piece by piece, and an unbuffered
+    # stdout (python -u) turns each piece into its own system call
+    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _load(path: str) -> dict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Sequence, Union
 
 MAX_NODES = 20
@@ -99,6 +99,21 @@ def all_subsets(n: int) -> range:
     return range(1 << n)
 
 
+@cache
+def crossing_views(n: int, inside: int, outside: int) -> tuple:
+    """(shape, enter, leave) for two distinct nodes of an n-node ground
+    set.  `shape` reshapes an all-subsets array to
+    (2^(n-1-hi), 2, 2^(hi-1-lo), 2, 2^lo), where hi > lo are the two
+    nodes; `enter` indexes the subsets that hold `inside` and avoid
+    `outside`, `leave` those that hold `outside` and avoid `inside`.
+    Either gives a view on three free axes, not a copy."""
+    hi, lo = max(inside, outside), min(inside, outside)
+    shape = (1 << (n - 1 - hi), 2, 1 << (hi - 1 - lo), 2, 1 << lo)
+    up = int(inside == hi)  # bit hi of the subsets that hold `inside`
+    every = slice(None)
+    return (shape, (every, up, every, 1 - up, every), (every, 1 - up, every, up, every))
+
+
 @dataclass(frozen=True)
 class Digraph:
     """Loopless digraph with positional arc ids; parallel arcs are distinct."""
@@ -125,18 +140,9 @@ class Digraph:
 
     @cached_property
     def arc_views(self) -> tuple:
-        """Per arc, the index of the subsets it enters and of those it
-        leaves, into an all-subsets array reshaped to (2,) * node_count.
-        Slicing with either gives a view, not a copy."""
-        n = self.node_count
-
-        def crossing(inside: int, outside: int) -> tuple:
-            index = [slice(None)] * n
-            index[n - 1 - inside] = slice(1, 2)  # bit v is axis n - 1 - v
-            index[n - 1 - outside] = slice(0, 1)
-            return tuple(index)
-
-        return tuple((crossing(h, t), crossing(t, h)) for t, h in self.arcs)
+        """Per arc (t, h), `crossing_views(node_count, h, t)`: the shape
+        and the indices of the subsets it enters and of those it leaves."""
+        return tuple(crossing_views(self.node_count, h, t) for t, h in self.arcs)
 
 
 @dataclass(frozen=True)

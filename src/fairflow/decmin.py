@@ -206,7 +206,7 @@ def predecmin_phase(inst: Instance) -> Tuple[PhaseTrace, Instance]:
     for e in l_prime:
         if not (beta - 1 <= res.bounds.lower[e] and res.bounds.upper[e] == beta):
             raise CertificateError("narrow box violated on a pinned arc")
-    narrowed = Instance(inst.digraph, res.bounds, res.face_base, focus - l_prime)
+    narrowed = inst.with_face(res.bounds, res.face_base, focus - l_prime)
     trace = PhaseTrace(beta, l_beta, res.chain, l_prime, res.bounds)
     return trace, narrowed
 

@@ -9,10 +9,13 @@ chain, and `principal_sets`, the per-node meet of a mask family that the jump
 structure and the exchange arcs of the min-cost auxiliary digraph read.
 
 Whole-table computations (subset sums, cut values, slacks) run on numpy
-arrays indexed by bitmask: see `subset_sums` and `ExtArray`.  One loop
-adds and removes the bound terms of a cut table: `ExtArray.plus_cut`
-moves every bound from 0, `ExtArray.shift_cut` from one set of bounds to
-another, so a slack derives from that of the instance it was copied from.  A
+arrays indexed by bitmask: see `subset_sums` and `ExtArray`.  The subsets
+an arc crosses are a view on three free axes of such an array
+(`core.crossing_views`), and one loop adds and removes the bound terms of
+a cut table, one view per changed side: `ExtArray.plus_cut` moves every
+bound from 0, `ExtArray.shift_cut` from one set of bounds to another.
+`ExtArray.swap_base` replaces the base table a slack subtracts, so a slack
+derives from that of the instance it was copied from, on a face too.  A
 `BaseOracle` owns its bounding function as one `ExtArray`, built once by
 each constructor (`ExtArray.from_values` converts a dense list,
 `ExtArray.scatter` the listed entries of a sparse table); slacks,
@@ -157,45 +160,60 @@ class ExtArray:
                                            old.lower, new.lower))
 
     def _move_cut(self, digraph: Digraph, arcs) -> "ExtArray":
-        """Move the cut terms of each arc, given as (views, old upper, new
-        upper, old lower, new lower), from its old bounds to its new ones.
+        """Move the cut terms of each arc, given as (crossing views, old
+        upper, new upper, old lower, new lower), from its old bounds to its
+        new ones.
 
         An upper bound is a term on the subsets its arc enters and a lower
-        bound a negated term on those it leaves, each a strided view: one
-        array operation per changed side.  A +inf term is a +inf count
-        instead, so `pos` is copied to int64 counts only when one moves,
-        and shared otherwise.  The bound moves by the change of the finite
-        absolute values; the sums are taken in a dtype that also holds
-        every partial result, which may exceed both bounds.
+        bound a negated term on those it leaves, each a strided view on
+        three free axes (`Digraph.arc_views`): one array operation per
+        changed side.  A +inf term is a +inf count instead, so `pos` is
+        copied to int64 counts only when one moves, and shared otherwise.
+        The bound moves by the change of the finite absolute values; the
+        sums are taken in a dtype that also holds every partial result,
+        which may exceed both bounds.
         """
-        moves = []  # (subsets, old term, new term) of each changed side
-        for (enter, leave), was_hi, hi, was_lo, lo in arcs:
+        moves = []  # (shape, subsets, old term, new term) of each changed side
+        for (shape, enter, leave), was_hi, hi, was_lo, lo in arcs:
             if was_hi != hi:
-                moves.append((enter, was_hi, hi))
+                moves.append((shape, enter, was_hi, hi))
             if was_lo != lo:
-                moves.append((leave, -was_lo, -lo))
+                moves.append((shape, leave, -was_lo, -lo))
         if not moves:
             return self
         bound, partial, counts = self.bound, self.bound, False
-        for _, a, b in moves:
+        for _, _, a, b in moves:
             a_inf, b_inf = a is POS_INF, b is POS_INF
             counts = counts or a_inf or b_inf
             bound += (0 if b_inf else abs(b)) - (0 if a_inf else abs(a))
             partial += 0 if b_inf else abs(b)
-        shape = (2,) * digraph.node_count
         fin = self.fin.astype(int_dtype(partial))
         pos = self.pos.astype(np.int64) if counts else self.pos
-        fin_view, pos_view = fin.reshape(shape), pos.reshape(shape)
-        for index, a, b in moves:
+        for shape, index, a, b in moves:
             if a is POS_INF:
-                pos_view[index] -= 1
+                pos.reshape(shape)[index] -= 1
                 a = 0
             if b is POS_INF:
-                pos_view[index] += 1
+                pos.reshape(shape)[index] += 1
                 b = 0
             if a != b:
-                fin_view[index] += b - a
+                fin.reshape(shape)[index] += b - a
         return ExtArray(fin.astype(int_dtype(bound), copy=False), pos, self.neg, bound)
+
+    def swap_base(self, old: "ExtArray", new: "ExtArray") -> "ExtArray":
+        """A slack, a cut table minus the table `old`, as the same cut
+        table minus `new`: equal to a `plus_cut` of -new at the same
+        bounds, `fin` dtype included.  A cut table holds no -inf term, so
+        this array's -inf terms are those of -old; its +inf terms lose
+        those of -old and gain those of -new."""
+        bound = self.bound - old.bound + new.bound
+        dtype = int_dtype(self.bound + old.bound + new.bound)  # every partial sum
+        fin = self.fin.astype(dtype)
+        fin += old.fin.astype(dtype, copy=False)
+        fin -= new.fin.astype(dtype, copy=False)
+        # bools when no +inf bound term moved in, so the +inf terms are old.neg
+        pos = new.neg if self.pos.dtype == bool else self.pos - old.neg + new.neg
+        return ExtArray(fin.astype(int_dtype(bound), copy=False), pos, new.pos, bound)
 
     def value(self, mask: int) -> ExtInt:
         """One entry as an exact extended integer.  Infinities of both signs

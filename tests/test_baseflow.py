@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fairflow import baseflow
-from fairflow.core import Bounds, Digraph, NEG_INF, POS_INF, is_finite, node_net_inflow
+from fairflow.core import Bounds, Chain, Digraph, NEG_INF, POS_INF, is_finite, node_net_inflow
 from fairflow.baseflow import (
     CertificateError,
     DualPotential,
@@ -36,7 +36,10 @@ from conftest import (
     all_small_digraphs,
     ext_array_parts,
     feasible_corpus,
+    random_base,
     random_bounds,
+    random_chain,
+    random_finite_supermodular,
     random_instance,
 )
 
@@ -122,24 +125,43 @@ def random_bounds_with_infinities(rng, m):
     return Bounds(tuple(lower), tuple(upper))
 
 
+def random_rebound(rng, b):
+    """The bounds `b` with fresh bounds on some arcs."""
+    arcs = rng.sample(range(len(b)), rng.randint(1, len(b)))
+    fresh = random_bounds_with_infinities(rng, len(b))
+    lower, upper = list(b.lower), list(b.upper)
+    for e in arcs:
+        lower[e], upper[e] = fresh.lower[e], fresh.upper[e]
+    return Bounds(tuple(lower), tuple(upper))
+
+
 def random_copy(rng, inst):
     """A `with_bounds` copy with fresh bounds on some arcs, or a
     `with_focus` copy that drops some focus arcs."""
     if rng.random() < 0.6:
-        b = inst.bounds
-        arcs = rng.sample(range(len(b)), rng.randint(1, len(b)))
-        fresh = random_bounds_with_infinities(rng, len(b))
-        lower, upper = list(b.lower), list(b.upper)
-        for e in arcs:
-            lower[e], upper[e] = fresh.lower[e], fresh.upper[e]
-        return inst.with_bounds(Bounds(tuple(lower), tuple(upper)))
+        return inst.with_bounds(random_rebound(rng, inst.bounds))
     return inst.with_focus(e for e in inst.focus if rng.random() < 0.7)
 
 
+def random_wide_base(rng, n):
+    """A `random_base`, or a finite one with values near 2^58."""
+    if rng.random() < 0.6 or n == 1:
+        return random_base(rng, n)
+    table = random_finite_supermodular(rng, n)
+    return BaseOracle.from_table(n, [(v << 56) + rng.choice((0, 1)) * v for v in table])
+
+
+def random_face(rng, base):
+    """The face of `base` along a random chain of its finite sets."""
+    p = base.values
+    members = [c for c in random_chain(rng, base.n) if not (p.pos[c] or p.neg[c])]
+    return base.face_contract(Chain(base.n, tuple(members)))
+
+
 class TestDerivedSlack:
-    """`with_bounds` / `with_focus` copies are made with the slack of the
-    instance they were made from moved to their bounds; it must equal a
-    fresh `plus_cut`."""
+    """`with_bounds` / `with_focus` / `with_face` copies are made with the
+    slack of the instance they were made from moved to their bounds and
+    base; it must equal a fresh `plus_cut`."""
 
     def test_chains_match_a_rebuild(self):
         rng = random.Random(18)
@@ -158,6 +180,36 @@ class TestDerivedSlack:
                 assert ext_array_parts(inst.slack) == ext_array_parts(fresh_slack(inst))
         # values past 2^62 widened some to Python ints
         assert copies > 500 and wide > 100
+
+    def test_face_copies_match_a_rebuild(self):
+        # `with_face` copies, on faces of bases with -inf entries and of
+        # bases with values near 2^58, mixed with bound and focus copies
+        rng = random.Random(24)
+        graphs = [d for d in all_small_digraphs(4, 4) if d.arc_count]
+        faces = unbounded = near = wide = counted = 0
+        for _ in range(300):
+            d = rng.choice(graphs)
+            inst = Instance(d, random_bounds_with_infinities(rng, d.arc_count),
+                            random_wide_base(rng, d.node_count))
+            inst.slack  # the one build, at the root
+            for _ in range(rng.randint(1, 6)):
+                with mock.patch.object(baseflow.ExtArray, "plus_cut", autospec=True,
+                                       side_effect=baseflow.ExtArray.plus_cut) as spy:
+                    if rng.random() < 0.5:
+                        inst = inst.with_face(random_rebound(rng, inst.bounds),
+                                              random_face(rng, inst.base), inst.focus)
+                        faces += 1
+                    else:
+                        inst = random_copy(rng, inst)
+                assert spy.call_count == 0
+                unbounded += bool(inst.base.values.neg.any())
+                wide += inst.slack.fin.dtype == object
+                near += inst.base.values.bound >> 56 > 0 and inst.slack.fin.dtype == np.int64
+                counted += inst.slack.pos.dtype == np.int64
+                fresh = fresh_slack(inst)
+                assert ext_array_parts(inst.slack) == ext_array_parts(fresh)
+                assert inst.slack.neg is inst.base.values.pos
+        assert faces > 400 and unbounded > 100 and near > 50 and wide > 100 and counted > 100
 
     def test_one_plus_cut_per_chain_at_its_root(self):
         # chains that move bounds between finite values and infinities

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import random
@@ -336,6 +337,36 @@ def test_parser_built_once(capsys, monkeypatch):
     assert code == EXIT_OK and "min_cost_witness" not in json.loads(out)
     assert run(capsys, "orient", path("triangle.json"))[0] == EXIT_OK
     assert len(built) <= 1
+
+
+class CountingRaw(io.RawIOBase):
+    """A raw output stream that records each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def writable(self):
+        return True
+
+    def write(self, b):
+        self.writes.append(bytes(b))
+        return len(b)
+
+
+@pytest.mark.parametrize("argv", [("solve", "--min-cost", "i1.json"), ("check", "infeasible.json"),
+                                  ("orient", "triangle.json")])
+def test_each_document_is_one_write(monkeypatch, argv):
+    # python -u wraps the raw stdout as a write-through text layer, where
+    # every write reaches the raw stream as its own system call
+    raw = CountingRaw()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8",
+                                                        write_through=True))
+    main([*argv[:-1], path(argv[-1])])
+    assert len(raw.writes) == 1
+    text = raw.writes[0].decode()
+    streamed = io.StringIO()  # the same document written piece by piece
+    json.dump(json.loads(text), streamed, sort_keys=True, indent=2)
+    assert text == streamed.getvalue() + "\n"
 
 
 class TestVerify:

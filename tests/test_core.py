@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from fairflow.core import (
@@ -11,6 +12,7 @@ from fairflow.core import (
     POS_INF,
     chain_classify,
     chain_entering_count,
+    crossing_views,
     cut_in_sum,
     cut_net,
     decmin_compare,
@@ -56,6 +58,33 @@ class TestDigraph:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             Digraph(2, ((0, 2),))
+
+    @staticmethod
+    def crossing_masks(n, inside, outside):
+        masks = np.arange(1 << n)
+        shape, enter, leave = crossing_views(n, inside, outside)
+        views = masks.reshape(shape)[enter], masks.reshape(shape)[leave]
+        assert all(v.ndim == 3 and np.shares_memory(v, masks) for v in views)
+        return [sorted(v.ravel().tolist()) for v in views]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_crossing_views_select_the_crossing_sets(self, n):
+        for inside in range(n):
+            for outside in set(range(n)) - {inside}:
+                enter = [z for z in range(1 << n) if (z >> inside) & 1 and not (z >> outside) & 1]
+                leave = [z for z in range(1 << n) if (z >> outside) & 1 and not (z >> inside) & 1]
+                assert self.crossing_masks(n, inside, outside) == [enter, leave]
+
+    def test_crossing_views_at_max_nodes(self):
+        n, inside, outside = 20, 3, 17
+        z = np.arange(1 << n)
+        enter = z[((z >> inside) & 1 == 1) & ((z >> outside) & 1 == 0)].tolist()
+        leave = z[((z >> outside) & 1 == 1) & ((z >> inside) & 1 == 0)].tolist()
+        assert self.crossing_masks(n, inside, outside) == [enter, leave]
+
+    def test_arc_views_cross_each_arc(self):
+        d = Digraph(3, ((0, 2), (2, 1), (0, 2)))
+        assert d.arc_views == tuple(crossing_views(3, h, t) for t, h in d.arcs)
 
 
 class TestBounds:

@@ -294,15 +294,19 @@ class TestSolveDecmin:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_slack_rebuilds_grow_with_phases_not_probes(self, seed):
-        # per phase: the first probe on the new face, the Newton entering
-        # function and the lupmin instance; then the final witness.  The
-        # other probes derive their slack from the one before.
+        # one full build for the entry slack and one per Newton entering
+        # function; every probe, narrowed face and the final witness derive
+        # their slack from the instance they were made from
         inst = levels_instance(10, seed)
         with mock.patch.object(ExtArray, "plus_cut", autospec=True,
                                side_effect=ExtArray.plus_cut) as rebuilds, \
-                mock.patch.object(decmin, "find_violator", wraps=find_violator) as probes:
+                mock.patch.object(decmin, "find_violator", wraps=find_violator) as probes, \
+                mock.patch.object(decmin, "newton_dinkelbach",
+                                  wraps=decmin.newton_dinkelbach) as newton:
             phases = len(solve_decmin(inst).traces)
-        assert rebuilds.call_count <= 3 * phases + 2 < probes.call_count
+        assert rebuilds.call_count == 1 + newton.call_count
+        assert (rebuilds.call_count, probes.call_count, phases) == {
+            1: (4, 15, 3), 2: (3, 12, 2)}[seed]
 
 
 class TestMinCostDecmin:
