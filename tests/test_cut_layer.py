@@ -90,7 +90,7 @@ def ref_membership(inst, x):
     return all(cut_net(d, x, z) >= p(z) for z in range(1 << d.node_count))
 
 
-def ref_find_feasible(inst):
+def ref_find_feasible(inst, saturating=frozenset()):
     hit = ref_find_violator(inst)
     if hit is not None:
         raise Infeasible(*hit)
@@ -129,14 +129,13 @@ def ref_find_feasible(inst):
                     hi = cand
         if not lo <= hi:
             raise CertificateError("coordinate-fixing interval collapsed on a feasible instance")
-        if lo is NEG_INF and hi is POS_INF:
-            val = 0
-        elif lo is NEG_INF:
-            val = min(0, hi)
-        elif hi is POS_INF:
-            val = max(0, lo)
-        else:
-            val = min(max(0, lo), hi)
+        # a saturating arc starts below its costlier last unit, g - 1 to g
+        start = min(0, upper[e] - 1) if e in saturating else 0
+        val = start
+        if lo is not NEG_INF and lo > val:
+            val = lo
+        if hi is not POS_INF and hi < val:
+            val = hi
         lower[e] = upper[e] = val
     x = tuple(lower)
     if not ref_membership(inst, x):
@@ -359,6 +358,12 @@ def test_scans_match_reference(inst, rng):
     got = outcome(find_feasible, fresh(inst))
     assert got == outcome(ref_find_feasible, inst)
     m = inst.digraph.arc_count
+    # lupmin's start on a subset of the arcs with finite bounds
+    b = inst.bounds
+    saturating = frozenset(e for e in range(m) if is_finite(b.lower[e])
+                           and is_finite(b.upper[e]) and rng.random() < 0.5)
+    assert (outcome(find_feasible, fresh(inst), saturating)
+            == outcome(ref_find_feasible, inst, saturating))
     candidates = [tuple(rng.choice((-1, 0, 1, HUGE)) for _ in range(m))]
     if got[0] == "ok":
         x = got[1]
