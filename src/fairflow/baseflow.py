@@ -100,7 +100,8 @@ class Instance:
         return self._child(self.bounds, frozenset(focus), self.base)
 
     def with_face(self, bounds: Bounds, base: BaseOracle, focus) -> "Instance":
-        """A copy on a face of the base polyhedron, at narrowed bounds."""
+        """One copy at other bounds, base and focus: on a face at narrowed
+        bounds, or at this instance's base (`base` is `self.base`)."""
         return self._child(bounds, frozenset(focus), base)
 
     def _child(self, bounds: Bounds, focus: frozenset, base: BaseOracle) -> "Instance":
@@ -203,66 +204,46 @@ def find_feasible(inst: Instance, saturating=frozenset()) -> tuple:
     that interval, then freeze the arc and continue.  Exactness of the
     interval makes the procedure never backtrack.
 
-    The slack vector of the instance is kept up to date as arcs are fixed:
-    fixing e touches only the subsets e enters or leaves, so each arc costs
-    O(2^n) and the whole pass O(m 2^n).
+    A copy of the instance's slack is kept up to date as arcs are fixed, by
+    the step that moves every cut table (`ExtArray._shift`): fixing e
+    touches only the subsets e enters or leaves, so each arc costs O(2^n)
+    and the whole pass O(m 2^n).
     """
     hit = find_violator(inst)
     if hit is not None:
         raise Infeasible(*hit)
-    d = inst.digraph
     lower = list(inst.bounds.lower)
     upper = list(inst.bounds.upper)
-    slack = inst.slack
-    bound = slack.bound
-    fin = slack.fin.copy()
-    # +inf terms per subset, None when there are none; p(z) = -inf counts
+    # +inf terms per subset as counts, or none at all; p(z) = -inf counts
     # as one (no p(z) = +inf survives find_violator)
-    infs = slack.pos.copy() if slack.pos.any() else None
-    for e, (shape, enter, leave) in enumerate(d.arc_views):
-        if lower[e] == upper[e]:
+    counted = bool(inst.slack.pos.any())
+    slack = inst.slack.copy(counted)
+    for e, (shape, enter, leave) in enumerate(inst.digraph.arc_views):
+        lo, hi = f, g = lower[e], upper[e]
+        if f == g:
             continue
-        lo: ExtInt = lower[e]
-        hi: ExtInt = upper[e]
-        hi_inf, lo_inf = hi is POS_INF, lo is NEG_INF
-        hi_fin, lo_fin = (0 if hi_inf else hi), (0 if lo_inf else lo)
-        fin_view = fin.reshape(shape)
-        inf_view = None if infs is None else infs.reshape(shape)
+        hi_inf, lo_inf = g is POS_INF, f is NEG_INF
+        hi_fin, lo_fin = (0 if hi_inf else g), (0 if lo_inf else f)
+        fin_view = slack.fin.reshape(shape)
+        inf_view = slack.pos.reshape(shape) if counted else None
         # Only subsets whose sole infinite term is e's own bound constrain
         # t; `none` exceeds every |slack| and marks that there is none.
-        none = bound + 1
+        none = slack.bound + 1
         # e enters z: t >= p(z) - rest = upper[e] - slack(z)
-        least = np.minimum.reduce(
-            fin_view[enter], None, initial=none,
-            where=True if inf_view is None else inf_view[enter] == hi_inf)
+        least = np.minimum.reduce(fin_view[enter], None, initial=none,
+                                  where=not counted or inf_view[enter] == hi_inf)
         if least < none:
-            c = hi_fin - int(least)
-            if c > lo:
-                lo = c
+            lo = max(lo, hi_fin - int(least))
         # e leaves z: t <= rest - p(z) = slack(z) + lower[e]
-        least = np.minimum.reduce(
-            fin_view[leave], None, initial=none,
-            where=True if inf_view is None else inf_view[leave] == lo_inf)
+        least = np.minimum.reduce(fin_view[leave], None, initial=none,
+                                  where=not counted or inf_view[leave] == lo_inf)
         if least < none:
-            c = lo_fin + int(least)
-            if c < hi:
-                hi = c
+            hi = min(hi, lo_fin + int(least))
         if not lo <= hi:
             raise CertificateError("coordinate-fixing interval collapsed on a feasible instance")
         val = min(max(min(0, hi_fin - 1) if e in saturating else 0, lo), hi)
         lower[e] = upper[e] = val
-        bound += max(abs(val - hi_fin), abs(lo_fin - val))
-        if int_dtype(bound) is object and fin.dtype != object:
-            fin = fin.astype(object)
-            fin_view = fin.reshape(shape)
-        if val != hi_fin:
-            fin_view[enter] += val - hi_fin
-        if val != lo_fin:
-            fin_view[leave] += lo_fin - val
-        if hi_inf:
-            inf_view[enter] -= 1
-        if lo_inf:
-            inf_view[leave] -= 1
+        slack._shift([(shape, enter, g, val), (shape, leave, -f, -val)])
     x = tuple(lower)
     if not membership(inst, x):
         raise CertificateError("constructed flow failed membership check")

@@ -330,6 +330,8 @@ def _load(path: str) -> dict:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise ParseError(f"JSON in {path} is nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     return doc

@@ -131,10 +131,10 @@ def compute_beta(inst: Instance) -> Tuple[int, Instance]:
             raise ValueError(f"arc {e}: focus must contain no tight arcs")
 
     def clamp(level: int, near: Instance) -> Instance:
-        """The clamp at a level; its slack derives from that of `near`."""
-        out = near.with_bounds(bounds.with_upper(
-            {e: max(bounds.lower[e], min(bounds.upper[e], level)) for e in focus}))
-        return out.with_focus(strip_tight(focus, out.bounds))
+        """The clamp at a level: `near` when its bounds are the clamp's,
+        else one copy of it, whose slack it moves."""
+        b = bounds.with_upper({e: max(bounds.lower[e], min(bounds.upper[e], level)) for e in focus})
+        return near if b == near.bounds else near.with_face(b, near.base, strip_tight(focus, b))
 
     levels = sorted({v for e in focus for v in (bounds.lower[e], bounds.upper[e])})
     lo, hi = 0, len(levels) - 1  # levels[hi] is feasible, those below lo are not
@@ -147,8 +147,8 @@ def compute_beta(inst: Instance) -> Tuple[int, Instance]:
             hi = mid
         else:
             lo, below = mid + 1, probe
-    if hi == 0:
-        return levels[0], clamp(levels[0], probe)
+    if hi == 0:  # the last probe, the only one at levels[0], was feasible
+        return levels[0], probe
     a = levels[hi - 1]
     moving = {e for e in focus if bounds.lower[e] <= a < bounds.upper[e]}
     mu, _ = newton_dinkelbach(_nd_slack_fn(below), _nd_entering_fn(inst, moving))
@@ -206,7 +206,7 @@ def predecmin_phase(inst: Instance) -> Tuple[PhaseTrace, Instance]:
     for e in l_prime:
         if not (beta - 1 <= res.bounds.lower[e] and res.bounds.upper[e] == beta):
             raise CertificateError("narrow box violated on a pinned arc")
-    narrowed = inst.with_face(res.bounds, res.face_base, focus - l_prime)
+    narrowed = inst.with_face(res.bounds, res.face_base, strip_tight(focus - l_prime, res.bounds))
     trace = PhaseTrace(beta, l_beta, res.chain, l_prime, res.bounds)
     return trace, narrowed
 
@@ -240,7 +240,6 @@ def solve_decmin(inst: Instance) -> SolveResult:
             break
         trace, cur = predecmin_phase(cur)
         traces.append(trace)
-        cur = cur.with_focus(strip_tight(cur.focus, cur.bounds))
     witness = cur.feasible_flow
     for e in original_focus:
         width = cur.bounds.upper[e] - cur.bounds.lower[e]

@@ -26,7 +26,8 @@ Two encodings are built from top:
   reverses the reference direction) and one in-degree arc per node from a
   private auxiliary node.  The point (dref, -h) sums to
   dref(Z & V) - h(Z >> n) over Z, so the envelope is the outer sum
-  subset_sums(dref) - top.  No solve runs on it.
+  subset_sums(dref) - top.  No command solves on it; the tests and
+  `scripts/scale.py orient` solve on it as the reference.
 """
 
 from __future__ import annotations
@@ -165,7 +166,8 @@ def _int_pair(pair) -> bool:
 def _indegree_bounds(mg: MixedGraph,
                      degree_bounds: Optional[Dict[int, Tuple[int, int]]]) -> tuple:
     """(lower, upper) in-degree per node: [0, total degree], narrowed by
-    the given degree bounds."""
+    the given degree bounds.  An empty interval raises
+    OrientationInfeasible with its node as the certificate."""
     lower = [0] * mg.node_count
     upper = list(_indegrees(mg.node_count, mg.arcs + mg.edges
                             + tuple((v, u) for u, v in mg.edges)))
@@ -175,7 +177,7 @@ def _indegree_bounds(mg: MixedGraph,
         lower[v], upper[v] = max(0, pair[0]), min(upper[v], pair[1])
     for v, (lo, hi) in enumerate(zip(lower, upper)):
         if lo > hi:
-            raise OrientationInfeasible(f"empty degree interval at node {v}")
+            raise OrientationInfeasible("empty degree interval", 1 << v)
     return tuple(lower), tuple(upper)
 
 

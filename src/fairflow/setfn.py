@@ -11,9 +11,10 @@ structure and the exchange arcs of the min-cost auxiliary digraph read.
 Whole-table computations (subset sums, cut values, slacks) run on numpy
 arrays indexed by bitmask: see `subset_sums` and `ExtArray`.  The subsets
 an arc crosses are a view on three free axes of such an array
-(`core.crossing_views`), and one loop adds and removes the bound terms of
-a cut table, one view per changed side: `ExtArray.plus_cut` moves every
-bound from 0, `ExtArray.shift_cut` from one set of bounds to another.
+(`core.crossing_views`), and one in-place step, `ExtArray._shift`, writes
+the bound terms of every cut table, one view per changed side: in a copy
+for `ExtArray.plus_cut` (every bound from 0) and `ExtArray.shift_cut`, and
+in `baseflow.find_feasible`'s own copy as each arc is fixed.
 `ExtArray.swap_base` replaces the base table a slack subtracts, so a slack
 derives from that of the instance it was copied from, on a face too.  A
 `BaseOracle` owns its bounding function as one `ExtArray`, built once by
@@ -162,16 +163,14 @@ class ExtArray:
     def _move_cut(self, digraph: Digraph, arcs) -> "ExtArray":
         """Move the cut terms of each arc, given as (crossing views, old
         upper, new upper, old lower, new lower), from its old bounds to its
-        new ones.
+        new ones: a copy moved by `_shift`, or this array when no bound
+        changes.
 
         An upper bound is a term on the subsets its arc enters and a lower
         bound a negated term on those it leaves, each a strided view on
-        three free axes (`Digraph.arc_views`): one array operation per
-        changed side.  A +inf term is a +inf count instead, so `pos` is
-        copied to int64 counts only when one moves, and shared otherwise.
-        The bound moves by the change of the finite absolute values; the
-        sums are taken in a dtype that also holds every partial result,
-        which may exceed both bounds.
+        three free axes (`Digraph.arc_views`): one move per changed side.
+        `pos` is copied to int64 counts only when a +inf term moves, and
+        shared otherwise.
         """
         moves = []  # (shape, subsets, old term, new term) of each changed side
         for (shape, enter, leave), was_hi, hi, was_lo, lo in arcs:
@@ -181,24 +180,36 @@ class ExtArray:
                 moves.append((shape, leave, -was_lo, -lo))
         if not moves:
             return self
-        bound, partial, counts = self.bound, self.bound, False
-        for _, _, a, b in moves:
-            a_inf, b_inf = a is POS_INF, b is POS_INF
-            counts = counts or a_inf or b_inf
-            bound += (0 if b_inf else abs(b)) - (0 if a_inf else abs(a))
-            partial += 0 if b_inf else abs(b)
-        fin = self.fin.astype(int_dtype(partial))
+        out = self.copy(any(a is POS_INF or b is POS_INF for _, _, a, b in moves))
+        out._shift(moves)
+        return out
+
+    def copy(self, counts: bool) -> "ExtArray":
+        """A copy that `_shift` may move: its own `fin`, and its own `pos`
+        as int64 counts when `counts`, else this array's."""
         pos = self.pos.astype(np.int64) if counts else self.pos
+        return ExtArray(self.fin.copy(), pos, self.neg, self.bound)
+
+    def _shift(self, moves) -> None:
+        """Move cut terms in place, each (shape, subsets, old term, new
+        term), on an array whose `fin` is its own, and whose `pos` is its
+        own int64 counts when a +inf term moves: a +inf term is a count.
+        The bound moves by the change of the finite absolute values; the
+        sums are taken in a dtype that also holds every partial result,
+        which may exceed both bounds."""
+        bound = partial = self.bound
+        for _, _, a, b in moves:
+            bound += (0 if b is POS_INF else abs(b)) - (0 if a is POS_INF else abs(a))
+            partial += 0 if b is POS_INF else abs(b)
+        fin = self.fin if partial < _INT64_SAFE else self.fin.astype(object, copy=False)
         for shape, index, a, b in moves:
-            if a is POS_INF:
-                pos.reshape(shape)[index] -= 1
-                a = 0
-            if b is POS_INF:
-                pos.reshape(shape)[index] += 1
-                b = 0
+            if a is POS_INF or b is POS_INF:
+                self.pos.reshape(shape)[index] += (b is POS_INF) - (a is POS_INF)
+                a, b = (0 if a is POS_INF else a), (0 if b is POS_INF else b)
             if a != b:
                 fin.reshape(shape)[index] += b - a
-        return ExtArray(fin.astype(int_dtype(bound), copy=False), pos, self.neg, bound)
+        self.fin = fin.astype(int_dtype(bound), copy=False) if partial >= _INT64_SAFE else fin
+        self.bound = bound
 
     def swap_base(self, old: "ExtArray", new: "ExtArray") -> "ExtArray":
         """A slack, a cut table minus the table `old`, as the same cut

@@ -296,6 +296,22 @@ class TestOrient:
         if expected == EXIT_INPUT:
             assert "degree_bounds['a']" in err
 
+    @pytest.mark.parametrize("interval, out", [
+        ([3, 5], {"certificate": ["a"], "error": "empty degree interval"}),
+        ([2, 2], {"error": "degree bounds admit no orientation"})],
+        ids=["empty-interval", "no-orientation"])
+    def test_degree_bounds_verdicts(self, capsys, tmp_path, interval, out):
+        # a has in-degree at most 2 on the edge triangle a, b, c, so [3, 5]
+        # is empty at a; every strong orientation gives a in-degree 1, so
+        # [2, 2] fails in the solve
+        doc = {"mixed_graph": {"nodes": ["a", "b", "c"],
+                               "edges": [["a", "b"], ["b", "c"], ["c", "a"]],
+                               "degree_bounds": {"a": interval}}}
+        src = tmp_path / "bounds.json"
+        src.write_text(json.dumps(doc))
+        code, got = run(capsys, "orient", str(src))
+        assert (code, json.loads(got)) == (EXIT_INFEASIBLE, out)
+
     def test_unorientable_fair_indegrees_exit_5(self, capsys, monkeypatch):
         # the flip solve failing on the fair in-degrees is an engine fault:
         # exit 5, never the exit 3 of an infeasible instance
@@ -567,6 +583,18 @@ class TestParsing:
         err = capsys.readouterr().err
         assert code == EXIT_INPUT
         assert err.startswith("error:") and field in err
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "orient", "verify"])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, command):
+    # the JSON decoder recurses once per level and used to let a
+    # RecursionError escape main
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 100_000 + "]" * 100_000)
+    code = main([command, str(src)])
+    err = capsys.readouterr().err
+    assert code == EXIT_INPUT
+    assert err == f"error: JSON in {src} is nested too deeply\n"
 
 
 @pytest.mark.parametrize("argv", [

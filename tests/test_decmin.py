@@ -164,7 +164,6 @@ class TestComputeBeta:
                     _, cur = ref_compute_beta(cur)
                     if cur.focus:
                         _, cur = predecmin_phase(cur)
-                        cur = cur.with_focus(strip_tight(cur.focus, cur.bounds))
 
     def test_matches_the_staircase(self):
         for work in self.phase_entries():
@@ -180,6 +179,30 @@ class TestComputeBeta:
                 compute_beta(work)
             assert probes.call_count <= probe_bound(work.digraph.arc_count)
             assert searches.call_count <= 1
+
+    def test_one_copy_per_probe(self):
+        # each clamp, the bisection's and the Newton one, is made in one
+        # copy at bounds its parent does not have (the parent's own bounds
+        # give the parent), and is probed; the least feasible level is
+        # returned as its probe, not clamped again
+        made_total = probe_total = newton_total = 0
+        for work in self.phase_entries():
+            made, probed = [], []
+            with mock.patch.object(Instance, "__post_init__", autospec=True,
+                                   side_effect=Instance.__post_init__) as made_spy, \
+                    mock.patch.object(decmin, "find_violator",
+                                      side_effect=lambda i: probed.append(i) or find_violator(i)), \
+                    mock.patch.object(decmin, "newton_dinkelbach",
+                                      wraps=newton_dinkelbach) as newton:
+                _, out = compute_beta(work)
+            made = [call.args[0] for call in made_spy.call_args_list]
+            assert {id(i) for i in made} == {id(i) for i in probed}
+            assert len(made) == len({id(i) for i in probed})
+            assert out is probed[-1]
+            made_total += len(made)
+            probe_total += len(probed)
+            newton_total += newton.call_count
+        assert (made_total, probe_total, newton_total) == (456, 501, 120)
 
 
 def ref_compute_beta(inst):
@@ -291,6 +314,29 @@ class TestSolveDecmin:
                 assert decmin_compare([p[e] for e in order],
                                       [ref[e] for e in order]) == 0
 
+
+    def test_copies_move_bounds_or_base(self):
+        # but for the entry strip, every copy a solve makes is at other
+        # bounds or on another base than the instance it is made from
+        instances = [levels_instance(n, seed) for n in range(2, 8) for seed in (1, 2)]
+        instances += [inst.with_focus(inst.digraph.arc_ids())
+                      for inst in feasible_corpus(83, 40, require_arcs=True)]
+        copies = 0
+        for inst in instances:
+            pairs = []
+
+            def child(self, bounds, focus, base, real=Instance._child):
+                pairs.append((self, real(self, bounds, focus, base)))
+                return pairs[-1][1]
+
+            with mock.patch.object(Instance, "_child", child):
+                solve_decmin(inst)
+            (parent, strip), *rest = pairs
+            assert parent is inst and strip.focus == strip_tight(inst.focus, inst.bounds)
+            assert all(out.bounds != parent.bounds or out.base is not parent.base
+                       for parent, out in rest)
+            copies += len(pairs)
+        assert copies == 330
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_slack_rebuilds_grow_with_phases_not_probes(self, seed):
