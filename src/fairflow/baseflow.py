@@ -219,9 +219,10 @@ def find_feasible(inst: Instance, saturating=frozenset()) -> tuple:
     counted = bool(inst.slack.pos.any())
     slack = inst.slack.copy(counted)
     for e, (shape, enter, leave) in enumerate(inst.digraph.arc_views):
-        lo, hi = f, g = lower[e], upper[e]
+        f, g = lower[e], upper[e]
         if f == g:
             continue
+        lo, hi = f, g  # narrowed below to the values that keep the rest feasible
         hi_inf, lo_inf = g is POS_INF, f is NEG_INF
         hi_fin, lo_fin = (0 if hi_inf else g), (0 if lo_inf else f)
         fin_view = slack.fin.reshape(shape)

@@ -130,8 +130,7 @@ def ref_find_feasible(inst, saturating=frozenset()):
         if not lo <= hi:
             raise CertificateError("coordinate-fixing interval collapsed on a feasible instance")
         # a saturating arc starts below its costlier last unit, g - 1 to g
-        start = min(0, upper[e] - 1) if e in saturating else 0
-        val = start
+        val = min(0, upper[e] - 1) if e in saturating else 0
         if lo is not NEG_INF and lo > val:
             val = lo
         if hi is not POS_INF and hi < val:

@@ -182,12 +182,12 @@ class TestComputeBeta:
 
     def test_one_copy_per_probe(self):
         # each clamp, the bisection's and the Newton one, is made in one
-        # copy at bounds its parent does not have (the parent's own bounds
-        # give the parent), and is probed; the least feasible level is
+        # copy and probed, unless its bounds are those of the instance it
+        # derives from, which it then is; the least feasible level is
         # returned as its probe, not clamped again
         made_total = probe_total = newton_total = 0
         for work in self.phase_entries():
-            made, probed = [], []
+            probed = []
             with mock.patch.object(Instance, "__post_init__", autospec=True,
                                    side_effect=Instance.__post_init__) as made_spy, \
                     mock.patch.object(decmin, "find_violator",
@@ -331,8 +331,8 @@ class TestSolveDecmin:
 
             with mock.patch.object(Instance, "_child", child):
                 solve_decmin(inst)
-            (parent, strip), *rest = pairs
-            assert parent is inst and strip.focus == strip_tight(inst.focus, inst.bounds)
+            (entry, strip), *rest = pairs
+            assert entry is inst and strip.focus == strip_tight(inst.focus, inst.bounds)
             assert all(out.bounds != parent.bounds or out.base is not parent.base
                        for parent, out in rest)
             copies += len(pairs)
