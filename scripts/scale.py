@@ -46,9 +46,13 @@ at most 2m focus bounds plus the check of the final clamp.
 in the bounds satisfies, p(Z) = psi_x(Z) + h(Z): psi_x the net in-flows
 of x, h a sum of one to three supermodular pair terms
 w (2 [u, v in Z] - [u in Z] - [v in Z]), which are at most 0.  It times
-`parse_instance` and `solve_decmin` on the parsed instance, and prints
-one JSON line per (n, seed).  It exits 1 when a parsed table differs
-from `BaseOracle.from_table` of the same values.
+`parse_instance` and `solve_decmin` on the parsed instance.  It also
+parses a copy of the document with its node list permuted, before the
+document on seed 1 and after it on seed 2: each permuted parse then
+follows a parse of the same names in another order, and seed 2's own
+parse follows seed 1's, whose key index it reuses.  Prints one JSON line
+per (n, seed), and exits 1 when a parsed table, in either node order,
+differs from `BaseOracle.from_table` of the same values.
 
     PYTHONPATH=src python scripts/scale.py table [n ...]   # default 16
 """
@@ -165,25 +169,54 @@ def table_doc(n, seed):
     return doc, table.tolist()
 
 
+def parse_table_doc(doc, table):
+    """(parsed instance, seconds, whether its table equals
+    `BaseOracle.from_table` of `table`)."""
+    t = time.perf_counter()
+    parsed = parse_instance(doc)
+    seconds = time.perf_counter() - t
+    got = parsed.instance.base.values
+    want = BaseOracle.from_table(len(doc["nodes"]), table).values
+    same = all(np.array_equal(a, b) for a, b in
+               ((got.fin, want.fin), (got.pos, want.pos), (got.neg, want.neg)))
+    return parsed, seconds, same
+
+
+def parse_permuted(n, seed, doc, table):
+    """Seconds and check of `parse_table_doc` on `doc` with its node list
+    permuted: node i of the copy is node order[i], so mask Z of the copy
+    is the mask of {order[i] : i in Z}, the subset sum of their bits."""
+    order = random.Random(f"table-order/{n}/{seed}").sample(range(n), n)
+    masks = subset_sums([1 << v for v in order])
+    permuted = {**doc, "nodes": [doc["nodes"][v] for v in order]}
+    _, seconds, same = parse_table_doc(permuted, np.asarray(table)[masks].tolist())
+    return seconds, same
+
+
+def table_record(n, seed):
+    """The JSON record of one `table` run; its document is freed when the
+    record is returned, before the next one is written."""
+    doc, table = table_doc(n, seed)
+    if seed == 1:
+        permuted_seconds, same_permuted = parse_permuted(n, seed, doc, table)
+    parsed, parse_seconds, same = parse_table_doc(doc, table)
+    t = time.perf_counter()
+    solve_decmin(parsed.instance)
+    solve_seconds = time.perf_counter() - t
+    if seed == 2:
+        permuted_seconds, same_permuted = parse_permuted(n, seed, doc, table)
+    return {"n": n, "seed": seed, "parse_s": round(parse_seconds, 3),
+            "solve_s": round(solve_seconds, 3), "same_table": same,
+            "permuted_parse_s": round(permuted_seconds, 3), "same_permuted": same_permuted}
+
+
 def time_table(sizes):
     ok = True
     for n in sizes:
         for seed in (1, 2):
-            doc, table = table_doc(n, seed)
-            t = time.perf_counter()
-            parsed = parse_instance(doc)
-            parse_seconds = time.perf_counter() - t
-            got = parsed.instance.base.values
-            want = BaseOracle.from_table(n, table).values
-            same = all(np.array_equal(a, b) for a, b in
-                       ((got.fin, want.fin), (got.pos, want.pos), (got.neg, want.neg)))
-            t = time.perf_counter()
-            solve_decmin(parsed.instance)
-            solve_seconds = time.perf_counter() - t
-            print(json.dumps({"n": n, "seed": seed, "parse_s": round(parse_seconds, 3),
-                              "solve_s": round(solve_seconds, 3), "same_table": same}),
-                  flush=True)
-            ok = ok and same
+            record = table_record(n, seed)
+            print(json.dumps(record), flush=True)
+            ok = ok and record["same_table"] and record["same_permuted"]
     return 0 if ok else 1
 
 

@@ -15,6 +15,8 @@ import sys
 from functools import cache
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from .core import (
     Bounds,
     Chain,
@@ -38,7 +40,7 @@ from .oracle import (
     window_from_bounds,
 )
 from .orient import MixedGraph, OrientationInfeasible, decmin_orientation
-from .setfn import BaseOracle, ExtArray
+from .setfn import BaseOracle, ExtArray, subset_sums
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -124,7 +126,7 @@ def parse_instance(doc: dict) -> ParsedInstance:
     if not isinstance(doc["arcs"], list):
         raise ParseError("arcs: expected a list")
     arcs = []
-    arc_names = []
+    arc_index = {}
     lower = []
     upper = []
     costs = []
@@ -132,12 +134,12 @@ def parse_instance(doc: dict) -> ParsedInstance:
         _expect_keys(arc, ("id", "tail", "head", "f", "g"), ("cost",), f"arc #{pos}")
         if not isinstance(arc["id"], str):
             raise ParseError(f"arc #{pos}: id must be a string")
-        if arc["id"] in arc_names:
+        if arc["id"] in arc_index:
             raise ParseError(f"arc #{pos}: duplicate id {arc['id']!r}")
         for end in ("tail", "head"):
             if not isinstance(arc[end], str) or arc[end] not in node_index:
                 raise ParseError(f"arc {arc['id']!r} {end}: unknown node {arc[end]!r}")
-        arc_names.append(arc["id"])
+        arc_index[arc["id"]] = pos
         arcs.append((node_index[arc["tail"]], node_index[arc["head"]]))
         lower.append(_parse_extint(arc["f"], f"arc {arc['id']!r} f"))
         upper.append(_parse_extint(arc["g"], f"arc {arc['id']!r} g"))
@@ -145,7 +147,6 @@ def parse_instance(doc: dict) -> ParsedInstance:
         if not isinstance(arc_cost, int) or isinstance(arc_cost, bool):
             raise ParseError(f"arc {arc['id']!r}: cost must be an integer")
         costs.append(arc_cost)
-    arc_index = {s: i for i, s in enumerate(arc_names)}
     if not isinstance(doc["F"], list):
         raise ParseError("F: expected a list of arc ids")
     focus = set()
@@ -163,7 +164,7 @@ def parse_instance(doc: dict) -> ParsedInstance:
     except (ValueError, ArithmeticError) as exc:
         raise ParseError(str(exc)) from exc
     cost = tuple(costs) if any("cost" in arc for arc in doc["arcs"]) else None
-    return ParsedInstance(inst, list(names), arc_names, doc["base"], cost)
+    return ParsedInstance(inst, list(names), list(arc_index), doc["base"], cost)
 
 
 def _parse_base(doc: dict, names: List[str], node_index: Dict[str, int]) -> BaseOracle:
@@ -202,16 +203,32 @@ def _parse_base(doc: dict, names: List[str], node_index: Dict[str, int]) -> Base
     raise ParseError(f"base.type: unknown kind {kind!r}")
 
 
+# The key index of the last table parsed on each node count n, with the
+# node names it was built for, in document order: {n: (names, index)}.
+# A cache only: an index is a function of its names and their order.
+_TABLE_INDEX: Dict[int, Tuple[Tuple[str, ...], Dict[str, int]]] = {}
+
+
 def _table_keys(names: List[str], node_index: Dict[str, int]) -> Dict[str, int]:
     """Every valid table key, mapped to its mask: the names of a node set
     in sorted order, joined by ','.  Each name in sorted order doubles the
-    list of keys."""
-    keys, masks = [""], [0]
-    for name in sorted(names):
-        bit, suffix = 1 << node_index[name], "," + name
-        keys += [name] + [k + suffix for k in keys[1:]]
-        masks += [m | bit for m in masks]
-    return dict(zip(keys, masks))
+    list of keys, so bit j of a key's position stands for the j-th name in
+    sorted order, and the masks are the subset sums of those names' bits.
+
+    The index depends on the names and on their order, which fixes the
+    bits.  The last one built for each node count is kept and reused for
+    the next document with the same names in the same order, so a batch
+    that shares its node lists builds each index once."""
+    n = len(names)
+    if _TABLE_INDEX.get(n, (None,))[0] != tuple(names):
+        _TABLE_INDEX.pop(n, None)  # free the old index before building
+        keys, bits = [""], []
+        for name in sorted(names):
+            suffix = "," + name
+            keys += [name] + [k + suffix for k in keys[1:]]
+            bits.append(1 << node_index[name])
+        _TABLE_INDEX[n] = (tuple(names), dict(zip(keys, subset_sums(bits).tolist())))
+    return _TABLE_INDEX[n][1]
 
 
 def _reject_key(key: str, node_index: Dict[str, int]):
@@ -230,12 +247,17 @@ def _parse_table(p: dict, names: List[str], node_index: Dict[str, int]) -> ExtAr
     """The table of a `table` base: the listed values at their keys' masks,
     -inf at every mask not listed.  Errors name the first bad key or value
     in document order, a key before its own value."""
-    keys, raw = list(p), list(p.values())
-    masks = list(map(_table_keys(names, node_index).get, keys))
-    stop = masks.index(None) if None in masks else len(keys)
+    index = _table_keys(names, node_index)
+    try:  # one lookup per key; a key not in the index gives None, a TypeError
+        masks = np.fromiter(map(index.get, p), np.int64, len(p))
+        stop = len(p)
+    except TypeError:
+        masks = list(map(index.get, p))
+        stop = masks.index(None)
+    raw = list(p.values())
     fin, minus = raw, []
     if set(map(type, raw)) - {int}:  # parse what is not a plain integer
-        fin = list(raw)
+        keys, fin = list(p), list(raw)
         for i in range(stop):
             if type(raw[i]) is not int:
                 v = _parse_extint(raw[i], f"base.p[{keys[i]!r}]")
@@ -246,8 +268,8 @@ def _parse_table(p: dict, names: List[str], node_index: Dict[str, int]) -> ExtAr
                     minus.append(masks[i])
                 else:
                     fin[i] = int(v)
-    if stop < len(keys):
-        _reject_key(keys[stop], node_index)
+    if stop < len(p):
+        _reject_key(list(p)[stop], node_index)
     return ExtArray.scatter(len(names), masks, fin, minus)
 
 

@@ -227,7 +227,8 @@ def solve_decmin(inst: Instance) -> SolveResult:
             raise ValueError(
                 f"arc {e}: focus bounds must be finite; finitize the instance first")
     original_focus = inst.focus
-    cur = inst.with_focus(strip_tight(inst.focus, inst.bounds))
+    focus = strip_tight(inst.focus, inst.bounds)
+    cur = inst if focus == inst.focus else inst.with_focus(focus)
     traces = []
     rounds = 0
     limit = len(cur.focus) + 1

@@ -19,7 +19,8 @@ in `baseflow.find_feasible`'s own copy as each arc is fixed.
 derives from that of the instance it was copied from, on a face too.  A
 `BaseOracle` owns its bounding function as one `ExtArray`, built once by
 each constructor (`ExtArray.from_values` converts a dense list,
-`ExtArray.scatter` the listed entries of a sparse table); slacks,
+`ExtArray.scatter` the listed entries of a sparse table, read as one
+int64 array unless a value needs Python ints); slacks,
 membership, face contraction, jump structures, exchange arcs, exchange
 capacities and `orient` read it, and reference and certificate readers
 use the scalar view `BaseOracle.p`.
@@ -124,10 +125,20 @@ class ExtArray:
         """A table over all 2^n masks from its listed entries: integer
         `fin[i]` at `masks[i]`, -inf at the masks in `minus` (their `fin`
         entries are 0) and at every mask not listed.  The masks must be
-        distinct."""
-        bound = max(max(fin, default=0), -min(fin, default=0))
+        distinct.
+
+        `fin` is read as one int64 array; when some |fin[i]| reaches 2^62,
+        or does not fit int64 at all, the table holds its exact Python
+        ints instead."""
+        try:
+            listed = np.fromiter(fin, np.int64, len(fin))
+            bound = max(int(listed.max(initial=0)), -int(listed.min(initial=0)))
+        except OverflowError:
+            bound = _INT64_SAFE
+        if bound >= _INT64_SAFE:
+            listed, bound = fin, max(max(fin, default=0), -min(fin, default=0))
         values = np.zeros(1 << n, dtype=int_dtype(bound))
-        values[masks] = fin
+        values[masks] = listed
         neg = np.ones(1 << n, dtype=bool)
         neg[masks] = False
         neg[minus] = True

@@ -4,10 +4,12 @@ import json
 import os
 import random
 import sys
+import time
 
 import numpy as np
 import pytest
 
+from fairflow import cli
 from fairflow.baseflow import find_feasible
 from fairflow.cli import (
     EXIT_INFEASIBLE,
@@ -32,6 +34,18 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 from scale import table_doc, time_table  # noqa: E402
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+
+# (key, value, message) of a bad table entry beside "" and "a,b" on nodes a, b
+BAD_TABLE_ENTRIES = [
+    ("b,a", 0, "must list sorted names"),
+    ("a,c", 0, "unknown node 'c'"),
+    ("a,a", 0, "repeated node"),
+    ("a", "+inf", r"\+inf values not allowed"),
+    ("a", True, "expected integer or infinity string"),
+    ("a", 1.5, "expected integer, '-inf' or '\\+inf', got 1.5"),
+    ("", False, r"base.p\[''\]: expected integer or infinity string"),
+]
+BAD_TABLE_IDS = ["unsorted", "unknown", "repeated", "pos-inf", "bool", "float", "bool-false"]
 
 
 def path(name):
@@ -459,15 +473,8 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_instance(doc)
 
-    @pytest.mark.parametrize("key, value, message", [
-        ("b,a", 0, "must list sorted names"),
-        ("a,c", 0, "unknown node 'c'"),
-        ("a,a", 0, "repeated node"),
-        ("a", "+inf", r"\+inf values not allowed"),
-        ("a", True, "expected integer or infinity string"),
-        ("a", 1.5, "expected integer, '-inf' or '\\+inf', got 1.5"),
-        ("", False, r"base.p\[''\]: expected integer or infinity string"),
-    ], ids=["unsorted", "unknown", "repeated", "pos-inf", "bool", "float", "bool-false"])
+    @pytest.mark.parametrize("key, value, message", BAD_TABLE_ENTRIES,
+                             ids=BAD_TABLE_IDS)
     def test_unsorted_table_key_rejected(self, key, value, message):
         doc = {
             "nodes": ["a", "b"],
@@ -476,6 +483,68 @@ class TestParsing:
             "base": {"type": "table", "p": {"": 0, key: value, "a,b": 0}},
         }
         with pytest.raises(ParseError, match=message):
+            parse_instance(doc)
+
+    @pytest.mark.parametrize("key, value, message", BAD_TABLE_ENTRIES,
+                             ids=BAD_TABLE_IDS)
+    def test_bad_table_entry_after_an_index_hit(self, monkeypatch, key, value, message):
+        # the same error whether the key index of ["a", "b"] is built for
+        # this document or kept from a valid one parsed before it
+        monkeypatch.setattr(cli, "_TABLE_INDEX", {})
+        doc = {"nodes": ["a", "b"], "arcs": [], "F": [],
+               "base": {"type": "table", "p": {"": 0, key: value, "a,b": 0}}}
+        good = {"nodes": ["a", "b"], "arcs": [], "F": [],
+                "base": {"type": "table", "p": {"": 0, "a": 0, "b": 0, "a,b": 0}}}
+        with pytest.raises(ParseError, match=message) as built:
+            parse_instance(doc)
+        parse_instance(good)
+        index = cli._TABLE_INDEX[2]
+        with pytest.raises(ParseError) as kept:
+            parse_instance(doc)
+        assert cli._TABLE_INDEX[2] is index
+        assert str(kept.value) == str(built.value)
+
+    @pytest.mark.parametrize("value", [(1 << 62) - 1, 1 << 62, 1 << 63, -(1 << 63) - 1],
+                             ids=["2^62-1", "2^62", "2^63", "-2^63-1"])
+    def test_table_values_at_the_int64_limits(self, value):
+        # an int64 table below 2^62; from there on, even past int64, an
+        # object table of exact Python ints, as BaseOracle.from_table builds
+        names = ["b", "a", "c"]
+        table = [0, value, NEG_INF, -1, NEG_INF, 3, -value, 0]
+        p = {"": 0, "b": value, "a,b": -1, "c": "-inf", "b,c": 3, "a,c": -value,
+             "a,b,c": 0}
+        doc = {"nodes": names, "arcs": [], "F": [], "base": {"type": "table", "p": p}}
+        got = parse_instance(doc).instance.base.values
+        want = BaseOracle.from_table(3, table).values
+        assert ext_array_parts(got) == ext_array_parts(want)
+        assert got.fin.dtype == (np.int64 if abs(value) < 1 << 62 else object)
+        if got.fin.dtype == object:
+            assert {type(v) for v in got.fin} == {int}
+
+    def test_table_masks_follow_the_node_order(self):
+        # the same names in another node order put the bits elsewhere, so
+        # a document in one order must not reuse the key index of another
+        p = {"": 0, "a": -1, "b": -2, "c": -3, "a,b": -4, "a,c": -5, "b,c": -6,
+             "a,b,c": 0}
+        for names in (["a", "b", "c"], ["c", "a", "b"], ["b", "c", "a"], ["a", "b", "c"]):
+            doc = {"nodes": names, "arcs": [], "F": [], "base": {"type": "table", "p": p}}
+            got = parse_instance(doc).instance.base.values
+            table = [p[",".join(sorted(names[v] for v in range(3) if (m >> v) & 1))]
+                     for m in range(8)]
+            assert ext_array_parts(got) == ext_array_parts(BaseOracle.from_table(3, table).values)
+
+    def test_many_arcs_parse_in_linear_time(self):
+        # the duplicate-id check scanned the ids read so far for every arc,
+        # so 32,000 arcs took seconds
+        m = 32_000
+        arcs = [{"id": f"e{i}", "tail": "a", "head": "b", "f": 0, "g": 1} for i in range(m)]
+        doc = {"nodes": ["a", "b", "c"], "arcs": arcs, "F": [], "base": {"type": "zero"}}
+        start = time.perf_counter()
+        parsed = parse_instance(doc)
+        assert time.perf_counter() - start < 3
+        assert parsed.arc_names == [a["id"] for a in arcs]
+        arcs.append(dict(arcs[17]))
+        with pytest.raises(ParseError, match=f"arc #{m}: duplicate id 'e17'"):
             parse_instance(doc)
 
     @pytest.mark.parametrize("p, message", [
@@ -539,12 +608,14 @@ class TestParsing:
 
     def test_scale_table_documents(self, capsys):
         # `scripts/scale.py table` writes supermodular tables, and its check
-        # that they parse back to the same values passes
+        # that they parse back to the same values, in either node order,
+        # passes
         for seed in (1, 2):
             _, table = table_doc(5, seed)
             assert check_pairs(SetFn(5, table), supermodular=True)[0]
         assert time_table([5, 11]) == 0
-        assert capsys.readouterr().out.count('"same_table": true') == 4
+        out = capsys.readouterr().out
+        assert out.count('"same_table": true') == out.count('"same_permuted": true') == 4
 
     def test_nonzero_point_sum_rejected(self):
         doc = {

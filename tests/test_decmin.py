@@ -316,8 +316,9 @@ class TestSolveDecmin:
 
 
     def test_copies_move_bounds_or_base(self):
-        # but for the entry strip, every copy a solve makes is at other
-        # bounds or on another base than the instance it is made from
+        # but for the entry strip, made only when a focus arc is tight,
+        # every copy a solve makes is at other bounds or on another base
+        # than the instance it is made from
         instances = [levels_instance(n, seed) for n in range(2, 8) for seed in (1, 2)]
         instances += [inst.with_focus(inst.digraph.arc_ids())
                       for inst in feasible_corpus(83, 40, require_arcs=True)]
@@ -331,12 +332,34 @@ class TestSolveDecmin:
 
             with mock.patch.object(Instance, "_child", child):
                 solve_decmin(inst)
-            (entry, strip), *rest = pairs
-            assert entry is inst and strip.focus == strip_tight(inst.focus, inst.bounds)
+            rest = pairs
+            if strip_tight(inst.focus, inst.bounds) != inst.focus:
+                (entry, strip), *rest = pairs
+                assert entry is inst and strip.focus == strip_tight(inst.focus, inst.bounds)
             assert all(out.bounds != parent.bounds or out.base is not parent.base
                        for parent, out in rest)
             copies += len(pairs)
-        assert copies == 330
+        assert copies == 295
+
+    def test_entry_strip_copies_only_when_a_focus_arc_is_tight(self):
+        # a solve whose focus has no tight arc starts from the instance
+        # itself; one with a tight focus arc makes one copy without it
+        tight = loose = 0
+        for inst in feasible_corpus(83, 40, require_arcs=True):
+            inst = inst.with_focus(inst.digraph.arc_ids())
+            strip = strip_tight(inst.focus, inst.bounds)
+            with mock.patch.object(Instance, "with_focus", autospec=True,
+                                   side_effect=Instance.with_focus) as spy:
+                res = solve_decmin(inst)
+            if strip == inst.focus:
+                loose += 1
+                assert spy.call_count == 0
+            else:
+                tight += 1
+                assert [c.args[1] for c in spy.call_args_list] == [strip]
+            assert sorted(enumerate_Q(res.final)) == sorted(
+                tuple(p) for p in brute_decmin(enumerate_Q(inst), inst.focus))
+        assert tight and loose
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_slack_rebuilds_grow_with_phases_not_probes(self, seed):
