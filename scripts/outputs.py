@@ -2,6 +2,8 @@
 
     python scripts/outputs.py record OUT [--seeds 1 2 11]
     python scripts/outputs.py diff A B
+    python scripts/outputs.py hash OUT [--seeds 1 2 11]
+    python scripts/outputs.py check HASHES [--seeds 1 2 11]
 
 `record` runs, in-process through `fairflow.cli.main`:
 - the bench corpora of every given seed (`bench/corpus.write_corpus`,
@@ -23,9 +25,18 @@ keeps every output byte-identical to its parent:
 
 `diff` lists the runs whose exit code, stdout or stderr differ, or that
 only one record has, and exits 1 if there are any.
+
+`hash` records and writes {run: SHA-256 of the JSON of [exit code, stdout,
+stderr]} to OUT; `check` records again and exits 1, listing each run whose
+hash differs from the one in HASHES, is missing from HASHES or is new to
+it.  The committed `scripts/outputs.sha256.json` holds the hashes of the
+default seeds, so `check scripts/outputs.sha256.json` tells whether a
+change kept every output byte-identical.  A change that alters outputs on
+purpose writes that file again with `hash` and names the changed runs.
 """
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -98,7 +109,8 @@ def call(cli, argv, directory):
     return [code] + [s.getvalue().replace(directory, "<dir>") for s in (out, err)]
 
 
-def record(out_path, seeds):
+def collect(seeds):
+    """{run: [exit code, stdout, stderr]} of every run."""
     from fairflow import cli
 
     print(f"recording fairflow from {os.path.dirname(cli.__file__)}", file=sys.stderr)
@@ -121,10 +133,34 @@ def record(out_path, seeds):
             for argv in FIXTURE_COMMANDS:
                 runs[" ".join(argv + [name])] = call(
                     cli, argv + [path], os.path.dirname(path))
+    return runs
+
+
+def write(out_path, record):
     with open(out_path, "w") as fh:
-        json.dump(runs, fh, indent=1, sort_keys=True)
-    print(f"{len(runs)} runs written to {out_path}", file=sys.stderr)
+        json.dump(record, fh, indent=1, sort_keys=True)
+    print(f"{len(record)} runs written to {out_path}", file=sys.stderr)
     return 0
+
+
+def hashes(runs):
+    """{run: SHA-256 hex digest of its [exit code, stdout, stderr] as JSON}."""
+    return {key: hashlib.sha256(json.dumps(run).encode()).hexdigest()
+            for key, run in runs.items()}
+
+
+def check(hashes_path, runs):
+    """Compare the hashes of `runs` with those in `hashes_path`; print each
+    run that differs, is missing or is new, and return 1 if any does."""
+    with open(hashes_path) as fh:
+        expected = json.load(fh)
+    got = hashes(runs)
+    differ = sorted(k for k in expected.keys() | got.keys() if expected.get(k) != got.get(k))
+    for key in differ:
+        state = "missing" if key not in got else "new" if key not in expected else "differs"
+        print(f"{key}: {state}")
+    print(f"{len(differ)} of {len(expected.keys() | got.keys())} runs differ")
+    return 1 if differ else 0
 
 
 def diff(a_path, b_path):
@@ -147,16 +183,23 @@ def diff(a_path, b_path):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p_record = sub.add_parser("record", help="run everything and write the outputs")
-    p_record.add_argument("out")
-    p_record.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 11])
+    for command, arg, text in (
+            ("record", "out", "run everything and write the outputs"),
+            ("hash", "out", "run everything and write the hash of each output"),
+            ("check", "hashes", "run everything and list the runs whose hash differs")):
+        p_run = sub.add_parser(command, help=text)
+        p_run.add_argument(arg)
+        p_run.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 11])
     p_diff = sub.add_parser("diff", help="list the runs two records disagree on")
     p_diff.add_argument("a")
     p_diff.add_argument("b")
     args = parser.parse_args()
-    if args.command == "record":
-        return record(args.out, args.seeds)
-    return diff(args.a, args.b)
+    if args.command == "diff":
+        return diff(args.a, args.b)
+    runs = collect(args.seeds)
+    if args.command == "check":
+        return check(args.hashes, runs)
+    return write(args.out, runs if args.command == "record" else hashes(runs))
 
 
 if __name__ == "__main__":

@@ -12,8 +12,8 @@ bound on the original digraph.  Each cycle search starts as Bellman-Ford
 from an all-zero source; when it settles, there is no negative cycle and
 its distances are the integer dual node potentials, and only when it
 does not is a fewest-arc cycle searched for layer by layer.  An instance
-is immutable, so it keeps the feasible flow of its one coordinate-fixing
-pass (`Instance.feasible_flow`).
+is immutable, so it keeps its cut-criterion verdict (`Instance.violator`)
+and the feasible flow of its one coordinate-fixing pass (`feasible_flow`).
 The binding contract of the solver is the certificate it returns, not the
 method: complementary slackness and tightness of every potential level set
 are verified before returning.
@@ -62,6 +62,8 @@ class CertificateError(Exception):
 
 @dataclass(frozen=True)
 class Instance:
+    """Immutable: its slack, verdict and feasible flow are each computed once."""
+
     digraph: Digraph
     bounds: Bounds
     base: BaseOracle
@@ -86,6 +88,16 @@ class Instance:
         made."""
         b = self.bounds
         return (-self.base.values).plus_cut(self.digraph, b.upper, b.lower)
+
+    @cached_property
+    def violator(self) -> Optional[Tuple[int, ExtInt]]:
+        """The verdict: the lowest-mask violating subset and its deficit, or None."""
+        s = self.slack
+        bad = s.neg | ((s.pos == 0) & (s.fin < 0))
+        zmask = int(bad.argmax())
+        if not bad[zmask]:
+            return None
+        return zmask, s.value(zmask)
 
     @cached_property
     def feasible_flow(self) -> tuple:
@@ -118,10 +130,9 @@ class Instance:
 
 @dataclass(frozen=True)
 class FeasCert:
-    """The verdict of `check_feasible`: a violating subset with its deficit,
-    or, for a feasible instance, an integral feasible flow.  The flow is
-    the instance's `feasible_flow`, built when `witness` is first read, so
-    a caller that needs only the verdict pays for the cut scan alone."""
+    """`Instance.violator` as `check_feasible` returns it: a violating subset
+    with its deficit, or, for a feasible instance, its `feasible_flow`, built
+    when `witness` is first read, so the verdict alone costs one cut scan."""
 
     instance: Instance
     violator: Optional[int] = None
@@ -167,25 +178,19 @@ def cut_slack(inst: Instance, zmask: int) -> ExtInt:
 
 
 def find_violator(inst: Instance) -> Optional[Tuple[int, ExtInt]]:
-    """First (lowest-mask) subset with negative feasibility slack, if any."""
-    s = inst.slack
-    bad = s.neg | ((s.pos == 0) & (s.fin < 0))
-    zmask = int(bad.argmax())
-    if not bad[zmask]:
-        return None
-    return zmask, s.value(zmask)
+    """The lowest-mask violating subset and its deficit: `Instance.violator`."""
+    return inst.violator
 
 
 def check_feasible(inst: Instance) -> FeasCert:
-    """Cut-criterion feasibility check with a constructive witness."""
-    hit = find_violator(inst)
-    if hit is not None:
-        return FeasCert(inst, *hit)
-    return FeasCert(inst)
+    """The instance's verdict (`Instance.violator`) with a constructive witness."""
+    return FeasCert(inst, *(inst.violator or ()))
 
 
 def membership(inst: Instance, x: Sequence[int]) -> bool:
-    """Is x an integral feasible base-flow of the instance?"""
+    """Is x, one value per arc, integral or exact (`Fraction`), a feasible base-flow?"""
+    if len(x) != inst.digraph.arc_count:
+        return False
     b = inst.bounds
     for e in range(inst.digraph.arc_count):
         if not (b.lower[e] <= x[e] <= b.upper[e]):
@@ -209,13 +214,12 @@ def find_feasible(inst: Instance, saturating=frozenset()) -> tuple:
     touches only the subsets e enters or leaves, so each arc costs O(2^n)
     and the whole pass O(m 2^n).
     """
-    hit = find_violator(inst)
-    if hit is not None:
-        raise Infeasible(*hit)
+    if inst.violator is not None:
+        raise Infeasible(*inst.violator)
     lower = list(inst.bounds.lower)
     upper = list(inst.bounds.upper)
     # +inf terms per subset as counts, or none at all; p(z) = -inf counts
-    # as one (no p(z) = +inf survives find_violator)
+    # as one (no p(z) = +inf survives the verdict)
     counted = bool(inst.slack.pos.any())
     slack = inst.slack.copy(counted)
     for e, (shape, enter, leave) in enumerate(inst.digraph.arc_views):
@@ -257,6 +261,12 @@ def exchange_capacity(base: BaseOracle, y: Sequence[int], s: int, t: int) -> Ext
     Equals the minimum slack (subset sum minus bounding value) over subsets
     containing s and avoiding t; +inf when no finite constraint separates.
     """
+    n = base.n
+    for name, v in (("s", s), ("t", t)):
+        if not 0 <= v < n:
+            raise ValueError(f"exchange endpoint {name} = {v} is not a node of the {n}-node base")
+    if len(y) != n:
+        raise ValueError(f"y has {len(y)} entries, not one per node of the {n}-node base")
     if s == t:
         raise ValueError("exchange endpoints must differ")
     return _exchange_capacity(base, subset_sums(y), s, t)

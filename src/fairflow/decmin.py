@@ -138,22 +138,22 @@ def compute_beta(inst: Instance) -> Tuple[int, Instance]:
 
     levels = sorted({v for e in focus for v in (bounds.lower[e], bounds.upper[e])})
     lo, hi = 0, len(levels) - 1  # levels[hi] is feasible, those below lo are not
-    probe = inst
+    probe = feasible = inst  # feasible: the clamp at levels[hi]
     while lo < hi:
         # the lowest probe within ceil(log2(#levels)); most calls pin every arc
         mid = max(lo, hi - (1 << ((hi - lo).bit_length() - 1)))
         probe = clamp(levels[mid], probe)
         if find_violator(probe) is None:
-            hi = mid
+            hi, feasible = mid, probe
         else:
             lo, below = mid + 1, probe
     if hi == 0:  # the last probe, the only one at levels[0], was feasible
-        return levels[0], probe
+        return levels[0], feasible
     a = levels[hi - 1]
     moving = {e for e in focus if bounds.lower[e] <= a < bounds.upper[e]}
     mu, _ = newton_dinkelbach(_nd_slack_fn(below), _nd_entering_fn(inst, moving))
     beta = a + mu
-    out = clamp(beta, probe)
+    out = clamp(beta, feasible)  # `feasible` itself when beta is its level
     if find_violator(out) is not None:
         raise CertificateError("clamp at the smallest good ratio is infeasible")
     if max(out.bounds.upper[e] for e in out.focus) != beta:

@@ -6,11 +6,11 @@ the base polyhedron never blocks (pairs u -> v with v inside the smallest
 finite-valued set containing u), plus the arcs with no lower bound and the
 reversals of non-focus arcs with no upper bound.  A dicircuit through a
 focus arc yields an endless improvement; absence of such circuits makes
-every focus bound finitizable without changing the optimal set.  Only a
-`+inf` focus upper bound costs a coordinate-fixing pass (its cap is the
+every focus bound finitizable without changing the optimal set.  The
+verdict is the instance's own (`Instance.violator`, one cut scan).  Only
+a `+inf` focus upper bound costs a coordinate-fixing pass (its cap is the
 maximum of a feasible flow); `-inf` focus lower bounds are read off the
-cut slack of a reachable set, and an instance whose focus upper bounds
-are all finite is finitized from its cut scan alone.
+cut slack of a reachable set.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import NEG_INF, POS_INF, is_finite
-from .baseflow import CertificateError, Infeasible, Instance, find_violator, membership
+from .baseflow import CertificateError, Infeasible, Instance, membership
 from .setfn import principal_sets
 
 
@@ -128,12 +128,12 @@ def improve_along_circuit(inst: Instance, z: Sequence, circuit, step=1):
 def finitize_bounds(inst: Instance) -> Instance:
     """Replace infinite focus bounds by finite ones with the same optimum.
 
-    Only an instance with a `+inf` focus upper bound pays for a feasible
-    witness (`Instance.feasible_flow`): its focus upper bounds are then
-    truncated at the witness maximum.  Otherwise the verdict is the cut
-    scan's (`find_violator` on the instance's slack), and the bounds are
-    read at the instance's own finite bounds.  Either way an infeasible
-    instance raises `Infeasible` with the lowest violating set.
+    An infeasible instance raises `Infeasible` with the lowest violating
+    set of its verdict (`Instance.violator`).  Only an instance with a
+    `+inf` focus upper bound then pays for a feasible witness
+    (`Instance.feasible_flow`): its focus upper bounds are truncated at
+    the witness maximum.  Otherwise the bounds are read at the instance's
+    own finite bounds.
 
     Finite focus upper bounds above every feasible value change no
     output: the clamp that `compute_beta` returns lowers them to the top
@@ -156,6 +156,8 @@ def finitize_bounds(inst: Instance) -> Instance:
     circuit = has_blocking_dicircuit(js, inst.focus)
     if circuit is not None:
         raise BlockingCircuit(circuit)
+    if inst.violator is not None:
+        raise Infeasible(*inst.violator)
     bounds = inst.bounds
     work = inst
     if any(bounds.upper[e] is POS_INF for e in inst.focus):
@@ -163,10 +165,6 @@ def finitize_bounds(inst: Instance) -> Instance:
         bounds = bounds.with_upper({e: cap for e in inst.focus
                                     if not is_finite(bounds.upper[e]) or bounds.upper[e] > cap})
         work = inst.with_bounds(bounds)
-    else:
-        hit = find_violator(inst)
-        if hit is not None:
-            raise Infeasible(*hit)
     lower_updates = {}
     for e in sorted(inst.focus):
         if bounds.lower[e] is not NEG_INF:

@@ -2,6 +2,7 @@ import itertools
 import os
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fairflow import baseflow
+from fairflow import baseflow, cli
 from fairflow.core import Bounds, Chain, Digraph, NEG_INF, POS_INF, is_finite, node_net_inflow
 from fairflow.baseflow import (
     CertificateError,
@@ -26,7 +27,7 @@ from fairflow.baseflow import (
     verify_optimality,
 )
 from fairflow import decmin
-from fairflow.decmin import solve_min_cost_decmin
+from fairflow.decmin import solve_decmin, solve_min_cost_decmin
 from fairflow.existence import finitize_bounds
 from fairflow.lupmin import lupmin_solve
 from fairflow.setfn import BaseOracle, subset_sums
@@ -45,7 +46,7 @@ from conftest import (
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "scripts"))
-from scale import MINCOST_COST, mincost_instance  # noqa: E402
+from scale import MINCOST_COST, levels_instance, mincost_instance  # noqa: E402
 
 
 class TestCheckFeasible:
@@ -87,10 +88,49 @@ class TestCheckFeasible:
         assert cert.witness == find_feasible(i1) and calls == [i1]
         assert cert.witness is cert.witness and len(calls) == 1  # built once
 
+    def test_membership_needs_one_value_per_arc(self, i1):
+        assert membership(i1, (1, 1))
+        assert not membership(i1, (1, 1, 7))
+        assert not membership(i1, (1,))
+        assert not membership(i1, ())
+
     def test_infeasible_witness_is_none(self, i1, monkeypatch):
         monkeypatch.setattr(baseflow, "find_feasible", mock.Mock(side_effect=AssertionError))
         cert = check_feasible(replace(i1, base=BaseOracle.from_table(2, [0, -3, 3, 0])))
         assert not cert.feasible and cert.witness is None
+
+
+@contextmanager
+def scanned_instances():
+    """Spy on the computation of `Instance.violator`: yields the list of
+    every instance whose slack was scanned, in order."""
+    verdict = Instance.__dict__["violator"]
+    real, scans = verdict.func, []
+    with mock.patch.object(verdict, "func", lambda inst: scans.append(inst) or real(inst)):
+        yield scans
+
+
+class TestOneVerdictPerInstance:
+    """An instance never changes, so its slack is scanned for a violator
+    once however many callers ask for its verdict: `check_feasible` in
+    `cmd_solve` and `solve_decmin`, `finitize_bounds`, `find_feasible`
+    and the probes of `compute_beta`."""
+
+    DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "i6.json"], ["solve", "--min-cost", "i1.json"], ["orient", "triangle.json"]])
+    def test_cli_runs(self, capsys, argv):
+        with scanned_instances() as scans:
+            assert cli.main(argv[:-1] + [os.path.join(self.DATA, argv[-1])]) == 0
+        capsys.readouterr()
+        assert scans and len({id(inst) for inst in scans}) == len(scans)
+
+    def test_phase_corpus(self):
+        with scanned_instances() as scans:
+            phases = sum(len(solve_decmin(levels_instance(n, seed)).traces)
+                         for n in range(2, 8) for seed in (1, 2))
+        assert phases and len({id(inst) for inst in scans}) == len(scans)
 
 
 def fresh_slack(inst):
@@ -359,6 +399,18 @@ class TestFindFeasible:
 
 
 class TestExchangeCapacity:
+    @pytest.mark.parametrize("y, s, t, match", [
+        ((1, -1), 2, 0, "endpoint s = 2 is not a node"),
+        ((1, -1), -1, 0, "endpoint s = -1 is not a node"),
+        ((1, -1), 0, 5, "endpoint t = 5 is not a node"),
+        ((1, -1, 0), 0, 1, "y has 3 entries"),
+        ((1,), 0, 1, "y has 1 entries"),
+    ], ids=["s-high", "s-negative", "t-high", "y-long", "y-short"])
+    def test_bad_arguments_named(self, b3_points, y, s, t, match):
+        base = BaseOracle.from_points(b3_points, 2)
+        with pytest.raises(ValueError, match=match):
+            exchange_capacity(base, y, s, t)
+
     def test_singleton_base(self):
         base = BaseOracle.zero(2)
         assert exchange_capacity(base, (0, 0), 0, 1) == 0
