@@ -2,8 +2,8 @@
 
     python scripts/outputs.py record OUT [--seeds 1 2 11]
     python scripts/outputs.py diff A B
-    python scripts/outputs.py hash OUT [--seeds 1 2 11]
-    python scripts/outputs.py check HASHES [--seeds 1 2 11]
+    python scripts/outputs.py hash RECORD OUT
+    python scripts/outputs.py check HASHES RECORD
 
 `record` runs, in-process through `fairflow.cli.main`:
 - the bench corpora of every given seed (`bench/corpus.write_corpus`,
@@ -26,13 +26,18 @@ keeps every output byte-identical to its parent:
 `diff` lists the runs whose exit code, stdout or stderr differ, or that
 only one record has, and exits 1 if there are any.
 
-`hash` records and writes {run: SHA-256 of the JSON of [exit code, stdout,
-stderr]} to OUT; `check` records again and exits 1, listing each run whose
-hash differs from the one in HASHES, is missing from HASHES or is new to
-it.  The committed `scripts/outputs.sha256.json` holds the hashes of the
-default seeds, so `check scripts/outputs.sha256.json` tells whether a
-change kept every output byte-identical.  A change that alters outputs on
-purpose writes that file again with `hash` and names the changed runs.
+`hash` reads a record and writes {run: SHA-256 of the JSON of [exit code,
+stdout, stderr]} to OUT; `check` reads a record and exits 1, listing each
+run whose hash differs from the one in HASHES, is missing from HASHES or
+is new to it.  The committed `scripts/outputs.sha256.json` holds the
+hashes of a record of the default seeds, so
+
+    PYTHONPATH=src python scripts/outputs.py record change.json
+    python scripts/outputs.py check scripts/outputs.sha256.json change.json
+
+tells whether a change kept every output byte-identical.  A change that
+alters outputs on purpose writes that file again with `hash` and names
+the changed runs.
 """
 
 import argparse
@@ -136,6 +141,11 @@ def collect(seeds):
     return runs
 
 
+def load(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def write(out_path, record):
     with open(out_path, "w") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
@@ -149,12 +159,11 @@ def hashes(runs):
             for key, run in runs.items()}
 
 
-def check(hashes_path, runs):
-    """Compare the hashes of `runs` with those in `hashes_path`; print each
-    run that differs, is missing or is new, and return 1 if any does."""
-    with open(hashes_path) as fh:
-        expected = json.load(fh)
-    got = hashes(runs)
+def check(hashes_path, record_path):
+    """Compare the hashes of the runs in `record_path` with those in
+    `hashes_path`; print each run that differs, is missing or is new, and
+    return 1 if any does."""
+    expected, got = load(hashes_path), hashes(load(record_path))
     differ = sorted(k for k in expected.keys() | got.keys() if expected.get(k) != got.get(k))
     for key in differ:
         state = "missing" if key not in got else "new" if key not in expected else "differs"
@@ -164,10 +173,7 @@ def check(hashes_path, runs):
 
 
 def diff(a_path, b_path):
-    with open(a_path) as fh:
-        a = json.load(fh)
-    with open(b_path) as fh:
-        b = json.load(fh)
+    a, b = load(a_path), load(b_path)
     differ = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
     for key in differ:
         if key not in a or key not in b:
@@ -183,23 +189,24 @@ def diff(a_path, b_path):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, arg, text in (
-            ("record", "out", "run everything and write the outputs"),
-            ("hash", "out", "run everything and write the hash of each output"),
-            ("check", "hashes", "run everything and list the runs whose hash differs")):
-        p_run = sub.add_parser(command, help=text)
-        p_run.add_argument(arg)
-        p_run.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 11])
-    p_diff = sub.add_parser("diff", help="list the runs two records disagree on")
-    p_diff.add_argument("a")
-    p_diff.add_argument("b")
+    p_record = sub.add_parser("record", help="run everything and write the outputs")
+    p_record.add_argument("out")
+    p_record.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 11])
+    for command, first, second, text in (
+            ("diff", "a", "b", "list the runs two records disagree on"),
+            ("hash", "record", "out", "write the hash of each run of a record"),
+            ("check", "hashes", "record", "list the runs of a record whose hash differs")):
+        p_cmd = sub.add_parser(command, help=text)
+        p_cmd.add_argument(first)
+        p_cmd.add_argument(second)
     args = parser.parse_args()
-    if args.command == "diff":
-        return diff(args.a, args.b)
-    runs = collect(args.seeds)
+    if args.command == "record":
+        return write(args.out, collect(args.seeds))
+    if args.command == "hash":
+        return write(args.out, hashes(load(args.record)))
     if args.command == "check":
-        return check(args.hashes, runs)
-    return write(args.out, runs if args.command == "record" else hashes(runs))
+        return check(args.hashes, args.record)
+    return diff(args.a, args.b)
 
 
 if __name__ == "__main__":

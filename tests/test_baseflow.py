@@ -44,8 +44,10 @@ from conftest import (
     random_instance,
 )
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                                "scripts"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "scripts"), os.path.join(ROOT, "bench")]
+import corpus  # noqa: E402
+from run import CORPUS_SIZE  # noqa: E402
 from scale import MINCOST_COST, levels_instance, mincost_instance  # noqa: E402
 
 
@@ -103,34 +105,80 @@ class TestCheckFeasible:
 @contextmanager
 def scanned_instances():
     """Spy on the computation of `Instance.violator`: yields the list of
-    every instance whose slack was scanned, in order."""
+    every instance whose slack was scanned, in order, and the set of ids of
+    the instances `predecmin_phase` probed for its precondition (the top
+    level lowered by one)."""
     verdict = Instance.__dict__["violator"]
     real, scans = verdict.func, []
-    with mock.patch.object(verdict, "func", lambda inst: scans.append(inst) or real(inst)):
-        yield scans
+    probe, preconditions = decmin.find_violator, set()
+
+    def find_violator(inst):
+        if sys._getframe(1).f_code is decmin.predecmin_phase.__code__:
+            preconditions.add(id(inst))
+        return probe(inst)
+
+    with mock.patch.object(verdict, "func", lambda inst: scans.append(inst) or real(inst)), \
+            mock.patch.object(decmin, "find_violator", find_violator):
+        yield scans, preconditions
+
+
+def repeat_scans(scans, preconditions):
+    """The number of scans of an instance equal to one scanned before (same
+    digraph and base objects, equal bounds), after asserting that no object
+    is scanned twice and that each such repeat is a precondition probe of
+    `predecmin_phase`, the one equal copy the solver makes on purpose."""
+    assert len({id(inst) for inst in scans}) == len(scans)
+    seen, repeats = set(), 0
+    for inst in scans:
+        key = (id(inst.digraph), id(inst.base), inst.bounds)
+        if key in seen:
+            assert id(inst) in preconditions, f"an equal copy scanned again at {inst.bounds}"
+            repeats += 1
+        seen.add(key)
+    return repeats
 
 
 class TestOneVerdictPerInstance:
     """An instance never changes, so its slack is scanned for a violator
     once however many callers ask for its verdict: `check_feasible` in
     `cmd_solve` and `solve_decmin`, `finitize_bounds`, `find_feasible`
-    and the probes of `compute_beta`."""
+    and the probes of `compute_beta`.  The pinned scan counts catch a new
+    scan of an instance the solver did not scan before."""
 
     DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
-    @pytest.mark.parametrize("argv", [
-        ["solve", "i6.json"], ["solve", "--min-cost", "i1.json"], ["orient", "triangle.json"]])
-    def test_cli_runs(self, capsys, argv):
-        with scanned_instances() as scans:
+    @pytest.mark.parametrize("argv, count, repeats", [
+        (["solve", "i6.json"], 4, 1),
+        (["solve", "--min-cost", "i1.json"], 2, 0),
+        (["orient", "triangle.json"], 6, 1)], ids=["solve", "min-cost", "orient"])
+    def test_cli_runs(self, capsys, argv, count, repeats):
+        with scanned_instances() as (scans, preconditions):
             assert cli.main(argv[:-1] + [os.path.join(self.DATA, argv[-1])]) == 0
         capsys.readouterr()
-        assert scans and len({id(inst) for inst in scans}) == len(scans)
+        assert (len(scans), repeat_scans(scans, preconditions)) == (count, repeats)
 
     def test_phase_corpus(self):
-        with scanned_instances() as scans:
+        with scanned_instances() as (scans, preconditions):
             phases = sum(len(solve_decmin(levels_instance(n, seed)).traces)
                          for n in range(2, 8) for seed in (1, 2))
-        assert phases and len({id(inst) for inst in scans}) == len(scans)
+        assert phases == len(preconditions) == 22
+        assert (len(scans), repeat_scans(scans, preconditions)) == (120, 22)
+
+    @pytest.mark.parametrize("workload, argv, count, repeats", [
+        ("solve-cut", ["solve"], 823, 107),
+        ("mincost-wide", ["solve", "--min-cost"], 411, 0),
+        ("orient-mixed", ["orient"], 1113, 54)],
+        ids=["solve-cut", "mincost-wide", "orient-mixed"])
+    def test_bench_corpus(self, tmp_path, capsys, workload, argv, count, repeats):
+        """One pass over the seed-1 bench corpus: 1,431 / 891 / 1,391 scans
+        when every caller scanned for itself, 579 / 480 / 212 of them of
+        an object scanned before."""
+        paths = corpus.write_corpus(workload, 1, CORPUS_SIZE, str(tmp_path))
+        with scanned_instances() as (scans, preconditions):
+            for path in paths:
+                cli.main(argv + [path])
+        capsys.readouterr()
+        assert (len(scans), repeat_scans(scans, preconditions)) == (count, repeats)
 
 
 def fresh_slack(inst):

@@ -15,14 +15,18 @@ RUNS = {
 }
 
 
-def hash_file(tmp_path, runs):
-    path = str(tmp_path / "hashes.json")
-    assert outputs.write(path, outputs.hashes(runs)) == 0
-    return path
+def check(tmp_path, runs):
+    """`check` of a record of `runs` against the hashes of a record of RUNS,
+    both written and hashed the way `record` and `hash` do."""
+    paths = {name: str(tmp_path / f"{name}.json") for name in ("expected", "got", "hashes")}
+    for name, record in (("expected", RUNS), ("got", runs)):
+        assert outputs.write(paths[name], record) == 0
+    assert outputs.write(paths["hashes"], outputs.hashes(outputs.load(paths["expected"]))) == 0
+    return outputs.check(paths["hashes"], paths["got"])
 
 
 def test_a_match_passes(tmp_path, capsys):
-    assert outputs.check(hash_file(tmp_path, RUNS), RUNS) == 0
+    assert check(tmp_path, RUNS) == 0
     assert capsys.readouterr().out == "0 of 2 runs differ\n"
 
 
@@ -32,13 +36,13 @@ def test_a_match_passes(tmp_path, capsys):
 def test_a_one_byte_change_fails_and_names_the_run(tmp_path, capsys, field, value):
     changed = {key: list(run) for key, run in RUNS.items()}
     changed["solve a.json"][field] = value
-    assert outputs.check(hash_file(tmp_path, RUNS), changed) == 1
+    assert check(tmp_path, changed) == 1
     assert capsys.readouterr().out == "solve a.json: differs\n1 of 2 runs differ\n"
 
 
 def test_missing_and_new_runs_fail(tmp_path, capsys):
     renamed = {"check c.json" if key == "check b.json" else key: run
                for key, run in RUNS.items()}
-    assert outputs.check(hash_file(tmp_path, RUNS), renamed) == 1
+    assert check(tmp_path, renamed) == 1
     assert capsys.readouterr().out == (
         "check b.json: missing\ncheck c.json: new\n2 of 3 runs differ\n")
