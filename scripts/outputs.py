@@ -73,7 +73,11 @@ def _arc(name, tail, head, f, g, **extra):
 
 # Inputs that reach paths no fixture does: the blocking-circuit verdict on
 # three nodes, a lower-unbounded focus arc that carries a cost, bounds past
-# int64, a repeated focus id, and a table whose full-set value is not 0.
+# int64, a repeated focus id, a table whose full-set value is not 0, degree
+# bounds on an orientation (met, and failing under --k 2), a degree interval
+# emptied by the node's degree, a partial table with a "-inf" entry, and a
+# costed focus arc whose upper bound +inf is capped.  A document with a
+# repeated key is the raw-text fixture tests/data/repeated_key.json.
 EXTRAS = {
     "extra-blocking-circuit": {
         "nodes": ["a", "b", "c"],
@@ -98,6 +102,24 @@ EXTRAS = {
         "nodes": ["a", "b"],
         "arcs": [_arc("e1", "a", "b", 0, 1)],
         "F": ["e1"], "base": {"type": "table", "p": {"": 0, "a": 0, "b": 0, "a,b": 1}}},
+    "extra-orient-degree-bounds": {
+        "mixed_graph": {"nodes": ["a", "b", "c", "d"], "arcs": [["a", "b"]],
+                        "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "a"], ["a", "c"]],
+                        "degree_bounds": {"a": [1, 2], "c": [0, 1]}}},
+    "extra-orient-emptied-interval": {
+        "mixed_graph": {"nodes": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"], ["c", "a"]],
+                        "degree_bounds": {"b": [3, 4]}}},
+    "extra-partial-table-neg-inf": {
+        "nodes": ["a", "b", "c"],
+        "arcs": [_arc("e1", "a", "b", 0, 2), _arc("e2", "b", "c", 0, 2),
+                 _arc("e3", "a", "c", 0, 3)],
+        "F": ["e1", "e2", "e3"],
+        "base": {"type": "table",
+                 "p": {"": 0, "a": "-inf", "b": -1, "c": 2, "b,c": 1, "a,b,c": 0}}},
+    "extra-costed-pos-inf-focus": {
+        "nodes": ["a", "b"],
+        "arcs": [_arc("e1", "a", "b", 0, "+inf", cost=1), _arc("e2", "b", "a", 1, 3, cost=2)],
+        "F": ["e1"], "base": {"type": "zero"}},
 }
 
 

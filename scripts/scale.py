@@ -282,13 +282,13 @@ def time_orient(edge_counts):
         edges += [tuple(rng.sample(range(7), 2)) for _ in range(m - 7)]
         doc = {"mixed_graph": {"nodes": [f"v{v}" for v in range(7)], "arcs": [],
                                "edges": [[f"v{u}", f"v{v}"] for u, v in edges]}, "k": 1}
-        rows = []  # the blocked check passes the vectors as rows of 2-D arrays
+        rows = []  # the blocked check passes the vectors' keys in blocks
 
-        def counting(vec, real=orient.subset_sums):
-            rows.append(len(vec) if getattr(vec, "ndim", 1) == 2 else 0)
-            return real(vec)
+        def counting(keys, *args, real=orient._block_sums):
+            rows.append(len(keys))
+            return real(keys, *args)
 
-        with mock.patch.object(orient, "subset_sums", counting):
+        with mock.patch.object(orient, "_block_sums", counting):
             code, seconds, out = run_cli("orient", doc)
         mg = orient.MixedGraph(7, (), tuple(edges))
         t = time.perf_counter()

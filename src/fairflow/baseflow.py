@@ -106,20 +106,17 @@ class Instance:
         return find_feasible(self)
 
     def with_bounds(self, bounds: Bounds) -> "Instance":
-        return self._child(bounds, self.focus, self.base)
+        return self.with_face(bounds, self.base, self.focus)
 
     def with_focus(self, focus) -> "Instance":
-        return self._child(self.bounds, frozenset(focus), self.base)
+        return self.with_face(self.bounds, self.base, focus)
 
     def with_face(self, bounds: Bounds, base: BaseOracle, focus) -> "Instance":
-        """One copy at other bounds, base and focus: on a face at narrowed
-        bounds, or at this instance's base (`base` is `self.base`)."""
-        return self._child(bounds, frozenset(focus), base)
-
-    def _child(self, bounds: Bounds, focus: frozenset, base: BaseOracle) -> "Instance":
-        """A copy at other bounds, focus or base, made with this instance's
-        slack moved to its bounds, touching the changed bounds only
-        (`ExtArray.shift_cut`), and then to its base (`ExtArray.swap_base`)."""
+        """The one copy step, at other bounds, base or focus: on a face at
+        narrowed bounds, or at this instance's base (`base` is `self.base`).
+        The copy is given this instance's slack moved to its bounds,
+        touching the changed bounds only (`ExtArray.shift_cut`), and then
+        to its base (`ExtArray.swap_base`)."""
         out = Instance(self.digraph, bounds, base, focus)
         slack = self.slack.shift_cut(self.digraph, self.bounds, bounds)
         if base is not self.base:

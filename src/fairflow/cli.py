@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from functools import cache
 from typing import Dict, List, Optional, Tuple
 
@@ -91,16 +92,15 @@ def _dump_extint(v):
     return "+inf" if v is POS_INF else "-inf"
 
 
+@dataclass(frozen=True)
 class ParsedInstance:
     """Instance plus its per-arc costs and the names of its JSON document."""
 
-    def __init__(self, instance: Instance, node_names: List[str],
-                 arc_names: List[str], base_doc: dict, cost: Optional[tuple]):
-        self.instance = instance
-        self.node_names = node_names
-        self.arc_names = arc_names
-        self.base_doc = base_doc
-        self.cost = cost
+    instance: Instance
+    node_names: List[str]
+    arc_names: List[str]
+    base_doc: dict
+    cost: Optional[tuple]
 
     def mask_names(self, mask: int) -> List[str]:
         return [self.node_names[v] for v in mask_nodes(mask)]
@@ -344,10 +344,21 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object, rejected when it repeats a key: the decoder would
+    keep the last value and drop the others silently."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise ParseError(f"repeated key {key!r}")
+    return obj
+
+
 def _load(path: str) -> dict:
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -95,10 +95,6 @@ def mask_nodes(mask: int) -> Iterator[int]:
         v += 1
 
 
-def all_subsets(n: int) -> range:
-    return range(1 << n)
-
-
 @cache
 def crossing_views(n: int, inside: int, outside: int) -> tuple:
     """(shape, enter, leave) for two distinct nodes of an n-node ground

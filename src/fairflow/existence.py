@@ -42,7 +42,6 @@ class DStarArc:
 
 @dataclass(frozen=True)
 class JumpStructure:
-    node_count: int
     principal: tuple  # per node: smallest finite-valued set containing it
     arcs: tuple  # DStarArc list: jumps, then lower-inf and upper-inf arcs by id
 
@@ -58,7 +57,7 @@ def build_jump_structure(inst: Instance) -> JumpStructure:
              if b.lower[e] is NEG_INF]
     arcs += [DStarArc(h, t, "upper-inf", e) for e, (t, h) in enumerate(d.arcs)
              if e not in inst.focus and b.upper[e] is POS_INF]
-    return JumpStructure(n, tuple(principal), tuple(arcs))
+    return JumpStructure(tuple(principal), tuple(arcs))
 
 
 def _search(js: JumpStructure, start: int, target: Optional[int] = None) -> dict:

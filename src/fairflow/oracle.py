@@ -21,7 +21,6 @@ from .core import (
     Chain,
     NEG_INF,
     POS_INF,
-    all_subsets,
     cut_in_sum,
     cut_out_sum,
     decmin_compare,
@@ -117,7 +116,7 @@ def enumerate_Q(inst: Instance, window: Optional[EnumWindow] = None,
         lows.append(lo)
         highs.append(hi)
     if m == 0:
-        ok = all(inst.base.p(z) <= 0 for z in all_subsets(n))
+        ok = all(inst.base.p(z) <= 0 for z in range(1 << n))
         return [()] if ok else []
     sizes = [hi - lo + 1 for lo, hi in zip(lows, highs)]
     total = 1
@@ -126,7 +125,7 @@ def enumerate_Q(inst: Instance, window: Optional[EnumWindow] = None,
     rows = []
     pvals = []
     p = inst.base.p
-    for z in all_subsets(n):
+    for z in range(1 << n):
         pz = p(z)
         if pz is NEG_INF:
             continue

@@ -11,9 +11,11 @@ the edges oriented into v (radix d_E(v) + 1, d_E(v) the undirected edges at
 v); each edge (u, v) maps the key set to its shifts by place[u] and
 place[v], sorted and deduplicated.  One stacked k-edge-connectivity check,
 in blocks of `_BLOCK_ENTRIES` subset sums, keeps top(Z) = max h(Z) over the
-vectors that pass.  The work grows with the number of vectors, at most
-min(2^|E|, prod_v (d_E(v) + 1)), with no budget and no up-front refusal, so
-the enumeration is capped at 7 nodes.
+vectors that pass; `_block_sums` sums a block of vectors at once, their
+key digits cast to int64 (keys are Python ints once prod(radix) reaches
+2^62, the digits never are).  The work grows with the number of vectors,
+at most min(2^|E|, prod_v (d_E(v) + 1)), with no budget and no up-front
+refusal, so the enumeration is capped at 7 nodes.
 
 Two encodings are built from top:
 - `hub_instance`, on which `decmin_orientation` solves every orientation:
@@ -42,7 +44,7 @@ from .core import Bounds, Digraph, node_net_inflow
 from .baseflow import (CertificateError, Infeasible, Instance, find_feasible, membership,
                        min_cost_flow)
 from .decmin import solve_decmin
-from .setfn import BaseOracle, ExtArray, int_dtype, subset_sums
+from .setfn import BaseOracle, ExtArray, cut_difference, int_dtype, subset_sums
 
 
 class OrientationInfeasible(Exception):
@@ -94,6 +96,18 @@ def _inside_counts(mg: MixedGraph) -> np.ndarray:
     return counts
 
 
+def _block_sums(keys: np.ndarray, place: np.ndarray, radix: np.ndarray,
+                fixed: tuple) -> np.ndarray:
+    """h(Z) for each key's in-degree vector h (rows; h[v] is key digit v,
+    cast to int64, plus fixed[v]) and every node mask Z (columns), laid out
+    subsets first so each step adds one column over contiguous row runs."""
+    h = (keys[:, None] // place % radix).astype(np.int64) + fixed
+    sums = np.zeros((1 << len(fixed), len(keys)), dtype=np.int64)
+    for v, column in enumerate(h.T):
+        sums.reshape(-1, 2, 1 << v, len(keys))[:, 1] += column  # the subsets holding v
+    return sums.T
+
+
 def _indegrees(n: int, arcs) -> tuple:
     """In-degree of each of n nodes under (tail, head) pairs."""
     d = [0] * n
@@ -112,11 +126,10 @@ def cut_certificate(mg: MixedGraph) -> Optional[int]:
     feasible orientation exists.
     """
     n = mg.node_count
-    zero = ExtArray.zeros(n)
 
     def unit_cut(pairs, upper, lower):  # pairs entering * upper - leaving * lower
-        return zero.plus_cut(Digraph(n, pairs), (upper,) * len(pairs),
-                             (lower,) * len(pairs)).fin
+        bounds = Bounds((lower,) * len(pairs), (upper,) * len(pairs))
+        return cut_difference(Digraph(n, pairs), bounds).values.fin
 
     rho, delta = unit_cut(mg.arcs, 1, 0), unit_cut(mg.arcs, 0, -1)
     cross = unit_cut(mg.edges, 1, -1)
@@ -149,8 +162,7 @@ def _top(mg: MixedGraph) -> np.ndarray:
     top = np.full(1 << n, -1, dtype=np.int64)  # max h(Z) over the k-ec h so far
     rows = max(1, _BLOCK_ENTRIES >> n)
     for start in range(0, len(keys), rows):
-        counts = keys[start:start + rows, None] // place % radix
-        sums = subset_sums(counts.astype(np.int64) + fixed)
+        sums = _block_sums(keys[start:start + rows], place, radix, fixed)
         ok = ((sums - inside)[:, 1:-1] >= mg.k).all(axis=1)
         top = np.maximum(top, sums[ok].max(axis=0, initial=-1))
     if top[0] < 0:  # no vector passed
@@ -181,11 +193,6 @@ def _indegree_bounds(mg: MixedGraph,
     return tuple(lower), tuple(upper)
 
 
-def _finite_base(n: int, fin: np.ndarray) -> BaseOracle:
-    no_inf = np.zeros(len(fin), dtype=bool)
-    return BaseOracle(n, ExtArray.tight(fin, no_inf, no_inf))
-
-
 def hub_instance(mg: MixedGraph,
                  degree_bounds: Optional[Dict[int, Tuple[int, int]]] = None) -> Instance:
     """The base-flow instance on V + hub (hub on bit n) whose integral flows
@@ -196,7 +203,7 @@ def hub_instance(mg: MixedGraph,
     bounds = Bounds(*_indegree_bounds(mg, degree_bounds))  # bad bounds fail before _top
     top = _top(mg)[::-1]  # top(V - Z), indexed by Z
     total = len(mg.arcs) + len(mg.edges)
-    base = _finite_base(n + 1, np.concatenate((total - top, -top)))
+    base = BaseOracle(n + 1, ExtArray.finite(np.concatenate((total - top, -top))))
     return Instance(Digraph(n + 1, tuple((n, v) for v in range(n))),
                     bounds, base, frozenset(range(n)))
 
@@ -211,7 +218,7 @@ def encode(mg: MixedGraph, degree_bounds: Optional[Dict[int, Tuple[int, int]]] =
     # point (dref, -h) sums to dref(Z & V) - h(Z >> n) over Z: the envelope
     # of all of them is an outer sum, indexed (Z >> n, Z & V)
     dref = _indegrees(n, mg.arcs + mg.edges)
-    base = _finite_base(2 * n, (subset_sums(dref)[None, :] - top[:, None]).ravel())
+    base = BaseOracle(2 * n, ExtArray.finite((subset_sums(dref)[None, :] - top[:, None]).ravel()))
     m = len(mg.edges)
     arcs = mg.edges + tuple((n + v, v) for v in range(n))
     inst = Instance(Digraph(2 * n, arcs), Bounds((0,) * m + lower, (1,) * m + upper),
@@ -251,7 +258,7 @@ def _fair_flip_base(final: Instance, dref: Sequence[int]) -> BaseOracle:
         view = r.reshape(-1, 2, 1 << v)  # [:, 0] leaves v out, [:, 1] holds it
         np.maximum(view[:, 0], view[:, 1] - b.upper[v], out=view[:, 0])
         np.maximum(view[:, 1], view[:, 0] + b.lower[v], out=view[:, 1])
-    return _finite_base(n, subset_sums(dref) - total + r[::-1])
+    return BaseOracle(n, ExtArray.finite(subset_sums(dref) - total + r[::-1]))
 
 
 def brute_orientations(mg: MixedGraph) -> List[Tuple[int, tuple]]:

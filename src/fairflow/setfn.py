@@ -20,7 +20,8 @@ derives from that of the instance it was copied from, on a face too.  A
 `BaseOracle` owns its bounding function as one `ExtArray`, built once by
 each constructor (`ExtArray.from_values` converts a dense list,
 `ExtArray.scatter` the listed entries of a sparse table, read as one
-int64 array unless a value needs Python ints); slacks,
+int64 array unless a value needs Python ints, and `ExtArray.finite` a
+table with no infinite entry, such as an envelope); slacks,
 membership, face contraction, jump structures, exchange arcs, exchange
 capacities and `orient` read it, and reference and certificate readers
 use the scalar view `BaseOracle.p`.
@@ -59,24 +60,14 @@ def int_dtype(bound: int):
 
 
 def subset_sums(vec) -> np.ndarray:
-    """Sum of `vec` over every subset, indexed by bitmask (bit v = vec[v]).
-    A (rows, n) array gives the (rows, 2^n) sums of each row."""
-    if isinstance(vec, np.ndarray) and vec.ndim == 2:
-        # the largest |entry| of each column, summed, bounds every row
-        hi, lo = vec.max(0, initial=0).tolist(), vec.min(0, initial=0).tolist()
-        dtype = int_dtype(sum(max(h, -l) for h, l in zip(hi, lo)))
-        rows, cols = vec.shape[:1], vec.T.astype(dtype)
-        nonzero = cols.any(1).tolist()
-    else:  # one vector, read as exact Python ints
-        cols = vec.tolist() if isinstance(vec, np.ndarray) else vec
-        rows, dtype = (), int_dtype(sum(map(abs, cols)))
-        nonzero = cols
-    # subsets on the first axis: each step adds over contiguous row runs
-    sums = np.zeros((1 << len(cols),) + rows, dtype=dtype)
-    for v, (x, nz) in enumerate(zip(cols, nonzero)):
-        if nz:
-            sums.reshape(-1, 2, 1 << v, *rows)[:, 1] += x  # the subsets holding v
-    return sums.T
+    """Sum of one vector over every subset, indexed by bitmask (bit v =
+    vec[v]), its entries read as exact Python ints."""
+    vec = vec.tolist() if isinstance(vec, np.ndarray) else vec
+    sums = np.zeros(1 << len(vec), dtype=int_dtype(sum(map(abs, vec))))
+    for v, x in enumerate(vec):
+        if x:
+            sums.reshape(-1, 2, 1 << v)[:, 1] += x  # the subsets holding v
+    return sums
 
 
 def principal_sets(n: int, family: np.ndarray) -> list:
@@ -151,9 +142,14 @@ class ExtArray:
         return cls(fin.astype(int_dtype(bound), copy=False), pos, neg, bound)
 
     @classmethod
+    def finite(cls, fin: np.ndarray) -> "ExtArray":
+        """A table with no infinite entry, in the dtype max |fin| picks."""
+        no_inf = np.zeros(len(fin), dtype=bool)
+        return cls.tight(fin, no_inf, no_inf)
+
+    @classmethod
     def zeros(cls, n: int) -> "ExtArray":
-        no_inf = np.zeros(1 << n, dtype=bool)
-        return cls(np.zeros(1 << n, dtype=np.int64), no_inf, no_inf, 0)
+        return cls.finite(np.zeros(1 << n, dtype=np.int64))
 
     def __neg__(self) -> "ExtArray":
         return ExtArray(-self.fin, self.neg, self.pos, self.bound)
@@ -163,19 +159,19 @@ class ExtArray:
         """This array plus Z -> (upper in-cut) - (lower out-cut): every
         bound moved from 0, so this array itself when all bounds are 0."""
         zero = (0,) * digraph.arc_count
-        return self._move_cut(digraph, zip(digraph.arc_views, zero, upper, zero, lower))
+        return self._move_cut(zip(digraph.arc_views, zero, upper, zero, lower))
 
     def shift_cut(self, digraph: Digraph, old: Bounds, new: Bounds) -> "ExtArray":
         """A `plus_cut` at the `old` bounds moved to the `new` ones: equal
         to a `plus_cut` at the new bounds, `fin` dtype included."""
-        return self._move_cut(digraph, zip(digraph.arc_views, old.upper, new.upper,
-                                           old.lower, new.lower))
+        return self._move_cut(zip(digraph.arc_views, old.upper, new.upper,
+                                  old.lower, new.lower))
 
-    def _move_cut(self, digraph: Digraph, arcs) -> "ExtArray":
+    def _move_cut(self, arcs) -> "ExtArray":
         """Move the cut terms of each arc, given as (crossing views, old
         upper, new upper, old lower, new lower), from its old bounds to its
         new ones: a copy moved by `_shift`, or this array when no bound
-        changes.
+        changes.  Each arc carries its own views, so no digraph is read.
 
         An upper bound is a term on the subsets its arc enters and a lower
         bound a negated term on those it leaves, each a strided view on
@@ -301,9 +297,7 @@ def _envelope(points: Sequence[Sequence[int]]) -> ExtArray:
     """The envelope of every subset, indexed by bitmask."""
     if not points:
         raise ValueError("empty point list")
-    fin = reduce(np.minimum, map(subset_sums, points))
-    no_inf = np.zeros(len(fin), dtype=bool)
-    return ExtArray.tight(fin, no_inf, no_inf)
+    return ExtArray.finite(reduce(np.minimum, map(subset_sums, points)))
 
 
 def envelope_setfn(points: Sequence[Sequence[int]], n: int) -> SetFn:

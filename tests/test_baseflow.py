@@ -377,8 +377,8 @@ class TestDerivedSlack:
         real = baseflow.ExtArray._move_cut
         moved = []
 
-        def counting(self, digraph, arcs):
-            out = real(self, digraph, arcs)
+        def counting(self, arcs):
+            out = real(self, arcs)
             if out is not self:
                 moved.append(out)
             return out

@@ -656,6 +656,35 @@ class TestParsing:
         assert err.startswith("error:") and field in err
 
 
+# (key, document) pairs, each document repeating its key in one object and
+# valid once that key is given once: JSON decoders keep the last value.
+REPEATED_KEY_DOCS = {
+    "top-level": ("F", '{"nodes": ["a", "b"], "F": ["e1"], "F": [], '
+                       '"arcs": [{"id": "e1", "tail": "a", "head": "b", "f": 0, "g": 1}], '
+                       '"base": {"type": "zero"}}'),
+    "arc-field": ("g", '{"nodes": ["a", "b"], "F": ["e1"], '
+                       '"arcs": [{"id": "e1", "tail": "a", "head": "b", "f": 0, "g": 1, "g": 2}], '
+                       '"base": {"type": "zero"}}'),
+    "table-key": ("a", '{"nodes": ["a", "b"], "F": ["e1"], '
+                       '"arcs": [{"id": "e1", "tail": "a", "head": "b", "f": 0, "g": 1}], '
+                       '"base": {"type": "table", "p": {"": 0, "a": 0, "a": -1, "a,b": 0}}}'),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEATED_KEY_DOCS))
+def test_repeated_json_key_exits_2(capsys, tmp_path, case):
+    key, text = REPEATED_KEY_DOCS[case]
+    src = tmp_path / "repeated.json"
+    src.write_text(text)
+    for command in ("check", "solve", "orient", "verify"):
+        assert main([command, str(src)]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: repeated key {key!r}\n"
+    # the same object with the key once is accepted
+    doc = json.loads(text)
+    src.write_text(json.dumps(doc))
+    assert main(["solve", str(src)]) == EXIT_OK
+
+
 @pytest.mark.parametrize("command", ["check", "solve", "orient", "verify"])
 def test_deeply_nested_json_exits_2(capsys, tmp_path, command):
     # the JSON decoder recurses once per level and used to let a

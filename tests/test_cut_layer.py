@@ -584,16 +584,9 @@ class TestTables:
         rng = random.Random(5)
         for _ in range(50):
             n = rng.randint(0, 6)
-            stack = [[rng.choice((-2, 0, 3, HUGE, -HUGE)) for _ in range(n)]
-                     for _ in range(3)]
-            expected = [[sum(vec[v] for v in range(n) if (m >> v) & 1)
-                         for m in range(1 << n)] for vec in stack]
-            assert subset_sums(stack[0]).tolist() == expected[0]
-            # stacked rows, as Python ints and as int64 where they fit
-            assert subset_sums(np.array(stack, dtype=object)).tolist() == expected
-            small = [[x % 5 - 2 for x in vec] for vec in stack]
-            assert subset_sums(np.array(small, dtype=np.int64)).tolist() == [
-                subset_sums(vec).tolist() for vec in small]
+            vec = [rng.choice((-2, 0, 3, HUGE, -HUGE)) for _ in range(n)]
+            assert subset_sums(vec).tolist() == [
+                sum(vec[v] for v in range(n) if (m >> v) & 1) for m in range(1 << n)]
 
     def test_cut_difference_matches_sums(self):
         rng = random.Random(6)

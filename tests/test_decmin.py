@@ -328,11 +328,11 @@ class TestSolveDecmin:
         for inst in instances:
             pairs = []
 
-            def child(self, bounds, focus, base, real=Instance._child):
-                pairs.append((self, real(self, bounds, focus, base)))
+            def copy(self, bounds, base, focus, real=Instance.with_face):
+                pairs.append((self, real(self, bounds, base, focus)))
                 return pairs[-1][1]
 
-            with mock.patch.object(Instance, "_child", child):
+            with mock.patch.object(Instance, "with_face", copy):
                 solve_decmin(inst)
             rest = pairs
             if strip_tight(inst.focus, inst.bounds) != inst.focus:

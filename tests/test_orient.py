@@ -229,7 +229,8 @@ def ref_encode_base(mg):
     indegs = {tuple(sum(1 for _, v in mg.arcs if v == w) for w in range(n))}
     for u, v in mg.edges:
         indegs = {h[:w] + (h[w] + 1,) + h[w + 1:] for h in indegs for w in (u, v)}
-    inside = fairflow.orient._inside_counts(mg)
+    inside = [sum(1 for u, v in mg.arcs + mg.edges if (z >> u) & 1 and (z >> v) & 1)
+              for z in range(1 << n)]
     feasible = [h for h in sorted(indegs)
                 if np.all((subset_sums(h) - inside)[1:-1] >= mg.k)]
     if not feasible:
@@ -332,20 +333,46 @@ class TestEncodeByIndegrees:
         k4 = MixedGraph(4, (), tuple(combinations(range(4), 2)), 1)
         doubled = MixedGraph(4, (), k4.edges * 2, 1)
         assert len(set(flip_indegrees(doubled))) == 201
-        calls = []
-        real = fairflow.orient.subset_sums
+        blocks = []
+        real = fairflow.orient._block_sums
 
-        def counting(vec):
-            calls.append(vec)
-            return real(vec)
+        def counting(keys, *args):
+            blocks.append(len(keys))
+            return real(keys, *args)
 
-        monkeypatch.setattr(fairflow.orient, "subset_sums", counting)
+        monkeypatch.setattr(fairflow.orient, "_block_sums", counting)
         counts = []
         for mg in (k4, doubled):
-            calls.clear()
+            blocks.clear()
             encode(mg)
-            counts.append(len(calls))
-        assert counts[0] == counts[1] <= 2
+            counts.append(list(blocks))
+        # one block each, holding every in-degree vector
+        assert counts == [[len(set(flip_indegrees(k4)))], [201]]
+
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_block_sums_match_subset_sums(self, dtype):
+        # each row of a block is the subset sums of its key's in-degree
+        # vector; object keys pass 2^62, as they do once prod(radix) does
+        rng = random.Random(7)
+        largest = 0
+        for _ in range(30):
+            n = 7 if dtype is object else rng.randint(1, 7)
+            radix = [rng.randint(500, 600) if dtype is object else rng.randint(1, 9)
+                     for _ in range(n)]
+            place = [1] * n
+            for v in range(1, n):
+                place[v] = place[v - 1] * radix[v - 1]
+            keys = [rng.randrange(place[-1] * radix[-1]) for _ in range(rng.randint(1, 5))]
+            largest = max(largest, *keys)
+            fixed = tuple(rng.randint(0, 3) for _ in range(n))
+            sums = fairflow.orient._block_sums(
+                np.array(keys, dtype=dtype), np.array(place, dtype=dtype),
+                np.array(radix, dtype=dtype), fixed)
+            assert sums.dtype == np.int64
+            assert sums.tolist() == [
+                subset_sums([key // p % r + f for p, r, f in zip(place, radix, fixed)]).tolist()
+                for key in keys]
+        assert (largest >= 1 << 62) == (dtype is object)
 
 
 class TestOrientationPremise:
