@@ -4,6 +4,7 @@
     python scripts/outputs.py diff A B
     python scripts/outputs.py hash RECORD OUT
     python scripts/outputs.py check HASHES RECORD
+    python scripts/outputs.py codes RECORD
 
 `record` runs, in-process through `fairflow.cli.main`:
 - the bench corpora of every given seed (`bench/corpus.write_corpus`,
@@ -38,9 +39,14 @@ hashes of a record of the default seeds, so
 tells whether a change kept every output byte-identical.  A change that
 alters outputs on purpose writes that file again with `hash` and names
 the changed runs.
+
+`codes` reads a record, prints the count of each exit code, names every
+run that exited null (an exception escaped `cli.main`) or 5 (an internal
+certificate failure), both engine bugs, and exits 1 if there is any.
 """
 
 import argparse
+import collections
 import hashlib
 import io
 import json
@@ -194,6 +200,17 @@ def check(hashes_path, record_path):
     return 1 if differ else 0
 
 
+def codes(record_path):
+    """Print the count of each exit code in `record_path` and each run
+    whose exit code is null or 5; return 1 if there is any."""
+    runs = load(record_path)
+    print(sorted(collections.Counter(str(run[0]) for run in runs.values()).items()))
+    bad = sorted(key for key, run in runs.items() if run[0] in (None, 5))
+    for key in bad:
+        print(f"exit {runs[key][0]}: {key}")
+    return 1 if bad else 0
+
+
 def diff(a_path, b_path):
     a, b = load(a_path), load(b_path)
     differ = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
@@ -221,6 +238,8 @@ def main():
         p_cmd = sub.add_parser(command, help=text)
         p_cmd.add_argument(first)
         p_cmd.add_argument(second)
+    p_codes = sub.add_parser("codes", help="count exit codes; fail on null or 5")
+    p_codes.add_argument("record")
     args = parser.parse_args()
     if args.command == "record":
         return write(args.out, collect(args.seeds))
@@ -228,6 +247,8 @@ def main():
         return write(args.out, hashes(load(args.record)))
     if args.command == "check":
         return check(args.hashes, args.record)
+    if args.command == "codes":
+        return codes(args.record)
     return diff(args.a, args.b)
 
 

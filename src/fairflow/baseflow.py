@@ -1,7 +1,9 @@
 """Feasibility and min-cost optimization over bounded base-flow polyhedra.
 
 An Instance couples a digraph, integer bounds, a zero-base oracle and a
-focus arc set.  Feasibility follows the cut criterion
+focus arc set.  Its base table lies in Z | {-inf} and its slack table in
+Z | {+inf} (see `setfn`), so a verdict reads finite negative slacks only,
+and flows are integer vectors.  Feasibility follows the cut criterion
 (the in-cut of the upper bounds minus the out-cut of the lower bounds must
 dominate the base function on every node subset); a feasible integral flow
 is built by exact coordinate fixing; minimum-cost flows are computed by
@@ -93,7 +95,7 @@ class Instance:
     def violator(self) -> Optional[Tuple[int, ExtInt]]:
         """The verdict: the lowest-mask violating subset and its deficit, or None."""
         s = self.slack
-        bad = s.neg | ((s.pos == 0) & (s.fin < 0))
+        bad = (s.pos == 0) & (s.fin < 0)
         zmask = int(bad.argmax())
         if not bad[zmask]:
             return None
@@ -185,7 +187,9 @@ def check_feasible(inst: Instance) -> FeasCert:
 
 
 def membership(inst: Instance, x: Sequence[int]) -> bool:
-    """Is x, one value per arc, integral or exact (`Fraction`), a feasible base-flow?"""
+    """Is x, one integer per arc, a feasible base-flow?  A non-integer
+    entry within finite bounds raises ValueError (`setfn.subset_sums`),
+    and one compared with an infinite bound TypeError."""
     if len(x) != inst.digraph.arc_count:
         return False
     b = inst.bounds
@@ -216,7 +220,7 @@ def find_feasible(inst: Instance, saturating=frozenset()) -> tuple:
     lower = list(inst.bounds.lower)
     upper = list(inst.bounds.upper)
     # +inf terms per subset as counts, or none at all; p(z) = -inf counts
-    # as one (no p(z) = +inf survives the verdict)
+    # as one (a base holds no +inf)
     counted = bool(inst.slack.pos.any())
     slack = inst.slack.copy(counted)
     for e, (shape, enter, leave) in enumerate(inst.digraph.arc_views):
@@ -273,8 +277,8 @@ def _exchange_capacity(base: BaseOracle, sums: np.ndarray, s: int, t: int) -> Ex
     """`exchange_capacity` read off the subset sums of y."""
     p = base.values
     shape, holds_s, _ = crossing_views(base.n, s, t)
-    sums, fin, pos, neg = (a.reshape(shape)[holds_s] for a in (sums, p.fin, p.pos, p.neg))
-    separating = (pos == 0) & (neg == 0)
+    sums, fin, neg = (a.reshape(shape)[holds_s] for a in (sums, p.fin, p.neg))
+    separating = ~neg
     if not separating.any():
         return POS_INF
     dtype = int_dtype(int(np.abs(sums).max()) + p.bound)
@@ -316,7 +320,7 @@ def _aux_arcs(inst: Instance, x: Sequence[int], sums: np.ndarray,
             arcs.append((v, u, -down, ("down", e)))
     n = inst.base.n
     p = inst.base.values
-    meets = principal_sets(n, (sums == p.fin) & ~p.pos & ~p.neg)
+    meets = principal_sets(n, (sums == p.fin) & ~p.neg)
     for s in range(n):
         for t, meet in enumerate(meets):
             if s != t and (meet >> s) & 1:

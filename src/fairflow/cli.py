@@ -183,11 +183,10 @@ def _parse_base(doc: dict, names: List[str], node_index: Dict[str, int]) -> Base
         if not isinstance(doc["p"], dict):
             raise ParseError("base.p: expected an object")
         values = _parse_table(doc["p"], names, node_index)
-        if values.value(0) != 0:
-            raise ParseError("base.p: empty set must map to 0")
-        if values.value((1 << n) - 1) != 0:
-            raise ParseError("base.p: full set must map to 0")
-        return BaseOracle(n, values)
+        try:
+            return BaseOracle(n, values)
+        except ValueError as exc:
+            raise ParseError(f"base.p: {exc}") from exc
     if kind == "points":
         _expect_keys(doc, ("type", "points"), (), "base")
         pts = doc["points"]

@@ -9,18 +9,17 @@ is a programming error, not a saturation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, total_ordering
 from typing import Iterable, Iterator, Sequence, Union
 
 MAX_NODES = 20
 
-_FINITE = (int, Fraction)
 
-
+@total_ordering
 class Infinity:
-    """Signed infinity sentinel; compares with exact numbers, absorbs in sums."""
+    """Signed infinity sentinel; compares with integers, absorbs in sums."""
 
     __slots__ = ("sign",)
 
@@ -38,40 +37,25 @@ class Infinity:
             if other.sign != self.sign:
                 raise ArithmeticError("cannot add infinities of opposite sign")
             return self
-        if isinstance(other, _FINITE):
+        if isinstance(other, int):
             return self
         return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (Infinity,) + _FINITE):
+        if isinstance(other, (Infinity, int)):
             return self + (-other)
         return NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, (Infinity,) + _FINITE):
+        if isinstance(other, (Infinity, int)):
             return (-self) + other
         return NotImplemented
 
     def __lt__(self, other):
-        if isinstance(other, (Infinity,) + _FINITE):
+        if isinstance(other, (Infinity, int)):
             return self.sign < 0 and other is not NEG_INF
-        return NotImplemented
-
-    def __gt__(self, other):
-        if isinstance(other, (Infinity,) + _FINITE):
-            return self.sign > 0 and other is not POS_INF
-        return NotImplemented
-
-    def __le__(self, other):
-        if isinstance(other, (Infinity,) + _FINITE):
-            return self is other or self < other
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (Infinity,) + _FINITE):
-            return self is other or self > other
         return NotImplemented
 
 
@@ -83,6 +67,14 @@ ExtInt = Union[int, Infinity]
 
 def is_finite(v: ExtInt) -> bool:
     return isinstance(v, int)
+
+
+def node_id(v) -> int:
+    """A node endpoint as an int: integers only, so 0.7 is not node 0."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"node {v!r} is not an integer") from None
 
 
 def mask_nodes(mask: int) -> Iterator[int]:
@@ -120,7 +112,7 @@ class Digraph:
     def __post_init__(self):
         if not (1 <= self.node_count <= MAX_NODES):
             raise ValueError(f"node_count must be in 1..{MAX_NODES}")
-        object.__setattr__(self, "arcs", tuple((int(t), int(h)) for t, h in self.arcs))
+        object.__setattr__(self, "arcs", tuple((node_id(t), node_id(h)) for t, h in self.arcs))
         for t, h in self.arcs:
             if not (0 <= t < self.node_count and 0 <= h < self.node_count):
                 raise ValueError(f"arc ({t},{h}) out of node range")
@@ -143,7 +135,8 @@ class Digraph:
 
 @dataclass(frozen=True)
 class Bounds:
-    """Per-arc lower/upper bounds; lower never +inf, upper never -inf."""
+    """Per-arc lower/upper bounds, each a Python int (not a bool) or an
+    infinity; lower never +inf, upper never -inf."""
 
     lower: tuple
     upper: tuple
@@ -158,6 +151,9 @@ class Bounds:
                 raise ValueError(f"arc {e}: lower bound is +inf")
             if hi is NEG_INF:
                 raise ValueError(f"arc {e}: upper bound is -inf")
+            for side, v in (("lower", lo), ("upper", hi)):
+                if type(v) is not int and v is not POS_INF and v is not NEG_INF:
+                    raise ValueError(f"arc {e}: {side} bound {v!r} is not an integer")
             if not lo <= hi:
                 raise ValueError(f"arc {e}: lower {lo} exceeds upper {hi}")
 

@@ -49,7 +49,7 @@ class JumpStructure:
 def build_jump_structure(inst: Instance) -> JumpStructure:
     n = inst.digraph.node_count
     p = inst.base.values
-    principal = principal_sets(n, ~(p.pos | p.neg))
+    principal = principal_sets(n, ~p.neg)
     arcs = [DStarArc(u, v, "jump", None) for u in range(n) for v in range(n)
             if v != u and (principal[u] >> v) & 1]
     d, b = inst.digraph, inst.bounds
@@ -102,8 +102,8 @@ def has_blocking_dicircuit(js: JumpStructure, focus) -> Optional[tuple]:
     return None
 
 
-def improve_along_circuit(inst: Instance, z: Sequence, circuit, step=1):
-    """Shift a flow one step along a blocking circuit.
+def improve_along_circuit(inst: Instance, z: Sequence, circuit):
+    """Shift a flow one unit along a blocking circuit.
 
     Lower-unbounded circuit arcs decrease, origins of reversed
     upper-unbounded arcs increase, jump arcs leave the flow untouched (the
@@ -115,9 +115,9 @@ def improve_along_circuit(inst: Instance, z: Sequence, circuit, step=1):
     z2 = list(z)
     for arc in circuit:
         if arc.kind == "lower-inf":
-            z2[arc.arc_id] -= step
+            z2[arc.arc_id] -= 1
         elif arc.kind == "upper-inf":
-            z2[arc.arc_id] += step
+            z2[arc.arc_id] += 1
     z2 = tuple(z2)
     if not membership(inst, z2):
         raise ValueError("improved flow escaped the polyhedron")
@@ -175,7 +175,7 @@ def finitize_bounds(inst: Instance) -> Instance:
         # smask is a union of principal sets, finite for a base whose finite
         # sets are closed under union and intersection; a table that is not
         # is bad input
-        if work.slack.pos[smask] or work.slack.neg[smask]:
+        if work.slack.pos[smask]:
             raise ValueError(
                 "base table is not closed under union and intersection: p is not "
                 f"finite on the set reachable from the head of arc {e} (mask {smask:b})")

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Bounds, Digraph, node_net_inflow
+from .core import Bounds, Digraph, node_id, node_net_inflow
 from .baseflow import (CertificateError, Infeasible, Instance, find_feasible, membership,
                        min_cost_flow)
 from .decmin import solve_decmin
@@ -63,10 +63,10 @@ class MixedGraph:
     k: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "arcs", tuple((int(u), int(v)) for u, v in self.arcs))
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
-        if self.k < 1:
-            raise ValueError("connectivity target must be at least 1")
+        object.__setattr__(self, "arcs", tuple((node_id(u), node_id(v)) for u, v in self.arcs))
+        object.__setattr__(self, "edges", tuple((node_id(u), node_id(v)) for u, v in self.edges))
+        if type(self.k) is not int or self.k < 1:
+            raise ValueError(f"connectivity target must be an integer of at least 1, got {self.k!r}")
         for u, v in self.arcs + self.edges:
             if u == v:
                 raise ValueError("loops not allowed")

@@ -8,6 +8,12 @@ an enumerated base polyhedron, face contraction of a base oracle along a
 chain, and `principal_sets`, the per-node meet of a mask family that the jump
 structure and the exchange arcs of the min-cost auxiliary digraph read.
 
+Numbers are integers and the two infinities, nothing else: a base table
+lies in Z | {-inf} (`BaseOracle` rejects +inf, on which B(p) would be
+empty), so a cut table, the upper in-cut minus the lower out-cut, and a
+slack, a cut table minus a base table, lie in Z | {+inf}.  Vectors summed
+over subsets are integer vectors (`subset_sums` rejects any other entry).
+
 Whole-table computations (subset sums, cut values, slacks) run on numpy
 arrays indexed by bitmask: see `subset_sums` and `ExtArray`.  The subsets
 an arc crosses are a view on three free axes of such an array
@@ -21,10 +27,10 @@ derives from that of the instance it was copied from, on a face too.  A
 each constructor (`ExtArray.from_values` converts a dense list,
 `ExtArray.scatter` the listed entries of a sparse table, read as one
 int64 array unless a value needs Python ints, and `ExtArray.finite` a
-table with no infinite entry, such as an envelope); slacks,
-membership, face contraction, jump structures, exchange arcs, exchange
-capacities and `orient` read it, and reference and certificate readers
-use the scalar view `BaseOracle.p`.
+table with no infinite entry, such as an envelope) and checked once, as
+the oracle is made; slacks, membership, face contraction, jump
+structures, exchange arcs, exchange capacities and `orient` read it, and
+reference and certificate readers use its scalar view `BaseOracle.p`.
 `brute_extremize` and the Newton ratio search are whole-table array scans
 behind the same contract (the maximum over all subsets, lowest mask on
 ties), so that a submodular-function minimizer can replace them.
@@ -32,8 +38,8 @@ ties), so that a submodular-function minimizer can replace them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, reduce
+from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence, Union
 
 import numpy as np
@@ -61,8 +67,12 @@ def int_dtype(bound: int):
 
 def subset_sums(vec) -> np.ndarray:
     """Sum of one vector over every subset, indexed by bitmask (bit v =
-    vec[v]), its entries read as exact Python ints."""
+    vec[v]), its entries read as exact Python ints: any other entry raises
+    ValueError."""
     vec = vec.tolist() if isinstance(vec, np.ndarray) else vec
+    for v, x in enumerate(vec):
+        if not isinstance(x, int):
+            raise ValueError(f"entry {x!r} at {v} is not an integer")
     sums = np.zeros(1 << len(vec), dtype=int_dtype(sum(map(abs, vec))))
     for v, x in enumerate(vec):
         if x:
@@ -261,7 +271,7 @@ class SetFn:
         if len(self.values.fin) != 1 << n:
             raise ValueError("dense table must have 2^n entries")
         if self(0) != 0:
-            raise ValueError("set function must vanish on the empty set")
+            raise ValueError("empty set must map to 0")
 
     def __call__(self, mask: int) -> ExtInt:
         return self.values.value(mask)
@@ -309,20 +319,22 @@ def envelope_setfn(points: Sequence[Sequence[int]], n: int) -> SetFn:
 @dataclass(frozen=True)
 class BaseOracle:
     """A zero-base polyhedron given by a fully supermodular function with
-    value 0 on the full node set, plus the stack of face chains applied so
-    far.  Supermodularity is asserted exhaustively in tests, not here."""
+    value 0 on the full node set and no +inf value, plus the stack of face
+    chains applied so far.  The one check of a base table: its scalar view
+    `p` checks the shape and the empty set, then the full set and +inf.
+    Supermodularity is asserted exhaustively in tests, not here."""
 
     n: int
     values: ExtArray
     face_chains: tuple = ()
+    p: SetFn = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not 0 < self.n <= MAX_NODES or len(self.values.fin) != 1 << self.n:
-            raise ValueError(f"dense table must have 2^n entries, n in 1..{MAX_NODES}")
-        if self.values.value(0) != 0:
-            raise ValueError("set function must vanish on the empty set")
-        if self.values.value((1 << self.n) - 1) != 0:
-            raise ValueError("base oracle requires value 0 on the full set")
+        object.__setattr__(self, "p", SetFn(self.n, self.values))
+        if self.p((1 << self.n) - 1) != 0:
+            raise ValueError("full set must map to 0")
+        if self.values.pos.any():
+            raise ValueError(f"+inf value at mask {int(self.values.pos.argmax())}")
 
     @classmethod
     def zero(cls, n: int) -> "BaseOracle":
@@ -336,19 +348,14 @@ class BaseOracle:
     def from_points(cls, points: Sequence[Sequence[int]], n: int) -> "BaseOracle":
         return cls(n, _envelope(points))
 
-    @cached_property
-    def p(self) -> SetFn:
-        """The bounding function as a scalar oracle, for the reference and
-        certificate readers."""
-        return SetFn(self.n, self.values)
-
     def contains(self, vec: Sequence[int]) -> bool:
         """Integral membership: zero total and every subset sum at or above
         the bounding function."""
-        if sum(vec) != 0:
+        sums = subset_sums(vec)
+        if sums[-1] != 0:  # the total
             return False
         p = self.values
-        return not p.pos.any() and bool(np.all((subset_sums(vec) >= p.fin) | p.neg))
+        return bool(np.all((sums >= p.fin) | p.neg))
 
     def face_contract(self, chain: Chain) -> "BaseOracle":
         """Restrict to the face where every chain member is tight.
@@ -365,22 +372,19 @@ class BaseOracle:
             return self
         p = self.values
         for c in chain.members:
-            if p.pos[c] or p.neg[c]:
+            if p.neg[c]:
                 raise ValueError("face chain member has infinite value")
         # r + 1 block terms, each of magnitude at most 2 * p.bound
         src = p.fin.astype(int_dtype(2 * (len(chain) + 1) * p.bound))
         masks = np.arange(1 << self.n)
         fin = np.zeros_like(src)
-        pos = np.zeros(len(masks), dtype=bool)
-        neg = np.zeros_like(pos)
+        neg = np.zeros(len(masks), dtype=bool)
         prev = 0
         for c in (*chain.members, (1 << self.n) - 1):
             idx = prev | (masks & (c & ~prev))  # C_{i-1} | (Z & S_i), every Z
-            open_ = ~(pos | neg)  # the first infinite term decides an entry
-            pos |= open_ & p.pos[idx]
-            neg |= open_ & p.neg[idx]
+            neg |= p.neg[idx]
             fin += src[idx] - src[prev]
             prev = c
-        fin[pos | neg] = 0
-        return BaseOracle(self.n, ExtArray.tight(fin, pos, neg),
+        fin[neg] = 0
+        return BaseOracle(self.n, ExtArray.tight(fin, np.zeros_like(neg), neg),
                           self.face_chains + (chain,))

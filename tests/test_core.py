@@ -1,3 +1,5 @@
+import math
+import operator
 import random
 
 import numpy as np
@@ -18,6 +20,7 @@ from fairflow.core import (
     decmin_compare,
     node_net_inflow,
 )
+from fairflow.orient import MixedGraph
 
 
 class TestExtInt:
@@ -27,6 +30,16 @@ class TestExtInt:
         assert POS_INF <= POS_INF and NEG_INF >= NEG_INF
         assert max(3, POS_INF) is POS_INF
         assert min(3, NEG_INF) is NEG_INF
+
+    @pytest.mark.parametrize("op", [operator.lt, operator.le, operator.gt, operator.ge],
+                             ids=["<", "<=", ">", ">="])
+    def test_order_table(self, op):
+        # every ordered pair, so both operand orders, against float stand-ins
+        values = (NEG_INF, -1, 0, 7, POS_INF)
+        floats = (-math.inf, -1.0, 0.0, 7.0, math.inf)
+        for a, fa in zip(values, floats):
+            for b, fb in zip(values, floats):
+                assert op(a, b) is op(fa, fb), (a, b)
 
     def test_absorbing_addition(self):
         assert POS_INF + 5 is POS_INF
@@ -101,6 +114,33 @@ class TestBounds:
     def test_infinite_sides_allowed(self):
         b = Bounds((NEG_INF, 0), (0, POS_INF))
         assert not b.is_tight(0) and not b.is_tight(1)
+
+
+class TestIntegerInputs:
+    """Bounds, endpoints and the connectivity target are integers: no
+    numpy scalar, float or bool is read as one."""
+
+    @pytest.mark.parametrize("make, match", [
+        (lambda: Bounds((np.int64(0), 0), (2, 2)), "arc 0: lower bound .* is not an integer"),
+        (lambda: Bounds((0, 0), (2.0, 2)), "arc 0: upper bound 2.0 is not an integer"),
+        (lambda: Bounds((0, 0.5), (2, 2)), "arc 1: lower bound 0.5 is not an integer"),
+        (lambda: Bounds((True, 0), (2, 2)), "arc 0: lower bound True is not an integer"),
+        (lambda: Digraph(3, ((0.7, 1.9),)), "node 0.7 is not an integer"),
+        (lambda: MixedGraph(3, ((0, 1.0),), ()), "node 1.0 is not an integer"),
+        (lambda: MixedGraph(3, (), ((0, 1), (1, 2), (2, 0)), k=1.5),
+         "connectivity target must be an integer of at least 1, got 1.5"),
+        (lambda: MixedGraph(3, (), ((0, 1), (1, 2), (2, 0)), k=True), "got True"),
+    ], ids=["numpy-int", "float-upper", "float-lower", "bool", "float-endpoint",
+            "float-mixed-endpoint", "float-k", "bool-k"])
+    def test_non_integers_rejected(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
+
+    def test_infinity_checks_come_first(self):
+        with pytest.raises(ValueError, match=r"^arc 0: lower bound is \+inf$"):
+            Bounds((POS_INF,), (0.5,))
+        with pytest.raises(ValueError, match=r"^arc 0: upper bound is -inf$"):
+            Bounds((0.5,), (NEG_INF,))
 
 
 class TestValidation:

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -91,12 +90,6 @@ class TestImprove:
         assert z1 == (-1, -1)
         assert membership(i4p, z1)
         assert improve_along_circuit(i4p, z1, circuit) == (-2, -2)
-
-    def test_fractional_step(self, i4p):
-        js = build_jump_structure(i4p)
-        circuit = has_blocking_dicircuit(js, i4p.focus)
-        z1 = improve_along_circuit(i4p, (0, 0), circuit, step=Fraction(1, 2))
-        assert z1 == (Fraction(-1, 2), Fraction(-1, 2))
 
     def test_non_blocking_rejected(self, i4):
         js = build_jump_structure(i4)

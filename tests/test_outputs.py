@@ -46,3 +46,18 @@ def test_missing_and_new_runs_fail(tmp_path, capsys):
     assert check(tmp_path, renamed) == 1
     assert capsys.readouterr().out == (
         "check b.json: missing\ncheck c.json: new\n2 of 3 runs differ\n")
+
+
+def test_codes_fail_on_null_and_5_naming_each_run(tmp_path, capsys):
+    runs = {f"run {code}": [code, "", ""] for code in (0, 2, 3, 4)}
+    path = str(tmp_path / "record.json")
+    assert outputs.write(path, runs) == 0
+    assert outputs.codes(path) == 0
+    assert capsys.readouterr().out == "[('0', 1), ('2', 1), ('3', 1), ('4', 1)]\n"
+    runs.update({"solve bad.json": [None, "", "TypeError: boom\n"],
+                 "orient bad.json": [5, "", "internal certificate failure: x\n"]})
+    assert outputs.write(path, runs) == 0
+    assert outputs.codes(path) == 1
+    assert capsys.readouterr().out == (
+        "[('0', 1), ('2', 1), ('3', 1), ('4', 1), ('5', 1), ('None', 1)]\n"
+        "exit 5: orient bad.json\nexit None: solve bad.json\n")

@@ -15,6 +15,7 @@ from fairflow.setfn import (
     principal_sets,
     subset_sums,
 )
+from fairflow.baseflow import Instance, exchange_capacity, membership
 from fairflow.oracle import check_pairs, enumerate_base_points
 
 from conftest import base_point_box, random_base, random_bounds, random_finite_supermodular
@@ -37,6 +38,24 @@ class TestSetFn:
             SetFn(2, table=table)
         with pytest.raises(ValueError, match="at mask 1"):
             BaseOracle.from_table(2, table)
+
+
+class TestVectorEntries:
+    """Each vector that is summed over subsets reaches `subset_sums`, which
+    reads integers only and raises ValueError on anything else."""
+
+    @pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5, 1.0], ids=["Fraction", "0.5", "1.0"])
+    @pytest.mark.parametrize("call", [
+        lambda x: membership(Instance(Digraph(2, ((0, 1),)), Bounds((0,), (2,)),
+                                      BaseOracle.zero(2)), (x,)),
+        lambda x: BaseOracle.zero(2).contains((x, -x)),
+        lambda x: exchange_capacity(BaseOracle.zero(2), (x, -x), 0, 1),
+        lambda x: BaseOracle.from_points([(x, -x)], 2),
+        lambda x: subset_sums(np.array([0, x], dtype=object)),
+    ], ids=["membership", "contains", "exchange_capacity", "from_points", "subset_sums"])
+    def test_non_integer_entries_rejected(self, call, entry):
+        with pytest.raises(ValueError, match=r"^entry .* at [01] is not an integer$"):
+            call(entry)
 
 
 class TestSupermodularChecks:
