@@ -77,13 +77,26 @@ def _arc(name, tail, head, f, g, **extra):
     return {"id": name, "tail": tail, "head": head, "f": f, "g": g, **extra}
 
 
+def _chain_table(shift, p_b):
+    """tests/data/chain_table.json with every bound moved by `shift` and
+    p({b}) set to `p_b`."""
+    return {"nodes": ["a", "b", "c"],
+            "arcs": [_arc("ab", "a", "b", shift - 2, shift + 2),
+                     _arc("bc", "b", "c", shift - 2, shift + 2),
+                     _arc("cb", "c", "b", shift, shift + 3)],
+            "F": ["ab", "bc"],
+            "base": {"type": "table", "p": {"": 0, "b": p_b, "b,c": -1, "a,b,c": 0}}}
+
+
 # Inputs that reach paths no fixture does: the blocking-circuit verdict on
 # three nodes, a lower-unbounded focus arc that carries a cost, bounds past
 # int64, a repeated focus id, a table whose full-set value is not 0, degree
 # bounds on an orientation (met, and failing under --k 2), a degree interval
-# emptied by the node's degree, a partial table with a "-inf" entry, and a
-# costed focus arc whose upper bound +inf is capped.  A document with a
-# repeated key is the raw-text fixture tests/data/repeated_key.json.
+# emptied by the node's degree, a partial table with a "-inf" entry, a
+# costed focus arc whose upper bound +inf is capped, four arcs at 2^62
+# whose cut sum passes int64, and tests/data/chain_table.json with every
+# bound, or p({b}), moved past int64.  A document with a repeated key is
+# the raw-text fixture tests/data/repeated_key.json.
 EXTRAS = {
     "extra-blocking-circuit": {
         "nodes": ["a", "b", "c"],
@@ -126,6 +139,12 @@ EXTRAS = {
         "nodes": ["a", "b"],
         "arcs": [_arc("e1", "a", "b", 0, "+inf", cost=1), _arc("e2", "b", "a", 1, 3, cost=2)],
         "F": ["e1"], "base": {"type": "zero"}},
+    "extra-int64-wrap": {
+        "nodes": ["a", "b"],
+        "arcs": [_arc(f"e{i}", "a", "b", 1 << 62, 1 << 62) for i in range(1, 5)],
+        "F": [], "base": {"type": "zero"}},
+    "extra-chain-bounds-past-int64": _chain_table(1 << 64, 1),
+    "extra-chain-value-past-int64": _chain_table(0, 1 << 64),
 }
 
 

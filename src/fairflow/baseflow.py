@@ -35,18 +35,11 @@ from .core import (
     ExtInt,
     NEG_INF,
     POS_INF,
-    crossing_views,
     cut_net,
     is_finite,
     node_net_inflow,
 )
-from .setfn import (
-    BaseOracle,
-    ExtArray,
-    int_dtype,
-    principal_sets,
-    subset_sums,
-)
+from .setfn import BaseOracle, ExtArray, principal_sets, subset_sums
 
 
 class Infeasible(Exception):
@@ -188,14 +181,16 @@ def check_feasible(inst: Instance) -> FeasCert:
 
 def membership(inst: Instance, x: Sequence[int]) -> bool:
     """Is x, one integer per arc, a feasible base-flow?  A non-integer
-    entry within finite bounds raises ValueError (`setfn.subset_sums`),
-    and one compared with an infinite bound TypeError."""
+    entry within finite bounds, a bool included, raises ValueError, and
+    one compared with an infinite bound TypeError."""
     if len(x) != inst.digraph.arc_count:
         return False
     b = inst.bounds
     for e in range(inst.digraph.arc_count):
         if not (b.lower[e] <= x[e] <= b.upper[e]):
             return False
+        if type(x[e]) is not int:
+            raise ValueError(f"entry {x[e]!r} at {e} is not an integer")
     # the net in-flow of a set sums its nodes' net in-flows (inner arcs cancel)
     return inst.base.contains(node_net_inflow(inst.digraph, x))
 
@@ -203,8 +198,10 @@ def membership(inst: Instance, x: Sequence[int]) -> bool:
 def find_feasible(inst: Instance, saturating=frozenset()) -> tuple:
     """Build an integral feasible flow by exact coordinate fixing.
 
-    Arcs are fixed in id order.  For arc e the set of values t that keep the
-    residual instance feasible is an integer interval obtained from the cut
+    Arcs are fixed the ones in `saturating` first, then the rest, each
+    group in id order, so no arc fixed earlier pins a saturating arc at
+    its upper bound.  For arc e the set of values t that keep the residual
+    instance feasible is an integer interval obtained from the cut
     criterion with e's contribution separated out; we pick 0 (for an arc in
     `saturating`, min(0, g - 1), below its costlier last unit) clamped into
     that interval, then freeze the arc and continue.  Exactness of the
@@ -223,7 +220,8 @@ def find_feasible(inst: Instance, saturating=frozenset()) -> tuple:
     # as one (a base holds no +inf)
     counted = bool(inst.slack.pos.any())
     slack = inst.slack.copy(counted)
-    for e, (shape, enter, leave) in enumerate(inst.digraph.arc_views):
+    for e, (shape, enter, leave) in sorted(enumerate(inst.digraph.arc_views),
+                                           key=lambda arc: arc[0] not in saturating):
         f, g = lower[e], upper[e]
         if f == g:
             continue
@@ -234,7 +232,7 @@ def find_feasible(inst: Instance, saturating=frozenset()) -> tuple:
         inf_view = slack.pos.reshape(shape) if counted else None
         # Only subsets whose sole infinite term is e's own bound constrain
         # t; `none` exceeds every |slack| and marks that there is none.
-        none = slack.bound + 1
+        none = slack.above
         # e enters z: t >= p(z) - rest = upper[e] - slack(z)
         least = np.minimum.reduce(fin_view[enter], None, initial=none,
                                   where=not counted or inf_view[enter] == hi_inf)
@@ -270,20 +268,7 @@ def exchange_capacity(base: BaseOracle, y: Sequence[int], s: int, t: int) -> Ext
         raise ValueError(f"y has {len(y)} entries, not one per node of the {n}-node base")
     if s == t:
         raise ValueError("exchange endpoints must differ")
-    return _exchange_capacity(base, subset_sums(y), s, t)
-
-
-def _exchange_capacity(base: BaseOracle, sums: np.ndarray, s: int, t: int) -> ExtInt:
-    """`exchange_capacity` read off the subset sums of y."""
-    p = base.values
-    shape, holds_s, _ = crossing_views(base.n, s, t)
-    sums, fin, neg = (a.reshape(shape)[holds_s] for a in (sums, p.fin, p.neg))
-    separating = ~neg
-    if not separating.any():
-        return POS_INF
-    dtype = int_dtype(int(np.abs(sums).max()) + p.bound)
-    slack = sums[separating].astype(dtype) - fin[separating].astype(dtype)
-    return int(slack.min())
+    return base.exchange_capacity(subset_sums(y), s, t)
 
 
 # --- minimum-cost flow -----------------------------------------------------
@@ -406,7 +391,7 @@ def _bottleneck(inst: Instance, x: Sequence[int], sums: np.ndarray, cycle: list,
 
     def width(tag) -> int:
         if tag[0] == "exch":
-            return _exchange_capacity(inst.base, sums, tag[2], tag[1])
+            return inst.base.exchange_capacity(sums, tag[2], tag[1])
         e = tag[1]
         g, extra = b.upper[e], e in saturating
         if tag[0] == "up":

@@ -25,7 +25,7 @@ from .baseflow import (
     min_cost_flow,
 )
 from .lupmin import lupmin_solve
-from .setfn import ExtArray, SetFn, brute_extremize, cut_difference, int_dtype
+from .setfn import SetFn, brute_extremize, cut_difference
 
 
 @dataclass(frozen=True)
@@ -95,11 +95,7 @@ def newton_dinkelbach(h: SetFn, b: SetFn) -> Tuple[int, List[tuple]]:
         if not mu_next > mu:
             raise CertificateError("ratio candidates failed to increase")
         mu = mu_next
-        bound = hv.bound + mu * bv.bound
-        dtype = int_dtype(bound)
-        fin = hv.fin.astype(dtype, copy=False) - mu * bv.fin.astype(dtype, copy=False)
-        gap = SetFn(h.n, ExtArray(fin, hv.pos, hv.neg, bound))
-        val, xmask = brute_extremize(gap)
+        val, xmask = brute_extremize(SetFn(h.n, hv.minus_times(mu, bv)))
         log.append((mu, xmask))
         if val <= 0:
             return mu, log

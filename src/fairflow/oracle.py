@@ -139,14 +139,18 @@ def enumerate_Q(inst: Instance, window: Optional[EnumWindow] = None,
                 row[e] = -1
         rows.append(row)
         pvals.append(pz)
-    mat = np.array(rows, dtype=np.int64).T if rows else np.zeros((m, 0), dtype=np.int64)
-    pv = np.array(pvals, dtype=np.int64)
-    lows_a = np.array(lows, dtype=np.int64)
+    # int64 while every cut sum of m window entries, a p value and a
+    # window width stay below 2^62; exact Python ints otherwise
+    big = max(map(abs, lows + highs + pvals))
+    dtype = np.int64 if (m + 2) * big < 1 << 62 else object
+    mat = np.array(rows, dtype=dtype).T if rows else np.zeros((m, 0), dtype=dtype)
+    pv = np.array(pvals, dtype=dtype)
+    lows_a = np.array(lows, dtype=dtype)
     points: List[tuple] = []
     chunk = 1 << 14
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        coords = np.empty((len(idx), m), dtype=np.int64)
+        coords = np.empty((len(idx), m), dtype=dtype)
         rem = idx
         for e in range(m - 1, -1, -1):
             coords[:, e] = rem % sizes[e]

@@ -251,9 +251,10 @@ def _fair_flip_base(final: Instance, dref: Sequence[int]) -> BaseOracle:
     p(Z + hub) = p(Z) - T, T = |A| + |E|, through every face contraction, so
     the hub coordinate is -T and h ranges over B(p) on V; the [f, g] box of
     the hub arcs enters one node at a time (Fujishige, 2005), giving r, and
-    dref - h sums to dref(Z) - T + h(V - Z) >= dref(Z) - T + r(V - Z)."""
-    n, total, p, b = len(dref), sum(dref), final.base.values, final.bounds
-    r = p.fin[:1 << n].astype(int_dtype(p.bound + 2 * total + sum(map(abs, b.lower + b.upper))))
+    dref - h sums to dref(Z) - T + h(V - Z) >= dref(Z) - T + r(V - Z), in
+    Python ints (2^n <= 2^7 of them) until `ExtArray.finite` picks a dtype."""
+    n, total, b = len(dref), sum(dref), final.bounds
+    r = final.base.values.fin[:1 << n].astype(object)
     for v in range(n):  # r(Z) <- max(r(Z), r(Z + v) - g_v), r(Z + v) <- max(., r(Z) + f_v)
         view = r.reshape(-1, 2, 1 << v)  # [:, 0] leaves v out, [:, 1] holds it
         np.maximum(view[:, 0], view[:, 1] - b.upper[v], out=view[:, 0])

@@ -34,6 +34,15 @@ reference and certificate readers use its scalar view `BaseOracle.p`.
 `brute_extremize` and the Newton ratio search are whole-table array scans
 behind the same contract (the maximum over all subsets, lowest mask on
 ties), so that a submodular-function minimizer can replace them.
+
+This module alone picks how a table's values are stored, int64 below
+2^62 and exact Python ints from there on, and reads `ExtArray.bound`.
+Other modules build tables through `ExtArray`'s constructors
+(`from_values`, `scatter`, `finite` and `zeros` all return through
+`ExtArray.tight`), and ask it for a sentinel above every finite entry
+(`ExtArray.above`), the Newton gap (`ExtArray.minus_times`) or an
+exchange capacity (`BaseOracle.exchange_capacity`).  So no value ever
+wraps; `oracle`, the independent verifier, keeps its own rule.
 """
 
 from __future__ import annotations
@@ -52,6 +61,7 @@ from .core import (
     Chain,
     Digraph,
     ExtInt,
+    crossing_views,
     is_finite,
 )
 
@@ -67,11 +77,11 @@ def int_dtype(bound: int):
 
 def subset_sums(vec) -> np.ndarray:
     """Sum of one vector over every subset, indexed by bitmask (bit v =
-    vec[v]), its entries read as exact Python ints: any other entry raises
-    ValueError."""
+    vec[v]), its entries read as exact Python ints: any other entry, a
+    bool included, raises ValueError."""
     vec = vec.tolist() if isinstance(vec, np.ndarray) else vec
     for v, x in enumerate(vec):
-        if not isinstance(x, int):
+        if type(x) is not int:
             raise ValueError(f"entry {x!r} at {v} is not an integer")
     sums = np.zeros(1 << len(vec), dtype=int_dtype(sum(map(abs, vec))))
     for v, x in enumerate(vec):
@@ -114,11 +124,9 @@ class ExtArray:
         for m, v in enumerate(values):
             if isinstance(v, bool) or not (is_finite(v) or v is POS_INF or v is NEG_INF):
                 raise ValueError(f"value {v!r} at mask {m} is neither an integer nor an infinity")
-        fin = [v if is_finite(v) else 0 for v in values]
-        bound = max(map(abs, fin), default=0)
-        return cls(np.array(fin, dtype=int_dtype(bound)),
-                   np.array([v is POS_INF for v in values]),
-                   np.array([v is NEG_INF for v in values]), bound)
+        return cls.tight(np.array([v if is_finite(v) else 0 for v in values], dtype=object),
+                         np.array([v is POS_INF for v in values]),
+                         np.array([v is NEG_INF for v in values]))
 
     @classmethod
     def scatter(cls, n: int, masks: Sequence[int], fin: Sequence[int],
@@ -128,27 +136,24 @@ class ExtArray:
         entries are 0) and at every mask not listed.  The masks must be
         distinct.
 
-        `fin` is read as one int64 array; when some |fin[i]| reaches 2^62,
-        or does not fit int64 at all, the table holds its exact Python
-        ints instead."""
+        `fin` is read as one int64 array, or as exact Python ints when a
+        value does not fit int64; `tight` then picks the table's dtype."""
         try:
             listed = np.fromiter(fin, np.int64, len(fin))
-            bound = max(int(listed.max(initial=0)), -int(listed.min(initial=0)))
         except OverflowError:
-            bound = _INT64_SAFE
-        if bound >= _INT64_SAFE:
-            listed, bound = fin, max(max(fin, default=0), -min(fin, default=0))
-        values = np.zeros(1 << n, dtype=int_dtype(bound))
+            listed = np.array(fin, dtype=object)
+        values = np.zeros(1 << n, dtype=listed.dtype)
         values[masks] = listed
         neg = np.ones(1 << n, dtype=bool)
         neg[masks] = False
         neg[minus] = True
-        return cls(values, np.zeros(1 << n, dtype=bool), neg, bound)
+        return cls.tight(values, np.zeros(1 << n, dtype=bool), neg)
 
     @classmethod
     def tight(cls, fin: np.ndarray, pos: np.ndarray, neg: np.ndarray) -> "ExtArray":
-        """An array whose bound is max |fin|, in the dtype that bound picks."""
-        bound = int(np.abs(fin).max())
+        """An array whose bound is max |fin|, in the dtype that bound picks,
+        read as max and -min in Python ints (np.abs wraps an int64 -2^63)."""
+        bound = max(int(fin.max()), -int(fin.min()))
         return cls(fin.astype(int_dtype(bound), copy=False), pos, neg, bound)
 
     @classmethod
@@ -161,8 +166,20 @@ class ExtArray:
     def zeros(cls, n: int) -> "ExtArray":
         return cls.finite(np.zeros(1 << n, dtype=np.int64))
 
+    @property
+    def above(self) -> int:
+        """An integer above every |finite entry|, held by the dtype."""
+        return self.bound + 1
+
     def __neg__(self) -> "ExtArray":
         return ExtArray(-self.fin, self.neg, self.pos, self.bound)
+
+    def minus_times(self, mu: int, other: "ExtArray") -> "ExtArray":
+        """This array minus mu >= 0 times a table with no infinite entry."""
+        bound = self.bound + mu * other.bound
+        dtype = int_dtype(bound)
+        fin = self.fin.astype(dtype, copy=False) - mu * other.fin.astype(dtype, copy=False)
+        return ExtArray(fin, self.pos, self.neg, bound)
 
     def plus_cut(self, digraph: Digraph, upper: Sequence[ExtInt],
                  lower: Sequence[ExtInt]) -> "ExtArray":
@@ -299,7 +316,7 @@ def brute_extremize(fn: SetFn):
     if pos.any():
         mask = int(pos.argmax())
     else:
-        mask = int(np.where(neg, -a.bound - 1, a.fin).argmax())
+        mask = int(np.where(neg, -a.above, a.fin).argmax())
     return a.value(mask), mask
 
 
@@ -356,6 +373,20 @@ class BaseOracle:
             return False
         p = self.values
         return bool(np.all((sums >= p.fin) | p.neg))
+
+    def exchange_capacity(self, sums: np.ndarray, s: int, t: int) -> ExtInt:
+        """Largest step a for which y - a*chi_s + a*chi_t stays in the base,
+        read off the subset sums of y: the least slack over the subsets
+        holding s and avoiding t, +inf when each of them is -inf."""
+        p = self.values
+        shape, holds_s, _ = crossing_views(self.n, s, t)
+        sums, fin, neg = (a.reshape(shape)[holds_s] for a in (sums, p.fin, p.neg))
+        separating = ~neg
+        if not separating.any():
+            return POS_INF
+        dtype = int_dtype(int(np.abs(sums).max()) + p.bound)
+        slack = sums[separating].astype(dtype) - fin[separating].astype(dtype)
+        return int(slack.min())
 
     def face_contract(self, chain: Chain) -> "BaseOracle":
         """Restrict to the face where every chain member is tight.

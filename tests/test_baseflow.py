@@ -404,8 +404,9 @@ class TestFindFeasible:
         at_most_zero = Instance(d, Bounds((-3, -3), (0, 0)), BaseOracle.zero(2))
         assert find_feasible(at_most_zero) == (0, 0)
         assert find_feasible(at_most_zero, {0}) == (-1, -1)
-        # greedy in id order: arc 0 takes 0 first, which pins arc 1 at its upper bound
-        assert find_feasible(at_most_zero, {1}) == (0, 0)
+        # saturating arcs are fixed first: arc 1 takes -1 before arc 0 could
+        # take 0 and pin it at its upper bound
+        assert find_feasible(at_most_zero, {1}) == (-1, -1)
         positive = Instance(d, Bounds((0, 0), (3, 3)), BaseOracle.zero(2))
         assert find_feasible(positive, {0, 1}) == (0, 0)
 

@@ -31,6 +31,7 @@ from conftest import ext_array_parts, table_of
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "scripts"))
+from outputs import EXTRAS  # noqa: E402
 from scale import table_doc, time_table  # noqa: E402
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -411,6 +412,21 @@ class TestVerify:
         code, _ = run(capsys, "verify", path("i1.json"), "--budget", "1")
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("name, verdict", [
+        ("extra-int64-wrap", EXIT_INFEASIBLE),
+        ("extra-chain-bounds-past-int64", EXIT_OK),
+        ("extra-chain-value-past-int64", EXIT_INFEASIBLE)])
+    def test_values_past_int64(self, capsys, tmp_path, name, verdict):
+        # the enumeration sums four arcs at 2^62 and reads bounds and table
+        # values of 2^64 exactly, so it agrees with check and solve
+        src = tmp_path / f"{name}.json"
+        src.write_text(json.dumps(EXTRAS[name]))
+        assert run(capsys, "check", str(src))[0] == verdict
+        assert run(capsys, "solve", str(src))[0] == verdict
+        code, out = run(capsys, "verify", str(src))
+        assert code == EXIT_OK
+        assert "FAIL" not in out and "PASS feasibility-equivalence" in out
+
     def test_mismatch_exits_5(self, capsys, monkeypatch):
         # a lying oracle must surface as exit 5, never a silent pass
         import fairflow.cli as cli
@@ -504,8 +520,9 @@ class TestParsing:
         assert cli._TABLE_INDEX[2] is index
         assert str(kept.value) == str(built.value)
 
-    @pytest.mark.parametrize("value", [(1 << 62) - 1, 1 << 62, 1 << 63, -(1 << 63) - 1],
-                             ids=["2^62-1", "2^62", "2^63", "-2^63-1"])
+    @pytest.mark.parametrize("value", [(1 << 62) - 1, 1 << 62, (1 << 63) - 1, 1 << 63,
+                                       -(1 << 63), -(1 << 63) - 1],
+                             ids=["2^62-1", "2^62", "2^63-1", "2^63", "-2^63", "-2^63-1"])
     def test_table_values_at_the_int64_limits(self, value):
         # an int64 table below 2^62; from there on, even past int64, an
         # object table of exact Python ints, as BaseOracle.from_table builds

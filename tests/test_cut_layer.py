@@ -105,7 +105,8 @@ def ref_find_feasible(inst, saturating=frozenset()):
     lower = list(inst.bounds.lower)
     upper = list(inst.bounds.upper)
     p = inst.base.p
-    for e in range(d.arc_count):
+    # the saturating arcs first, then the rest, each group in id order
+    for e in sorted(range(d.arc_count), key=lambda e: e not in saturating):
         if lower[e] == upper[e]:
             continue
         t_arc, h_arc = d.arcs[e]

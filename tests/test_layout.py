@@ -7,6 +7,10 @@
   data types from the engine (any of `core`, `baseflow.Instance`,
   `setfn.BaseOracle` and `setfn.SetFn`), so that code moved into it stays
   independent of the engine paths it certifies.
+- `setfn.py` alone picks how a table's values are stored (int64 or exact
+  Python ints): no other module reads a `.bound` attribute, calls
+  `ExtArray(...)` on raw fields, or names `int_dtype` outside
+  `orient._top`, whose mixed-radix keys are not table values.
 """
 
 import ast
@@ -54,3 +58,24 @@ def test_oracle_imports_only_engine_data_types():
     assert imported, "the scan must see the oracle's engine imports"
     assert [(module, name) for module, name in imported if module != "core"
             and name not in ORACLE_MAY_IMPORT.get(module, ())] == []
+
+
+def test_only_setfn_picks_table_storage():
+    def named(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    found = []
+    for name, tree in modules():
+        if name == "setfn.py":
+            continue
+        keys = {node for f in tree.body if name == "orient.py" and getattr(f, "name", "") == "_top"
+                for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            line = f"{name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Attribute) and node.attr == "bound":
+                found.append(f"{line} reads .bound")
+            if isinstance(node, ast.Call) and named(node.func) == "ExtArray":
+                found.append(f"{line} calls ExtArray(...)")
+            if named(node) == "int_dtype" and node not in keys:
+                found.append(f"{line} names int_dtype")
+    assert found == []

@@ -1,6 +1,10 @@
-import pytest
+from itertools import product
 
-from fairflow.core import Bounds, Chain, Digraph
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fairflow.core import NEG_INF, Bounds, Chain, Digraph
 from fairflow.baseflow import Instance
 from fairflow.oracle import (
     BudgetExceeded,
@@ -37,6 +41,55 @@ class TestEnumerate:
     def test_no_arcs(self):
         d = Digraph(2, ())
         assert enumerate_Q(Instance(d, Bounds((), ()), BaseOracle.zero(2))) == [()]
+
+
+# offsets near both ends of int64 and past them, where int64 sums wrap
+NEAR_INT64 = [0, 1 << 62, 1 << 63, 1 << 64, -(1 << 62), -(1 << 63), -(1 << 64)]
+
+
+def ref_enumerate_Q(inst):
+    """`enumerate_Q` over finite bounds, on Python ints only: each point of
+    the box whose net in-flow into every set is at least its p value."""
+    d, b, p = inst.digraph, inst.bounds, inst.base.p
+    points = []
+    for x in product(*(range(lo, hi + 1) for lo, hi in zip(b.lower, b.upper))):
+        inflow = [sum(x[e] for e, (t, h) in enumerate(d.arcs) if (z >> h) & 1 and not (z >> t) & 1)
+                  - sum(x[e] for e, (t, h) in enumerate(d.arcs) if (z >> t) & 1 and not (z >> h) & 1)
+                  for z in range(1 << d.node_count)]
+        if all(p(z) is NEG_INF or inflow[z] >= p(z) for z in range(1 << d.node_count)):
+            points.append(x)
+    return points
+
+
+@st.composite
+def instances_near_int64(draw):
+    n = draw(st.integers(2, 3))
+    m = draw(st.integers(1, 3))
+    arcs = tuple(draw(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda a: a[0] != a[1])) for _ in range(m))
+    lower = [draw(st.sampled_from(NEAR_INT64)) + draw(st.integers(-2, 2)) for _ in range(m)]
+    upper = [lo + draw(st.integers(0, 2)) for lo in lower]
+    table = [0] * (1 << n)
+    for z in range(1, (1 << n) - 1):
+        table[z] = draw(st.one_of(st.just(NEG_INF), st.integers(-8, 8),
+                                  st.sampled_from(NEAR_INT64[1:]).map(lambda c: c - 4),
+                                  st.builds(int.__add__, st.sampled_from(NEAR_INT64),
+                                            st.integers(-3, 3))))
+    return Instance(Digraph(n, arcs), Bounds(tuple(lower), tuple(upper)),
+                    BaseOracle.from_table(n, table))
+
+
+class TestEnumerateNearInt64:
+    @settings(max_examples=150, deadline=None)
+    @given(instances_near_int64())
+    def test_matches_pure_python_reference(self, inst):
+        assert enumerate_Q(inst) == ref_enumerate_Q(inst)
+
+    def test_four_arcs_at_2_62_stay_infeasible(self):
+        # their cut sum 2^64 wrapped to 0 in int64, above the zero base
+        g = 1 << 62
+        inst = Instance(Digraph(2, ((0, 1),) * 4), Bounds((g,) * 4, (g,) * 4), BaseOracle.zero(2))
+        assert enumerate_Q(inst) == ref_enumerate_Q(inst) == []
 
 
 class TestBruteDecmin:

@@ -44,7 +44,8 @@ class TestVectorEntries:
     """Each vector that is summed over subsets reaches `subset_sums`, which
     reads integers only and raises ValueError on anything else."""
 
-    @pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5, 1.0], ids=["Fraction", "0.5", "1.0"])
+    @pytest.mark.parametrize("entry", [Fraction(1, 2), 0.5, 1.0, True, False],
+                             ids=["Fraction", "0.5", "1.0", "True", "False"])
     @pytest.mark.parametrize("call", [
         lambda x: membership(Instance(Digraph(2, ((0, 1),)), Bounds((0,), (2,)),
                                       BaseOracle.zero(2)), (x,)),
@@ -56,6 +57,21 @@ class TestVectorEntries:
     def test_non_integer_entries_rejected(self, call, entry):
         with pytest.raises(ValueError, match=r"^entry .* at [01] is not an integer$"):
             call(entry)
+
+    def test_bool_flow_rejected(self):
+        inst = Instance(Digraph(2, ((0, 1), (1, 0))), Bounds((0, 0), (1, 1)), BaseOracle.zero(2))
+        assert membership(inst, (1, 1))
+        with pytest.raises(ValueError, match="^entry True at 0 is not an integer$"):
+            membership(inst, (True, True))
+
+
+class TestTableStorage:
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_bound_of_the_int64_minimum(self, dtype):
+        # np.abs wraps an int64 -2^63 to itself, a negative bound
+        table = ExtArray.finite(np.array([0, -(1 << 63)], dtype=dtype))
+        assert table.bound == 1 << 63
+        assert table.fin.dtype == object and table.fin.tolist() == [0, -(1 << 63)]
 
 
 class TestSupermodularChecks:
