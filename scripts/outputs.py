@@ -94,9 +94,11 @@ def _chain_table(shift, p_b):
 # bounds on an orientation (met, and failing under --k 2), a degree interval
 # emptied by the node's degree, a partial table with a "-inf" entry, a
 # costed focus arc whose upper bound +inf is capped, four arcs at 2^62
-# whose cut sum passes int64, and tests/data/chain_table.json with every
-# bound, or p({b}), moved past int64.  A document with a repeated key is
-# the raw-text fixture tests/data/repeated_key.json.
+# whose cut sum passes int64, tests/data/chain_table.json with every
+# bound, or p({b}), moved past int64, and a table finite on {b} and {c}
+# but not on {b,c}, the set reachable from the head of a lower-unbounded
+# focus arc (finitize_bounds' "not closed under union" exit 2).  A document
+# with a repeated key is the raw-text fixture tests/data/repeated_key.json.
 EXTRAS = {
     "extra-blocking-circuit": {
         "nodes": ["a", "b", "c"],
@@ -145,6 +147,11 @@ EXTRAS = {
         "F": [], "base": {"type": "zero"}},
     "extra-chain-bounds-past-int64": _chain_table(1 << 64, 1),
     "extra-chain-value-past-int64": _chain_table(0, 1 << 64),
+    "extra-reachable-set-not-finite": {
+        "nodes": ["a", "b", "c"],
+        "arcs": [_arc("e", "a", "b", "-inf", 0), _arc("h", "b", "c", "-inf", 0)],
+        "F": ["e"],
+        "base": {"type": "table", "p": {"": 0, "b": -5, "c": -5, "a,b,c": 0}}},
 }
 
 

@@ -2,8 +2,9 @@
 
 An Instance couples a digraph, integer bounds, a zero-base oracle and a
 focus arc set.  Its base table lies in Z | {-inf} and its slack table in
-Z | {+inf} (see `setfn`), so a verdict reads finite negative slacks only,
-and flows are integer vectors.  Feasibility follows the cut criterion
+Z | {+inf} (see `setfn`, which alone reads how a table marks its infinite
+entries), so a verdict reads finite negative slacks only, and flows are
+integer vectors.  Feasibility follows the cut criterion
 (the in-cut of the upper bounds minus the out-cut of the lower bounds must
 dominate the base function on every node subset); a feasible integral flow
 is built by exact coordinate fixing; minimum-cost flows are computed by
@@ -31,15 +32,15 @@ import numpy as np
 
 from .core import (
     Bounds,
+    CertificateError,
     Digraph,
     ExtInt,
-    NEG_INF,
     POS_INF,
     cut_net,
     is_finite,
     node_net_inflow,
 )
-from .setfn import BaseOracle, ExtArray, principal_sets, subset_sums
+from .setfn import BaseOracle, ExtArray, subset_sums
 
 
 class Infeasible(Exception):
@@ -49,10 +50,6 @@ class Infeasible(Exception):
         self.violator = violator
         self.deficit = deficit
         super().__init__(f"infeasible: violating set mask {violator:b}, deficit {deficit}")
-
-
-class CertificateError(Exception):
-    """An internal optimality certificate failed to verify; engine bug."""
 
 
 @dataclass(frozen=True)
@@ -87,12 +84,8 @@ class Instance:
     @cached_property
     def violator(self) -> Optional[Tuple[int, ExtInt]]:
         """The verdict: the lowest-mask violating subset and its deficit, or None."""
-        s = self.slack
-        bad = (s.pos == 0) & (s.fin < 0)
-        zmask = int(bad.argmax())
-        if not bad[zmask]:
-            return None
-        return zmask, s.value(zmask)
+        zmask = self.slack.first_negative()
+        return None if zmask is None else (zmask, self.slack.value(zmask))
 
     @cached_property
     def feasible_flow(self) -> tuple:
@@ -207,47 +200,27 @@ def find_feasible(inst: Instance, saturating=frozenset()) -> tuple:
     that interval, then freeze the arc and continue.  Exactness of the
     interval makes the procedure never backtrack.
 
-    A copy of the instance's slack is kept up to date as arcs are fixed, by
-    the step that moves every cut table (`ExtArray._shift`): fixing e
-    touches only the subsets e enters or leaves, so each arc costs O(2^n)
-    and the whole pass O(m 2^n).
+    A copy of the instance's slack gives each arc's interval and is moved
+    as the arc is fixed (`ExtArray.arc_interval`, `ExtArray.fix_arc`):
+    fixing e touches only the subsets e enters or leaves, so each arc
+    costs O(2^n) and the whole pass O(m 2^n).
     """
     if inst.violator is not None:
         raise Infeasible(*inst.violator)
     lower = list(inst.bounds.lower)
     upper = list(inst.bounds.upper)
-    # +inf terms per subset as counts, or none at all; p(z) = -inf counts
-    # as one (a base holds no +inf)
-    counted = bool(inst.slack.pos.any())
-    slack = inst.slack.copy(counted)
-    for e, (shape, enter, leave) in sorted(enumerate(inst.digraph.arc_views),
-                                           key=lambda arc: arc[0] not in saturating):
+    slack = inst.slack.fixing()
+    for e, views in sorted(enumerate(inst.digraph.arc_views),
+                           key=lambda arc: arc[0] not in saturating):
         f, g = lower[e], upper[e]
         if f == g:
             continue
-        lo, hi = f, g  # narrowed below to the values that keep the rest feasible
-        hi_inf, lo_inf = g is POS_INF, f is NEG_INF
-        hi_fin, lo_fin = (0 if hi_inf else g), (0 if lo_inf else f)
-        fin_view = slack.fin.reshape(shape)
-        inf_view = slack.pos.reshape(shape) if counted else None
-        # Only subsets whose sole infinite term is e's own bound constrain
-        # t; `none` exceeds every |slack| and marks that there is none.
-        none = slack.above
-        # e enters z: t >= p(z) - rest = upper[e] - slack(z)
-        least = np.minimum.reduce(fin_view[enter], None, initial=none,
-                                  where=not counted or inf_view[enter] == hi_inf)
-        if least < none:
-            lo = max(lo, hi_fin - int(least))
-        # e leaves z: t <= rest - p(z) = slack(z) + lower[e]
-        least = np.minimum.reduce(fin_view[leave], None, initial=none,
-                                  where=not counted or inf_view[leave] == lo_inf)
-        if least < none:
-            hi = min(hi, lo_fin + int(least))
+        lo, hi = slack.arc_interval(views, f, g)
         if not lo <= hi:
             raise CertificateError("coordinate-fixing interval collapsed on a feasible instance")
-        val = min(max(min(0, hi_fin - 1) if e in saturating else 0, lo), hi)
+        val = min(max(min(0, g - 1) if e in saturating else 0, lo), hi)
         lower[e] = upper[e] = val
-        slack._shift([(shape, enter, g, val), (shape, leave, -f, -val)])
+        slack.fix_arc(views, f, g, val)
     x = tuple(lower)
     if not membership(inst, x):
         raise CertificateError("constructed flow failed membership check")
@@ -303,10 +276,8 @@ def _aux_arcs(inst: Instance, x: Sequence[int], sums: np.ndarray,
             arcs.append((u, v, up, ("up", e)))
         if down is not None:
             arcs.append((v, u, -down, ("down", e)))
-    n = inst.base.n
-    p = inst.base.values
-    meets = principal_sets(n, (sums == p.fin) & ~p.neg)
-    for s in range(n):
+    meets = inst.base.meets(sums)
+    for s in range(inst.base.n):
         for t, meet in enumerate(meets):
             if s != t and (meet >> s) & 1:
                 arcs.append((s, t, 0, ("exch", s, t)))
@@ -473,8 +444,23 @@ def min_cost_flow(inst: Instance, cost: Sequence[int],
         found = _min_arc_negative_cycle(n, _aux_arcs(inst, x, sums, cost, saturating))
         if isinstance(found, DualPotential):
             break
-        # each aux arc admits the bottleneck alone, but several exchange
-        # arcs together may not; on a fewest-arc cycle a unit step does
+        # Each aux arc admits the bottleneck alone, but several exchange arcs
+        # together may not; on a fewest-arc cycle a unit step does.  The
+        # halving below needs 3 or more exchange arcs, so 6 or more nodes, for
+        # two reasons.  (1) No two exchange arcs of a fewest-arc cycle are
+        # consecutive: s -> t is drawn when s lies in every tight set holding
+        # t, a transitive relation, so a -> b -> c would shortcut to a -> c at
+        # cost 0 with one arc fewer; a cycle on k nodes holds at most k // 2
+        # exchange arcs.  (2) With p supermodular on a ring family (closed
+        # under union and intersection), a cycle with exchange arcs s1 -> t1
+        # and s2 -> t2, of capacities c1, c2 >= delta, keeps its step in B(p):
+        # a set loses at most delta, which c1 or c2 covers, unless it is a Z
+        # holding t1 and t2 and avoiding s1 and s2, which loses 2 delta.  The
+        # chords s2 -> t1 and s1 -> t2 would close cycles whose costs sum to
+        # the cycle's negative cost, so fewest arcs forbids the chord on the
+        # negative side: some tight Y holds t1 and s1 and avoids s2 (or the
+        # mirror case), and the slack, submodular, gives
+        # slack(Z) >= slack(Z & Y) + slack(Z | Y) >= c1 + c2 >= 2 delta.
         delta = _bottleneck(inst, x, sums, found, saturating)
         while True:
             y = list(x)

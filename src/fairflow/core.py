@@ -65,6 +65,10 @@ NEG_INF = Infinity(-1)
 ExtInt = Union[int, Infinity]
 
 
+class CertificateError(Exception):
+    """An internal optimality certificate failed to verify; engine bug."""
+
+
 def is_finite(v: ExtInt) -> bool:
     return isinstance(v, int)
 

@@ -12,11 +12,10 @@ whose integral flows are exactly the decreasingly-minimal ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from .core import Bounds, Chain, chain_classify, is_finite
+from .core import Bounds, CertificateError, Chain, chain_classify, is_finite
 from .baseflow import (
-    CertificateError,
     Infeasible,
     Instance,
     check_feasible,
@@ -25,7 +24,7 @@ from .baseflow import (
     min_cost_flow,
 )
 from .lupmin import lupmin_solve
-from .setfn import SetFn, brute_extremize, cut_difference
+from .setfn import SetFn, cut_difference, newton_dinkelbach
 
 
 @dataclass(frozen=True)
@@ -58,47 +57,6 @@ def strip_tight(focus, bounds: Bounds) -> frozenset:
     """Drop arcs with equal bounds; their value is forced, so the
     decreasingly-minimal set is unchanged."""
     return frozenset(e for e in focus if not bounds.is_tight(e))
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -((-a) // b)
-
-
-def newton_dinkelbach(h: SetFn, b: SetFn) -> Tuple[int, List[tuple]]:
-    """Smallest nonnegative integer mu with mu*b(X) >= h(X) for all X.
-
-    Requires h(X) <= 0 wherever b(X) = 0 (some good mu exists) and some
-    h(Y) > 0 (zero is bad).  Each round maximizes the gap h - mu*b, one
-    array expression over the tables, exhaustively; candidate values are
-    the ceiled ratios at the maximizers and strictly increase while bad.
-    The iterate log records (mu, argmax) pairs.
-    """
-    if h.n != b.n:
-        raise ValueError("ground set mismatch")
-    hv, bv = h.values, b.values
-    h_positive = (hv.pos != 0) | ((hv.neg == 0) & (hv.fin > 0))
-    bad = (bv.pos != 0) | (bv.neg != 0) | (bv.fin < 0) | ((bv.fin == 0) & h_positive)
-    if bad.any():
-        m = int(bad.argmax())  # the first mask that fails a scalar check
-        bm = b(m)
-        if not (is_finite(bm) and bm >= 0):
-            raise ValueError("b must be finite and nonnegative")
-        if h(m) > 0:
-            raise ValueError("no good mu exists: positive h on a zero of b")
-    val, xmask = brute_extremize(h)
-    if not val > 0:
-        raise ValueError("mu = 0 is already good")
-    log = [(0, xmask)]
-    mu = 0
-    while True:
-        mu_next = _ceil_div(h(xmask), b(xmask))
-        if not mu_next > mu:
-            raise CertificateError("ratio candidates failed to increase")
-        mu = mu_next
-        val, xmask = brute_extremize(SetFn(h.n, hv.minus_times(mu, bv)))
-        log.append((mu, xmask))
-        if val <= 0:
-            return mu, log
 
 
 def compute_beta(inst: Instance) -> Tuple[int, Instance]:

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import NEG_INF, POS_INF, is_finite
-from .baseflow import CertificateError, Infeasible, Instance, membership
-from .setfn import principal_sets
+from .baseflow import Infeasible, Instance, membership
 
 
 class BlockingCircuit(ValueError):
@@ -48,8 +47,7 @@ class JumpStructure:
 
 def build_jump_structure(inst: Instance) -> JumpStructure:
     n = inst.digraph.node_count
-    p = inst.base.values
-    principal = principal_sets(n, ~p.neg)
+    principal = inst.base.meets()
     arcs = [DStarArc(u, v, "jump", None) for u in range(n) for v in range(n)
             if v != u and (principal[u] >> v) & 1]
     d, b = inst.digraph, inst.bounds
@@ -169,18 +167,18 @@ def finitize_bounds(inst: Instance) -> Instance:
         if bounds.lower[e] is not NEG_INF:
             continue
         tail, head = inst.digraph.arcs[e]
+        # has_blocking_dicircuit searched from head for tail, so smask
+        # avoids tail and e enters it
         smask = _reachable(js, head)
-        if (smask >> tail) & 1:
-            raise CertificateError("blocking dicircuit present: no finite reduction exists")
         # smask is a union of principal sets, finite for a base whose finite
         # sets are closed under union and intersection; a table that is not
         # is bad input
-        if work.slack.pos[smask]:
+        if (slack := work.slack.value(smask)) is POS_INF:
             raise ValueError(
                 "base table is not closed under union and intersection: p is not "
                 f"finite on the set reachable from the head of arc {e} (mask {smask:b})")
         # e enters smask, so its cut inequality reads x_e >= upper[e] - slack
-        lower_updates[e] = bounds.upper[e] - work.slack.value(smask)
+        lower_updates[e] = bounds.upper[e] - slack
     if not lower_updates:
         return work
     return work.with_bounds(bounds.with_lower(lower_updates))

@@ -5,8 +5,9 @@ dense `ExtArray` table.  This module provides the cut-difference function of
 a bounded digraph, exhaustive maximization (the swap-ready stand-in for a
 submodular-function-minimization routine), the pointwise-minimum envelope of
 an enumerated base polyhedron, face contraction of a base oracle along a
-chain, and `principal_sets`, the per-node meet of a mask family that the jump
-structure and the exchange arcs of the min-cost auxiliary digraph read.
+chain, and `principal_sets`, the per-node meet of a mask family, which the
+jump structure and the exchange arcs of the min-cost auxiliary digraph read
+through `BaseOracle.meets`.
 
 Numbers are integers and the two infinities, nothing else: a base table
 lies in Z | {-inf} (`BaseOracle` rejects +inf, on which B(p) would be
@@ -20,7 +21,8 @@ an arc crosses are a view on three free axes of such an array
 (`core.crossing_views`), and one in-place step, `ExtArray._shift`, writes
 the bound terms of every cut table, one view per changed side: in a copy
 for `ExtArray.plus_cut` (every bound from 0) and `ExtArray.shift_cut`, and
-in `baseflow.find_feasible`'s own copy as each arc is fixed.
+in the `ExtArray.fixing` copy that `ExtArray.fix_arc` moves as coordinate
+fixing pins each arc.
 `ExtArray.swap_base` replaces the base table a slack subtracts, so a slack
 derives from that of the instance it was copied from, on a face too.  A
 `BaseOracle` owns its bounding function as one `ExtArray`, built once by
@@ -31,25 +33,31 @@ table with no infinite entry, such as an envelope) and checked once, as
 the oracle is made; slacks, membership, face contraction, jump
 structures, exchange arcs, exchange capacities and `orient` read it, and
 reference and certificate readers use its scalar view `BaseOracle.p`.
-`brute_extremize` and the Newton ratio search are whole-table array scans
-behind the same contract (the maximum over all subsets, lowest mask on
-ties), so that a submodular-function minimizer can replace them.
+`brute_extremize` and the Newton ratio search `newton_dinkelbach` are
+whole-table array scans behind the same contract (the maximum over all
+subsets, lowest mask on ties), so that a submodular-function minimizer
+can replace them.
 
 This module alone picks how a table's values are stored, int64 below
 2^62 and exact Python ints from there on, and reads `ExtArray.bound`.
+It alone reads how an entry marks its infinite terms (the `pos` and
+`neg` flags or counts) and moves cut terms (`_move_cut`, `_shift`).
 Other modules build tables through `ExtArray`'s constructors
 (`from_values`, `scatter`, `finite` and `zeros` all return through
-`ExtArray.tight`), and ask it for a sentinel above every finite entry
-(`ExtArray.above`), the Newton gap (`ExtArray.minus_times`) or an
-exchange capacity (`BaseOracle.exchange_capacity`).  So no value ever
-wraps; `oracle`, the independent verifier, keeps its own rule.
+`ExtArray.tight`), and ask for one entry (`ExtArray.value`), a slack's
+lowest violating set (`ExtArray.first_negative`), an arc's fixing
+interval and the fix itself (`ExtArray.arc_interval`, `ExtArray.fix_arc`
+on an `ExtArray.fixing` copy), the Newton gap (`ExtArray.minus_times`),
+the meets of the finite or tight sets (`BaseOracle.meets`) or an exchange
+capacity (`BaseOracle.exchange_capacity`).  So no value ever wraps;
+`oracle`, the independent verifier, keeps its own rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,6 +66,7 @@ from .core import (
     NEG_INF,
     POS_INF,
     Bounds,
+    CertificateError,
     Chain,
     Digraph,
     ExtInt,
@@ -108,10 +117,11 @@ def principal_sets(n: int, family: np.ndarray) -> list:
 class ExtArray:
     """Exact extended-integer values over all 2^n subsets.
 
-    `fin` is the finite part (0 where an infinity is present); `pos` and
-    `neg` count the +inf and -inf terms summed into each entry, so no
-    Infinity object ever sits in an array.  `bound` bounds |fin| and picks
-    the dtype: int64 below 2^62, Python ints above.
+    `fin` sums the finite terms of each entry, also where an infinity is
+    present; `pos` and `neg` flag, or count, the +inf and -inf terms
+    summed into each entry, so no Infinity object ever sits in an array.
+    `bound` bounds |fin| and picks the dtype: int64 below 2^62, Python
+    ints above.
     """
 
     __slots__ = ("fin", "pos", "neg", "bound")
@@ -245,6 +255,41 @@ class ExtArray:
         self.fin = fin.astype(int_dtype(bound), copy=False) if partial >= _INT64_SAFE else fin
         self.bound = bound
 
+    def fixing(self) -> "ExtArray":
+        """A copy for `arc_interval` and `fix_arc`, with `pos` as counts
+        when some entry is +inf: a bool `pos` on it means none is."""
+        return self.copy(bool(self.pos.any()))
+
+    def arc_interval(self, views, f: ExtInt, g: ExtInt) -> tuple:
+        """On a `fixing` copy of a slack, the values t in [f, g] of the arc
+        with crossing `views` that keep it feasible: t >= g - slack(z) on
+        each subset z it enters, t <= slack(z) + f on each it leaves, where
+        the arc's own bound is z's only infinite term (p(z) = -inf is one)."""
+        shape, enter, leave = views
+        fin = self.fin.reshape(shape)
+        pos = None if self.pos.dtype == bool else self.pos.reshape(shape)  # None: no +inf
+        none = self.above  # exceeds every |entry|: no subset constrains t
+        hi_inf, lo_inf = g is POS_INF, f is NEG_INF
+        least = np.minimum.reduce(fin[enter], None, initial=none,
+                                  where=pos is None or pos[enter] == hi_inf)
+        lo = f if least == none else max(f, (0 if hi_inf else g) - int(least))
+        least = np.minimum.reduce(fin[leave], None, initial=none,
+                                  where=pos is None or pos[leave] == lo_inf)
+        hi = g if least == none else min(g, (0 if lo_inf else f) + int(least))
+        return lo, hi
+
+    def fix_arc(self, views, f: ExtInt, g: ExtInt, t: int) -> None:
+        """Move an arc's bounds [f, g] to [t, t] on a `fixing` copy."""
+        shape, enter, leave = views
+        self._shift([(shape, enter, g, t), (shape, leave, -f, -t)])
+
+    def first_negative(self) -> Optional[int]:
+        """The lowest mask of a negative entry of a table with no -inf
+        entry, such as a slack, or None."""
+        bad = (self.pos == 0) & (self.fin < 0)
+        mask = int(bad.argmax())
+        return mask if bad[mask] else None
+
     def swap_base(self, old: "ExtArray", new: "ExtArray") -> "ExtArray":
         """A slack, a cut table minus the table `old`, as the same cut
         table minus `new`: equal to a `plus_cut` of -new at the same
@@ -320,6 +365,47 @@ def brute_extremize(fn: SetFn):
     return a.value(mask), mask
 
 
+def _ceil_div(a: int, b: int) -> int:
+    return -((-a) // b)
+
+
+def newton_dinkelbach(h: SetFn, b: SetFn) -> Tuple[int, List[tuple]]:
+    """Smallest nonnegative integer mu with mu*b(X) >= h(X) for all X.
+
+    Requires h(X) <= 0 wherever b(X) = 0 (some good mu exists) and some
+    h(Y) > 0 (zero is bad).  Each round maximizes the gap h - mu*b, one
+    array expression over the tables, exhaustively; candidate values are
+    the ceiled ratios at the maximizers and strictly increase while bad.
+    The iterate log records (mu, argmax) pairs.
+    """
+    if h.n != b.n:
+        raise ValueError("ground set mismatch")
+    hv, bv = h.values, b.values
+    h_positive = (hv.pos != 0) | ((hv.neg == 0) & (hv.fin > 0))
+    bad = (bv.pos != 0) | (bv.neg != 0) | (bv.fin < 0) | ((bv.fin == 0) & h_positive)
+    if bad.any():
+        m = int(bad.argmax())  # the first mask that fails a scalar check
+        bm = b(m)
+        if not (is_finite(bm) and bm >= 0):
+            raise ValueError("b must be finite and nonnegative")
+        if h(m) > 0:
+            raise ValueError("no good mu exists: positive h on a zero of b")
+    val, xmask = brute_extremize(h)
+    if not val > 0:
+        raise ValueError("mu = 0 is already good")
+    log = [(0, xmask)]
+    mu = 0
+    while True:
+        mu_next = _ceil_div(h(xmask), b(xmask))
+        if not mu_next > mu:
+            raise CertificateError("ratio candidates failed to increase")
+        mu = mu_next
+        val, xmask = brute_extremize(SetFn(h.n, hv.minus_times(mu, bv)))
+        log.append((mu, xmask))
+        if val <= 0:
+            return mu, log
+
+
 def _envelope(points: Sequence[Sequence[int]]) -> ExtArray:
     """The envelope of every subset, indexed by bitmask."""
     if not points:
@@ -373,6 +459,12 @@ class BaseOracle:
             return False
         p = self.values
         return bool(np.all((sums >= p.fin) | p.neg))
+
+    def meets(self, sums: Optional[np.ndarray] = None) -> list:
+        """`principal_sets` of the finite-valued sets or, given the subset
+        sums of a vector, of the sets tight at it."""
+        p = self.values
+        return principal_sets(self.n, ~p.neg if sums is None else (sums == p.fin) & ~p.neg)
 
     def exchange_capacity(self, sums: np.ndarray, s: int, t: int) -> ExtInt:
         """Largest step a for which y - a*chi_s + a*chi_t stays in the base,

@@ -817,6 +817,49 @@ class TestBottleneckAugmentation:
                    for (_, _, _, tag) in call.args[3])
         assert searches.call_count == tables.call_count == 4
 
+    def test_fewest_arc_cycles_below_six_nodes_take_their_bottleneck(self):
+        # min_cost_flow's halving comment: no two exchange arcs of a
+        # fewest-arc cycle are consecutive, so below 6 nodes a cycle holds
+        # at most two, and then its bottleneck step stays in the base
+        rng = random.Random(37)
+        search, apply_cycle, member = (baseflow._min_arc_negative_cycle,
+                                       baseflow._apply_cycle, baseflow.membership)
+        exchanges, verdicts = [], []  # per cycle; per step, its first check
+
+        def spy_search(n, arcs):
+            found = search(n, arcs)
+            if not isinstance(found, DualPotential):
+                flags = [tag[0] == "exch" for (_, _, _, tag) in found]
+                assert not any(a and b for a, b in zip(flags, flags[1:] + flags[:1]))
+                exchanges.append(sum(flags))
+            return found
+
+        def spy_apply(x, cycle, delta):
+            apply_cycle(x, cycle, delta)
+            verdicts.append(None)
+
+        def spy_membership(inst, x):
+            ok = member(inst, x)
+            if verdicts and verdicts[-1] is None:
+                verdicts[-1] = ok
+            return ok
+
+        with mock.patch.object(baseflow, "_min_arc_negative_cycle", spy_search), \
+                mock.patch.object(baseflow, "_apply_cycle", spy_apply), \
+                mock.patch.object(baseflow, "membership", spy_membership):
+            for _ in range(1500):
+                n = rng.choice((2, 3, 4, 4, 5, 5, 5))  # two exchange arcs need 4 nodes
+                pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+                d = Digraph(n, tuple(rng.sample(pairs, rng.randint(1, min(8, len(pairs))))))
+                inst = Instance(d, random_bounds(rng, d.arc_count, -4, 4), random_base(rng, n))
+                if inst.violator is not None:
+                    continue
+                cost = tuple(rng.randint(-3, 3) for _ in d.arc_ids())
+                saturating = frozenset(e for e in d.arc_ids() if rng.random() < 0.2)
+                min_cost_flow(inst, cost, saturating)
+        assert exchanges.count(2) >= 10 and max(exchanges) == 2
+        assert verdicts == [True] * len(exchanges)
+
     def reject_after_steps(self, monkeypatch, rejects):
         """Record the step of every candidate and let `rejects(steps)`
         veto its membership check."""

@@ -153,17 +153,6 @@ class TestSolve:
         kinds = {(a["tail"], a["head"], a["kind"]) for a in doc["blocking_circuit"]}
         assert ("a", "b", "lower-inf") in kinds
 
-    def test_missed_blocking_circuit_exits_5(self, capsys, monkeypatch):
-        # finitize_bounds meeting a circuit the existence check missed is
-        # an engine fault: exit 5, never the exit 2 of bad input
-        import fairflow.existence as existence
-
-        monkeypatch.setattr(existence, "has_blocking_dicircuit", lambda js, focus: None)
-        code = main(["solve", path("i4p.json")])
-        err = capsys.readouterr().err
-        assert code == EXIT_MISMATCH
-        assert err.startswith("internal certificate failure:")
-
     def test_table_not_closed_under_intersection_exits_2(self, capsys, tmp_path):
         # {a,b} and {b,c} are finite but {b} is not: the set reachable from
         # the focus arc's head has no finite bound, and that is bad input

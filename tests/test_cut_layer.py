@@ -43,7 +43,6 @@ from fairflow.baseflow import (
     membership,
 )
 from fairflow.decmin import (
-    _ceil_div,
     _nd_entering_fn,
     _nd_slack_fn,
     newton_dinkelbach,
@@ -61,6 +60,7 @@ from fairflow.setfn import (
     BaseOracle,
     ExtArray,
     SetFn,
+    _ceil_div,
     brute_extremize,
     cut_difference,
     envelope_setfn,

@@ -11,6 +11,11 @@
   Python ints): no other module reads a `.bound` attribute, calls
   `ExtArray(...)` on raw fields, or names `int_dtype` outside
   `orient._top`, whose mixed-radix keys are not table values.
+- `setfn.py` alone reads how a table marks its infinite entries: no other
+  module reads a `.pos` or `.neg` attribute, or moves cut terms with
+  `_shift` or `_move_cut`; they ask `ExtArray` and `BaseOracle` methods
+  instead (a slack's violating set, an arc's fixing interval, the meets of
+  the finite or tight sets, one entry's value).
 """
 
 import ast
@@ -78,4 +83,15 @@ def test_only_setfn_picks_table_storage():
                 found.append(f"{line} calls ExtArray(...)")
             if named(node) == "int_dtype" and node not in keys:
                 found.append(f"{line} names int_dtype")
+    assert found == []
+
+
+def test_only_setfn_reads_infinity_flags():
+    found = []
+    for name, tree in modules():
+        if name == "setfn.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("pos", "neg", "_shift", "_move_cut"):
+                found.append(f"{name}:{node.lineno} reads .{node.attr}")
     assert found == []
