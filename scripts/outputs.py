@@ -88,6 +88,19 @@ def _chain_table(shift, p_b):
             "base": {"type": "table", "p": {"": 0, "b": p_b, "b,c": -1, "a,b,c": 0}}}
 
 
+def _two_nodes(**fields):
+    """A valid solve document on nodes a, b with `fields` replaced."""
+    return {"nodes": ["a", "b"], "arcs": [_arc("e1", "a", "b", 0, 1)], "F": ["e1"],
+            "base": {"type": "zero"}, **fields}
+
+
+def _triangle(k=1, **fields):
+    """A valid orient document on a triangle with `fields` of its mixed
+    graph replaced."""
+    return {"mixed_graph": {"nodes": ["a", "b", "c"],
+                            "edges": [["a", "b"], ["b", "c"], ["c", "a"]], **fields}, "k": k}
+
+
 # Inputs that reach paths no fixture does: the blocking-circuit verdict on
 # three nodes, a lower-unbounded focus arc that carries a cost, bounds past
 # int64, a repeated focus id, a table whose full-set value is not 0, degree
@@ -97,8 +110,10 @@ def _chain_table(shift, p_b):
 # whose cut sum passes int64, tests/data/chain_table.json with every
 # bound, or p({b}), moved past int64, and a table finite on {b} and {c}
 # but not on {b,c}, the set reachable from the head of a lower-unbounded
-# focus arc (finitize_bounds' "not closed under union" exit 2).  A document
-# with a repeated key is the raw-text fixture tests/data/repeated_key.json.
+# focus arc (finitize_bounds' "not closed under union" exit 2), and one
+# input error of each kind the parser reports on its own, the "parse-" ones.
+# A document with a repeated key and one whose top level is a list are the
+# raw-text fixtures tests/data/repeated_key.json and top_level_list.json.
 EXTRAS = {
     "extra-blocking-circuit": {
         "nodes": ["a", "b", "c"],
@@ -152,6 +167,20 @@ EXTRAS = {
         "arcs": [_arc("e", "a", "b", "-inf", 0), _arc("h", "b", "c", "-inf", 0)],
         "F": ["e"],
         "base": {"type": "table", "p": {"": 0, "b": -5, "c": -5, "a,b,c": 0}}},
+    "extra-parse-arc-not-object": _two_nodes(arcs=["e1"]),
+    "extra-parse-arcs-not-list": _two_nodes(arcs={"e1": _arc("e1", "a", "b", 0, 1)}),
+    "extra-parse-arc-id": _two_nodes(arcs=[_arc(1, "a", "b", 0, 1)]),
+    "extra-parse-cost": _two_nodes(arcs=[_arc("e1", "a", "b", 0, 1, cost="1")]),
+    "extra-parse-focus-not-list": _two_nodes(F="e1"),
+    "extra-parse-lower-above-upper": _two_nodes(arcs=[_arc("e1", "a", "b", 2, 1)]),
+    "extra-parse-table-not-object": _two_nodes(base={"type": "table", "p": [0, 0, 0, 0]}),
+    "extra-parse-points": _two_nodes(base={"type": "points", "points": [[0]]}),
+    "extra-parse-base-type": _two_nodes(base={"type": "ring"}),
+    "extra-parse-orient-k": _triangle(k=0),
+    "extra-parse-degree-bounds-not-object": _triangle(degree_bounds=[["a", 0, 2]]),
+    "extra-parse-degree-bounds-node": _triangle(degree_bounds={"d": [0, 2]}),
+    "extra-parse-degree-bounds-pair": _triangle(degree_bounds={"a": [0]}),
+    "extra-parse-loop-edge": _triangle(edges=[["a", "a"], ["b", "c"], ["c", "a"]]),
 }
 
 

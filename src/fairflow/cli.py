@@ -457,7 +457,7 @@ def cmd_verify(args) -> int:
     points = enumerate_Q(inst, window_from_bounds(inst), budget=args.budget)
     cert = check_feasible(inst)
     record("feasibility-equivalence", cert.feasible == bool(points))
-    if points:
+    if cert.feasible and points:  # the checks below run the engine on a feasible instance
         lower, upper = inst.bounds.lower, inst.bounds.upper
         finite_focus = all(is_finite(lower[e]) and is_finite(upper[e]) for e in inst.focus)
         open_arcs = [e for e in range(inst.digraph.arc_count)

@@ -5,6 +5,8 @@ bisection of feasibility probes over the focus bounds plus one discrete
 Newton ratio search in the bracketing segment), minimizes the number of
 arcs pinned at that value, narrows the bounds and the base polyhedron
 along the certifying chain, and drops the pinned arcs from the focus set.
+That certified minimum is 0 exactly when the top value could still fall,
+so the phase needs no probe of its own.
 The loop ends with a bounding pair of width at most one on every focus arc
 whose integral flows are exactly the decreasingly-minimal ones.
 """
@@ -135,10 +137,11 @@ def predecmin_phase(inst: Instance) -> Tuple[PhaseTrace, Instance]:
     """One narrowing phase at the current top value.
 
     Preconditions: the focus set is nonempty without tight arcs, the top
-    value is least attainable (so lowering the top level by one is
-    infeasible).  Minimizes the saturated count on the top level, narrows
-    bounds and base along the chain, and removes the chain-entering top
-    arcs from the focus set; those arcs end pinched to width at most one.
+    value is least attainable.  Minimizes the saturated count on the top
+    level, narrows bounds and base along the chain, and removes the
+    chain-entering top arcs from the focus set; those arcs end pinched to
+    width at most one.  Lowering the top level by one is feasible iff the
+    minimum count is 0, which raises ValueError.
     """
     bounds = inst.bounds
     focus = inst.focus
@@ -148,10 +151,9 @@ def predecmin_phase(inst: Instance) -> Tuple[PhaseTrace, Instance]:
     if not is_finite(beta):
         raise ValueError("focus upper bounds must be finite")
     l_beta = frozenset(e for e in focus if bounds.upper[e] == beta)
-    probe = inst.with_bounds(bounds.with_upper({e: beta - 1 for e in l_beta}))
-    if find_violator(probe) is None:
-        raise ValueError("top value not minimal: lowering the top level stays feasible")
     res = lupmin_solve(inst, l_beta)
+    if res.min_saturated == 0:
+        raise ValueError("top value not minimal: lowering the top level stays feasible")
     l_prime = frozenset(
         e for e in l_beta
         if chain_classify(inst.digraph, res.chain, e).kind == "entering")

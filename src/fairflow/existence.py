@@ -10,7 +10,8 @@ every focus bound finitizable without changing the optimal set.  The
 verdict is the instance's own (`Instance.violator`, one cut scan).  Only
 a `+inf` focus upper bound costs a coordinate-fixing pass (its cap is the
 maximum of a feasible flow); `-inf` focus lower bounds are read off the
-cut slack of a reachable set.
+cut slack of a reachable set.  One search from the head of such an arc
+finds a blocking circuit through it or else that reachable set.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ def build_jump_structure(inst: Instance) -> JumpStructure:
     return JumpStructure(tuple(principal), tuple(arcs))
 
 
-def _search(js: JumpStructure, start: int, target: Optional[int] = None) -> dict:
+def _search(js: JumpStructure, start: int) -> dict:
     """Breadth-first search from `start`: the parent arc of every node
-    reached (None for `start`), stopping as soon as `target` is reached."""
+    reached (None for `start`)."""
     parent = {start: None}
     queue = deque([start])
     while queue:
@@ -68,14 +69,28 @@ def _search(js: JumpStructure, start: int, target: Optional[int] = None) -> dict
         for arc in js.arcs:
             if arc.tail == u and arc.head not in parent:
                 parent[arc.head] = arc
-                if arc.head == target:
-                    return parent
                 queue.append(arc.head)
     return parent
 
 
-def _reachable(js: JumpStructure, start: int) -> int:
-    return sum(1 << v for v in _search(js, start))
+def _focus_reach(js: JumpStructure, focus) -> tuple:
+    """One search from the head of each focus arc with no lower bound, in
+    scan order: the first blocking dicircuit, or None, and the node mask
+    reached from the head of each arc searched before it, by arc id."""
+    reach = {}
+    for seed in js.arcs:
+        if seed.kind != "lower-inf" or seed.arc_id not in focus:
+            continue
+        parent = _search(js, seed.head)
+        if seed.tail not in parent:
+            reach[seed.arc_id] = sum(1 << v for v in parent)
+            continue
+        path, node = [], seed.tail
+        while parent[node] is not None:
+            path.append(parent[node])
+            node = parent[node].tail
+        return (seed, *reversed(path)), reach
+    return None, reach
 
 
 def has_blocking_dicircuit(js: JumpStructure, focus) -> Optional[tuple]:
@@ -85,19 +100,7 @@ def has_blocking_dicircuit(js: JumpStructure, focus) -> Optional[tuple]:
     reversed upper-unbounded arcs exclude the focus by construction).  The
     first circuit found in scan order is returned as a tuple of arcs.
     """
-    focus = frozenset(focus)
-    for seed in js.arcs:
-        if seed.kind != "lower-inf" or seed.arc_id not in focus or seed.head == seed.tail:
-            continue
-        parent = _search(js, seed.head, seed.tail)
-        if seed.tail not in parent:
-            continue
-        path, node = [], seed.tail
-        while parent[node] is not None:
-            path.append(parent[node])
-            node = parent[node].tail
-        return (seed, *reversed(path))
-    return None
+    return _focus_reach(js, frozenset(focus))[0]
 
 
 def improve_along_circuit(inst: Instance, z: Sequence, circuit):
@@ -137,8 +140,9 @@ def finitize_bounds(inst: Instance) -> Instance:
     value, which is at most the maximum of any feasible flow.
 
     A lower-unbounded focus arc is then bounded from below through the set
-    S reachable from its head in the auxiliary digraph: no auxiliary arc
-    leaves S, so its cut inequality pins the arc's value from below.  No
+    S reachable from its head in the auxiliary digraph (the node set of
+    the search that found no blocking circuit through it): no auxiliary
+    arc leaves S, so its cut inequality pins the arc's value from below.  No
     infinite bound enters that inequality: a non-focus arc entering S with
     no upper bound would give a reversed auxiliary arc leaving S, an arc
     leaving S with no lower bound is itself an auxiliary arc leaving S, and
@@ -149,8 +153,7 @@ def finitize_bounds(inst: Instance) -> Instance:
     ValueError, naming S, when a base table is not finite on S.
     """
     # truncating focus upper bounds below leaves the auxiliary digraph as is
-    js = build_jump_structure(inst)
-    circuit = has_blocking_dicircuit(js, inst.focus)
+    circuit, reach = _focus_reach(build_jump_structure(inst), inst.focus)
     if circuit is not None:
         raise BlockingCircuit(circuit)
     if inst.violator is not None:
@@ -163,21 +166,16 @@ def finitize_bounds(inst: Instance) -> Instance:
                                     if not is_finite(bounds.upper[e]) or bounds.upper[e] > cap})
         work = inst.with_bounds(bounds)
     lower_updates = {}
-    for e in sorted(inst.focus):
-        if bounds.lower[e] is not NEG_INF:
-            continue
-        tail, head = inst.digraph.arcs[e]
-        # has_blocking_dicircuit searched from head for tail, so smask
-        # avoids tail and e enters it
-        smask = _reachable(js, head)
-        # smask is a union of principal sets, finite for a base whose finite
-        # sets are closed under union and intersection; a table that is not
-        # is bad input
+    for e, smask in reach.items():
+        # no circuit closes through e, so smask avoids its tail and e
+        # enters it.  smask is a union of principal sets, finite for a base
+        # whose finite sets are closed under union and intersection; a
+        # table that is not is bad input
         if (slack := work.slack.value(smask)) is POS_INF:
             raise ValueError(
                 "base table is not closed under union and intersection: p is not "
                 f"finite on the set reachable from the head of arc {e} (mask {smask:b})")
-        # e enters smask, so its cut inequality reads x_e >= upper[e] - slack
+        # e's cut inequality on smask reads x_e >= upper[e] - slack
         lower_updates[e] = bounds.upper[e] - slack
     if not lower_updates:
         return work

@@ -20,7 +20,6 @@ import numpy as np
 from .core import (
     Chain,
     NEG_INF,
-    POS_INF,
     cut_in_sum,
     cut_out_sum,
     decmin_compare,
@@ -129,8 +128,6 @@ def enumerate_Q(inst: Instance, window: Optional[EnumWindow] = None,
         pz = p(z)
         if pz is NEG_INF:
             continue
-        if pz is POS_INF:
-            return []
         row = [0] * m
         for e, (t, h) in enumerate(d.arcs):
             if (z >> h) & 1 and not (z >> t) & 1:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fairflow import cli
-from fairflow.baseflow import find_feasible
+from fairflow.baseflow import Instance, find_feasible
 from fairflow.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT,
@@ -152,6 +152,20 @@ class TestSolve:
             for a in circuit]
         kinds = {(a["tail"], a["head"], a["kind"]) for a in doc["blocking_circuit"]}
         assert ("a", "b", "lower-inf") in kinds
+
+    @pytest.mark.parametrize("name, code", [
+        ("extra-unbounded-costed-focus", EXIT_OK),
+        ("extra-reachable-set-not-finite", EXIT_INPUT)], ids=["costed", "not-finite"])
+    def test_one_search_per_lower_unbounded_focus_arc(self, capsys, tmp_path, monkeypatch,
+                                                       name, code):
+        # the search that finds no blocking circuit through the focus arc
+        # also gives the set its lower bound is read from
+        src = tmp_path / f"{name}.json"
+        src.write_text(json.dumps(EXTRAS[name]))
+        counts = count_calls(monkeypatch, "_search")
+        assert main(["solve", str(src)]) == code
+        capsys.readouterr()
+        assert counts == {"_search": 1}
 
     def test_table_not_closed_under_intersection_exits_2(self, capsys, tmp_path):
         # {a,b} and {b,c} are finite but {b} is not: the set reachable from
@@ -416,6 +430,14 @@ class TestVerify:
         assert code == EXIT_OK
         assert "FAIL" not in out and "PASS feasibility-equivalence" in out
 
+    def test_feasibility_mismatch_exits_5(self, capsys, monkeypatch):
+        # an engine verdict that disagrees with the enumeration is a failed
+        # check, and the checks that need a feasible instance are skipped
+        monkeypatch.setattr(Instance, "violator", property(lambda inst: (0b01, -1)))
+        code, out = run(capsys, "verify", path("i1.json"))
+        assert code == EXIT_MISMATCH
+        assert out == "FAIL feasibility-equivalence\n"
+
     def test_mismatch_exits_5(self, capsys, monkeypatch):
         # a lying oracle must surface as exit 5, never a silent pass
         import fairflow.cli as cli
@@ -660,6 +682,40 @@ class TestParsing:
         err = capsys.readouterr().err
         assert code == EXIT_INPUT
         assert err.startswith("error:") and field in err
+
+
+# (command, message) of each input error the parser reports on its own:
+# the "parse-" EXTRAS and the raw-text fixture whose top level is a list
+PARSE_ERRORS = {
+    "extra-parse-arc-not-object": ("check", "arc #0: expected an object"),
+    "extra-parse-arcs-not-list": ("check", "arcs: expected a list"),
+    "extra-parse-arc-id": ("solve", "arc #0: id must be a string"),
+    "extra-parse-cost": ("solve", "arc 'e1': cost must be an integer"),
+    "extra-parse-focus-not-list": ("verify", "F: expected a list of arc ids"),
+    "extra-parse-lower-above-upper": ("check", "arc 0: lower 2 exceeds upper 1"),
+    "extra-parse-table-not-object": ("solve", "base.p: expected an object"),
+    "extra-parse-points": ("check", "base.points: expected a nonempty list of node vectors"),
+    "extra-parse-base-type": ("verify", "base.type: unknown kind 'ring'"),
+    "extra-parse-orient-k": ("orient", "k: expected a positive integer"),
+    "extra-parse-degree-bounds-not-object": ("orient", "degree_bounds: expected an object"),
+    "extra-parse-degree-bounds-node": ("orient", "degree_bounds: unknown node 'd'"),
+    "extra-parse-degree-bounds-pair": ("orient", "degree_bounds['a']: expected [lo, hi]"),
+    "extra-parse-loop-edge": ("orient", "loops not allowed"),
+    "top_level_list.json": ("solve", "top level must be an object"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(n for n in EXTRAS if n.startswith("extra-parse-"))
+                         + ["top_level_list.json"])
+def test_parser_input_errors_exit_2(capsys, tmp_path, name):
+    command, message = PARSE_ERRORS[name]
+    if name in EXTRAS:
+        src = tmp_path / f"{name}.json"
+        src.write_text(json.dumps(EXTRAS[name]))
+    else:
+        src = path(name)
+    assert main([command, str(src)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # (key, document) pairs, each document repeating its key in one object and

@@ -50,7 +50,7 @@ from fairflow.decmin import (
 )
 from fairflow.existence import (
     BlockingCircuit,
-    _reachable,
+    _search,
     build_jump_structure,
     finitize_bounds,
     has_blocking_dicircuit,
@@ -224,7 +224,7 @@ def ref_finitize_bounds(inst):
         if bounds.lower[e] is not NEG_INF:
             continue
         tail, head = d.arcs[e]
-        smask = _reachable(js, head)
+        smask = sum(1 << v for v in _search(js, head))
         if (smask >> tail) & 1:
             raise ValueError("blocking dicircuit present: no finite reduction exists")
         pz = p(smask)

@@ -8,7 +8,14 @@ import pytest
 
 from fairflow import decmin
 from fairflow.core import Bounds, Digraph, decmin_compare, is_finite
-from fairflow.baseflow import CertificateError, Infeasible, Instance, find_violator, membership
+from fairflow.baseflow import (
+    CertificateError,
+    Infeasible,
+    Instance,
+    check_feasible,
+    find_violator,
+    membership,
+)
 from fairflow.decmin import (
     _nd_entering_fn,
     _nd_slack_fn,
@@ -262,6 +269,43 @@ class TestPredecminPhase:
         with pytest.raises(ValueError):
             predecmin_phase(i1)  # top level still lowerable
 
+    def test_rejects_exactly_when_the_lowered_top_is_feasible(self):
+        # the certified count is 0 iff the explicit clamp of the top level
+        # to beta - 1 is feasible: checked on every phase of the levels
+        # instances and on copies of them with the top level raised by one
+        def top(work):
+            beta = max(work.bounds.upper[e] for e in work.focus)
+            return beta, [e for e in work.focus if work.bounds.upper[e] == beta]
+
+        def lowerable(work):
+            beta, level = top(work)
+            clamp = work.with_bounds(work.bounds.with_upper({e: beta - 1 for e in level}))
+            return check_feasible(clamp).feasible
+
+        def phase(work):
+            try:
+                return predecmin_phase(work)[1]
+            except ValueError as exc:
+                assert str(exc).startswith("top value not minimal")
+                return None
+
+        verdicts = []
+        for n in range(2, 8):
+            for seed in (1, 2):
+                cur = levels_instance(n, seed)
+                while cur.focus:
+                    _, cur = compute_beta(cur)
+                    if not cur.focus:
+                        break
+                    beta, level = top(cur)
+                    raised = cur.with_bounds(cur.bounds.with_upper({e: beta + 1 for e in level}))
+                    for work in (raised, cur):
+                        out = phase(work)
+                        assert (out is None) == lowerable(work)
+                        verdicts.append(out is None)
+                    cur = out
+        assert verdicts == [True, False] * 22
+
 
 class TestSolveDecmin:
     def test_empty_focus_identity(self, i1):
@@ -341,7 +385,7 @@ class TestSolveDecmin:
             assert all(out.bounds != parent.bounds or out.base is not parent.base
                        for parent, out in rest)
             copies += len(pairs)
-        assert copies == 275
+        assert copies == 227
 
     def test_entry_strip_copies_only_when_a_focus_arc_is_tight(self):
         # a solve whose focus has no tight arc starts from the instance
@@ -377,7 +421,7 @@ class TestSolveDecmin:
             phases = len(solve_decmin(inst).traces)
         assert rebuilds.call_count == 1 + newton.call_count
         assert (rebuilds.call_count, probes.call_count, phases) == {
-            1: (4, 15, 3), 2: (3, 12, 2)}[seed]
+            1: (4, 12, 3), 2: (3, 10, 2)}[seed]
 
 
 class TestMinCostDecmin:
