@@ -110,8 +110,10 @@ def _triangle(k=1, **fields):
 # whose cut sum passes int64, tests/data/chain_table.json with every
 # bound, or p({b}), moved past int64, and a table finite on {b} and {c}
 # but not on {b,c}, the set reachable from the head of a lower-unbounded
-# focus arc (finitize_bounds' "not closed under union" exit 2), and one
-# input error of each kind the parser reports on its own, the "parse-" ones.
+# focus arc (finitize_bounds' "not closed under union" exit 2), degree
+# bounds that pass the parser but admit no orientation of a triangle, and
+# one input error of each kind the parser reports on its own, the "parse-"
+# ones, among them each table key `_table_keys` does not hold.
 # A document with a repeated key and one whose top level is a list are the
 # raw-text fixtures tests/data/repeated_key.json and top_level_list.json.
 EXTRAS = {
@@ -181,6 +183,13 @@ EXTRAS = {
     "extra-parse-degree-bounds-node": _triangle(degree_bounds={"d": [0, 2]}),
     "extra-parse-degree-bounds-pair": _triangle(degree_bounds={"a": [0]}),
     "extra-parse-loop-edge": _triangle(edges=[["a", "a"], ["b", "c"], ["c", "a"]]),
+    "extra-orient-degree-bounds-no-orientation": _triangle(degree_bounds={"a": [0, 0]}),
+    "extra-parse-table-key-unknown-node": _two_nodes(
+        base={"type": "table", "p": {"": 0, "a,c": 0, "a,b": 0}}),
+    "extra-parse-table-key-repeated-node": _two_nodes(
+        base={"type": "table", "p": {"": 0, "a,a": 0, "a,b": 0}}),
+    "extra-parse-table-key-unsorted": _two_nodes(
+        base={"type": "table", "p": {"": 0, "b,a": 0}}),
 }
 
 

@@ -8,8 +8,8 @@ integer vectors.  Feasibility follows the cut criterion
 (the in-cut of the upper bounds minus the out-cut of the lower bounds must
 dominate the base function on every node subset); a feasible integral flow
 is built by exact coordinate fixing; minimum-cost flows are computed by
-canceling negative cycles in the exchange auxiliary digraph (bottleneck
-augmentation, halved until membership holds); an arc may cost one more
+canceling negative cycles in the exchange auxiliary digraph, each moved
+by the largest step that stays feasible; an arc may cost one more
 on its last unit, which is how lupmin counts the arcs at their upper
 bound on the original digraph.  Each cycle search starts as Bellman-Ford
 from an all-zero source; when it settles, there is no negative cycle and
@@ -241,7 +241,9 @@ def exchange_capacity(base: BaseOracle, y: Sequence[int], s: int, t: int) -> Ext
         raise ValueError(f"y has {len(y)} entries, not one per node of the {n}-node base")
     if s == t:
         raise ValueError("exchange endpoints must differ")
-    return base.exchange_capacity(subset_sums(y), s, t)
+    move = [0] * n
+    move[s], move[t] = -1, 1
+    return base.step_capacity(subset_sums(y), move)
 
 
 # --- minimum-cost flow -----------------------------------------------------
@@ -351,27 +353,33 @@ def _layered_cycle(n: int, arcs: list) -> list:
 
 def _bottleneck(inst: Instance, x: Sequence[int], sums: np.ndarray, cycle: list,
                 saturating: frozenset) -> int:
-    """Least residual width over the arcs of an aux cycle (+inf loses).
+    """The largest step along an aux cycle that keeps the flow feasible.
 
     An up or down arc is as wide as its unit cost stays: an arc in
     `saturating` rises to its breakpoint g - 1, or at g steps down one
-    unit.  An ('exch', s, t) arc moves net in-flow from t to s, so its
-    width is the exchange capacity from t to s at x, read off `sums`.
+    unit.  The ('exch', s, t) arcs together move the net in-flows, whose
+    subset sums are `sums`, by +1 at s and -1 at t each, and that move is
+    capped as a whole by `BaseOracle.step_capacity`.
     """
     b = inst.bounds
-
-    def width(tag) -> int:
+    move = [0] * inst.base.n
+    widths = []
+    for (_, _, _, tag) in cycle:
         if tag[0] == "exch":
-            return inst.base.exchange_capacity(sums, tag[2], tag[1])
+            move[tag[1]] += 1
+            move[tag[2]] -= 1
+            continue
         e = tag[1]
         g, extra = b.upper[e], e in saturating
         if tag[0] == "up":
-            return g - x[e] - (extra and x[e] < g - 1)
-        return 1 if extra and x[e] == g else x[e] - b.lower[e]
-
-    delta = min(width(tag) for (_, _, _, tag) in cycle)
+            widths.append(g - x[e] - (extra and x[e] < g - 1))
+        else:
+            widths.append(1 if extra and x[e] == g else x[e] - b.lower[e])
+    delta = min(widths + [inst.base.step_capacity(sums, move)])
     if delta is POS_INF:
         raise CertificateError("negative cycle of unbounded width")
+    if delta < 1:
+        raise CertificateError("negative cycle admits no unit step")
     return delta
 
 
@@ -424,13 +432,11 @@ def min_cost_flow(inst: Instance, cost: Sequence[int],
     cost on the original arc, so zero costs with saturating = L count the
     arcs of L at their upper bound.  From a feasible flow (the instance's
     own, or one fixed below the breakpoints where it can), bottleneck
-    augmentation, halved until membership holds, runs along fewest-arc
-    negative cycles of the exchange auxiliary digraph:
-    each cycle moves by its least residual width, which stops at a
-    breakpoint, and a step that leaves the feasible region is halved down
-    to the always-valid unit step.  Costs must be Python ints (not bools);
-    arcs carrying nonzero cost, and arcs in `saturating`, must have finite
-    bounds (otherwise the optimum may be unbounded).
+    augmentation runs along fewest-arc negative cycles of the exchange
+    auxiliary digraph: each cycle moves by the largest step that keeps the
+    flow feasible, which stops at a breakpoint.  Costs must be Python ints
+    (not bools); arcs carrying nonzero cost, and arcs in `saturating`, must
+    have finite bounds (otherwise the optimum may be unbounded).
     """
     cost = checked_costs(cost, inst.digraph.arc_count)
     b = inst.bounds
@@ -444,33 +450,11 @@ def min_cost_flow(inst: Instance, cost: Sequence[int],
         found = _min_arc_negative_cycle(n, _aux_arcs(inst, x, sums, cost, saturating))
         if isinstance(found, DualPotential):
             break
-        # Each aux arc admits the bottleneck alone, but several exchange arcs
-        # together may not; on a fewest-arc cycle a unit step does.  The
-        # halving below needs 3 or more exchange arcs, so 6 or more nodes, for
-        # two reasons.  (1) No two exchange arcs of a fewest-arc cycle are
-        # consecutive: s -> t is drawn when s lies in every tight set holding
-        # t, a transitive relation, so a -> b -> c would shortcut to a -> c at
-        # cost 0 with one arc fewer; a cycle on k nodes holds at most k // 2
-        # exchange arcs.  (2) With p supermodular on a ring family (closed
-        # under union and intersection), a cycle with exchange arcs s1 -> t1
-        # and s2 -> t2, of capacities c1, c2 >= delta, keeps its step in B(p):
-        # a set loses at most delta, which c1 or c2 covers, unless it is a Z
-        # holding t1 and t2 and avoiding s1 and s2, which loses 2 delta.  The
-        # chords s2 -> t1 and s1 -> t2 would close cycles whose costs sum to
-        # the cycle's negative cost, so fewest arcs forbids the chord on the
-        # negative side: some tight Y holds t1 and s1 and avoids s2 (or the
-        # mirror case), and the slack, submodular, gives
-        # slack(Z) >= slack(Z & Y) + slack(Z | Y) >= c1 + c2 >= 2 delta.
+        # a fewest-arc cycle admits a unit step
         delta = _bottleneck(inst, x, sums, found, saturating)
-        while True:
-            y = list(x)
-            _apply_cycle(y, found, delta)
-            if membership(inst, y):
-                break
-            if delta == 1:
-                raise CertificateError("augmentation left the feasible region")
-            delta //= 2
-        x = y
+        _apply_cycle(x, found, delta)
+        if not membership(inst, x):
+            raise CertificateError("augmentation left the feasible region")
     xt = tuple(x)
     verify_optimality(inst, cost, xt, found, saturating)
     return xt, found

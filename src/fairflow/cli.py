@@ -265,8 +265,6 @@ def _parse_table(p: dict, names: List[str], node_index: Dict[str, int]) -> ExtAr
                 if v is NEG_INF:
                     fin[i] = 0
                     minus.append(masks[i])
-                else:
-                    fin[i] = int(v)
     if stop < len(p):
         _reject_key(list(p)[stop], node_index)
     return ExtArray.scatter(len(names), masks, fin, minus)
@@ -525,10 +523,9 @@ def main(argv=None) -> int:
     except (ParseError, BudgetExceeded, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except Infeasible as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except CertificateError as exc:
+    except (CertificateError, Infeasible) as exc:
+        # every command settles feasibility before the engine runs, so an
+        # Infeasible that gets here is an engine fault
         print(f"internal certificate failure: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
 

@@ -31,7 +31,7 @@ each constructor (`ExtArray.from_values` converts a dense list,
 int64 array unless a value needs Python ints, and `ExtArray.finite` a
 table with no infinite entry, such as an envelope) and checked once, as
 the oracle is made; slacks, membership, face contraction, jump
-structures, exchange arcs, exchange capacities and `orient` read it, and
+structures, exchange arcs, step capacities and `orient` read it, and
 reference and certificate readers use its scalar view `BaseOracle.p`.
 `brute_extremize` and the Newton ratio search `newton_dinkelbach` are
 whole-table array scans behind the same contract (the maximum over all
@@ -48,8 +48,9 @@ Other modules build tables through `ExtArray`'s constructors
 lowest violating set (`ExtArray.first_negative`), an arc's fixing
 interval and the fix itself (`ExtArray.arc_interval`, `ExtArray.fix_arc`
 on an `ExtArray.fixing` copy), the Newton gap (`ExtArray.minus_times`),
-the meets of the finite or tight sets (`BaseOracle.meets`) or an exchange
-capacity (`BaseOracle.exchange_capacity`).  So no value ever wraps;
+the meets of the finite or tight sets (`BaseOracle.meets`) or the
+largest step along a move that stays in the base
+(`BaseOracle.step_capacity`).  So no value ever wraps;
 `oracle`, the independent verifier, keeps its own rule.
 """
 
@@ -70,7 +71,6 @@ from .core import (
     Chain,
     Digraph,
     ExtInt,
-    crossing_views,
     is_finite,
 )
 
@@ -466,19 +466,19 @@ class BaseOracle:
         p = self.values
         return principal_sets(self.n, ~p.neg if sums is None else (sums == p.fin) & ~p.neg)
 
-    def exchange_capacity(self, sums: np.ndarray, s: int, t: int) -> ExtInt:
-        """Largest step a for which y - a*chi_s + a*chi_t stays in the base,
-        read off the subset sums of y: the least slack over the subsets
-        holding s and avoiding t, +inf when each of them is -inf."""
+    def step_capacity(self, sums: np.ndarray, move: Sequence[int]) -> ExtInt:
+        """Largest step a for which y + a*move stays in the base, read off
+        the subset sums of y: with loss(Z) = -(sum of move over Z), the
+        least floor(slack(Z) / loss(Z)) over the finite sets Z with
+        loss(Z) > 0, +inf when a unit of move lowers no finite set."""
         p = self.values
-        shape, holds_s, _ = crossing_views(self.n, s, t)
-        sums, fin, neg = (a.reshape(shape)[holds_s] for a in (sums, p.fin, p.neg))
-        separating = ~neg
-        if not separating.any():
+        loss = -subset_sums(move)
+        losing = (loss > 0) & ~p.neg
+        if not losing.any():
             return POS_INF
         dtype = int_dtype(int(np.abs(sums).max()) + p.bound)
-        slack = sums[separating].astype(dtype) - fin[separating].astype(dtype)
-        return int(slack.min())
+        slack = sums[losing].astype(dtype) - p.fin[losing].astype(dtype)
+        return int((slack // loss[losing].astype(dtype)).min())
 
     def face_contract(self, chain: Chain) -> "BaseOracle":
         """Restrict to the face where every chain member is tight.

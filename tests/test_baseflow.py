@@ -805,9 +805,9 @@ class TestBottleneckAugmentation:
         assert searches.call_count == tables.call_count == 4
 
     def test_fewest_arc_cycles_below_six_nodes_take_their_bottleneck(self):
-        # min_cost_flow's halving comment: no two exchange arcs of a
-        # fewest-arc cycle are consecutive, so below 6 nodes a cycle holds
-        # at most two, and then its bottleneck step stays in the base
+        # no two exchange arcs of a fewest-arc cycle are consecutive, so
+        # below 6 nodes a cycle holds at most two, and each step that
+        # `_bottleneck` caps passes the membership recheck
         rng = random.Random(37)
         search, apply_cycle, member = (baseflow._min_arc_negative_cycle,
                                        baseflow._apply_cycle, baseflow.membership)
@@ -847,9 +847,9 @@ class TestBottleneckAugmentation:
         assert exchanges.count(2) >= 10 and max(exchanges) == 2
         assert verdicts == [True] * len(exchanges)
 
-    def reject_after_steps(self, monkeypatch, rejects):
-        """Record the step of every candidate and let `rejects(steps)`
-        veto its membership check."""
+    def test_rejected_step_raises(self, monkeypatch):
+        # the membership recheck is a certificate: a step it rejects raises
+        # at once, with no retry at a smaller step
         steps = []
         apply_cycle, member = baseflow._apply_cycle, baseflow.membership
 
@@ -857,36 +857,11 @@ class TestBottleneckAugmentation:
             steps.append(delta)
             apply_cycle(x, cycle, delta)
 
-        def vetoing_membership(inst, x):
-            return not (steps and rejects(steps)) and member(inst, x)
-
         monkeypatch.setattr(baseflow, "_apply_cycle", recording_apply)
-        monkeypatch.setattr(baseflow, "membership", vetoing_membership)
-        return steps
-
-    def test_rejected_step_is_halved(self, monkeypatch):
-        inst = mincost_instance(10, "points")
-        vetoed = []
-
-        def first_wide_step(steps):
-            if not vetoed and steps[-1] > 1:
-                vetoed.append(len(steps) - 1)
-                return True
-            return False
-
-        steps = self.reject_after_steps(monkeypatch, first_wide_step)
-        x, pi = min_cost_flow(inst, MINCOST_COST)
-        k = vetoed[0]
-        assert steps[k + 1] == steps[k] // 2
-        assert flow_cost(MINCOST_COST, x) == flow_cost(MINCOST_COST,
-                                                       ref_min_cost_flow(inst, MINCOST_COST))
-        verify_optimality(inst, MINCOST_COST, x, pi)
-
-    def test_rejected_unit_step_raises(self, monkeypatch):
-        steps = self.reject_after_steps(monkeypatch, lambda steps: True)
+        monkeypatch.setattr(baseflow, "membership", lambda inst, x: not steps and member(inst, x))
         with pytest.raises(CertificateError, match="augmentation left the feasible region"):
             min_cost_flow(mincost_instance(10, "zero"), MINCOST_COST)
-        assert steps == [5, 2, 1]
+        assert steps == [5]
 
 
 class TestDualPotential:

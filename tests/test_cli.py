@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fairflow import cli
-from fairflow.baseflow import Instance, find_feasible
+from fairflow.baseflow import Infeasible, Instance, find_feasible
 from fairflow.cli import (
     EXIT_INFEASIBLE,
     EXIT_INPUT,
@@ -183,6 +183,19 @@ class TestSolve:
         assert capsys.readouterr().err == (
             "error: base table is not closed under union and intersection: p is not "
             "finite on the set reachable from the head of arc 0 (mask 10)\n")
+
+    def test_engine_infeasible_exits_5(self, capsys, monkeypatch):
+        # `solve` settles feasibility before the engine runs, so an
+        # Infeasible from the engine is an engine fault, not exit 3
+        def infeasible(inst):
+            raise Infeasible(1, -1)
+
+        monkeypatch.setattr(cli, "solve_decmin", infeasible)
+        code = main(["solve", path("i1.json")])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_MISMATCH, "")
+        assert captured.err == (
+            "internal certificate failure: infeasible: violating set mask 1, deficit -1\n")
 
     def test_min_cost(self, capsys):
         code, out = run(capsys, "solve", path("i1.json"), "--min-cost")
@@ -694,6 +707,9 @@ PARSE_ERRORS = {
     "extra-parse-focus-not-list": ("verify", "F: expected a list of arc ids"),
     "extra-parse-lower-above-upper": ("check", "arc 0: lower 2 exceeds upper 1"),
     "extra-parse-table-not-object": ("solve", "base.p: expected an object"),
+    "extra-parse-table-key-unknown-node": ("solve", "base.p: unknown node 'c' in key 'a,c'"),
+    "extra-parse-table-key-repeated-node": ("check", "base.p: repeated node in key 'a,a'"),
+    "extra-parse-table-key-unsorted": ("verify", "base.p: key 'b,a' must list sorted names"),
     "extra-parse-points": ("check", "base.points: expected a nonempty list of node vectors"),
     "extra-parse-base-type": ("verify", "base.type: unknown kind 'ring'"),
     "extra-parse-orient-k": ("orient", "k: expected a positive integer"),

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fairflow.core import Bounds, Chain, Digraph, NEG_INF, POS_INF
+from fairflow.core import Bounds, Chain, Digraph, NEG_INF, POS_INF, is_finite
 from fairflow.setfn import (
     BaseOracle,
     ExtArray,
@@ -217,6 +217,37 @@ class TestBaseOracle:
             BaseOracle(2, ExtArray.from_values(table))
         with pytest.raises(ValueError, match=message):
             BaseOracle.from_table(2, table)
+
+    def test_step_capacity_matches_brute_force(self):
+        # the largest a with y + a*move in B(p), checked one step past it;
+        # +inf exactly when no finite set loses under a unit of move
+        rng = random.Random(39)
+        finite_steps = infinite_steps = 0
+        for _ in range(150):
+            n = rng.randint(2, 5)
+            base = random_base(rng, n)
+            box = 3 if n < 5 else 2
+            pts = enumerate_base_points(base, -box, box)
+            for y in rng.sample(pts, min(3, len(pts))):
+                sums = subset_sums(y)
+                for _ in range(4):
+                    move = [rng.randint(-2, 2) for _ in range(n - 1)]
+                    move.append(-sum(move))
+                    if not -2 <= move[-1] <= 2:
+                        continue
+                    a = base.step_capacity(sums, move)
+                    loses = any(is_finite(base.p(m)) and sum(
+                        move[v] for v in range(n) if (m >> v) & 1) < 0 for m in range(1 << n))
+                    assert (a is POS_INF) == (not loses)
+                    if a is POS_INF:
+                        infinite_steps += 1
+                        assert base.contains([yv + 10 * mv for yv, mv in zip(y, move)])
+                        continue
+                    finite_steps += 1
+                    assert type(a) is int and a >= 0
+                    assert base.contains([yv + a * mv for yv, mv in zip(y, move)])
+                    assert not base.contains([yv + (a + 1) * mv for yv, mv in zip(y, move)])
+        assert finite_steps >= 300 and infinite_steps >= 30
 
 
 class TestFaceContract:
