@@ -102,8 +102,10 @@ def _triangle(k=1, **fields):
 
 
 # Inputs that reach paths no fixture does: the blocking-circuit verdict on
-# three nodes, a lower-unbounded focus arc that carries a cost, bounds past
-# int64, a repeated focus id, a table whose full-set value is not 0, degree
+# three nodes, and through a jump arc and a reversed upper-unbounded arc
+# (the fixtures' circuits hold lower-unbounded arcs only), a
+# lower-unbounded focus arc that carries a cost, bounds past int64, a
+# repeated focus id, a table whose full-set value is not 0, degree
 # bounds on an orientation (met, and failing under --k 2), a degree interval
 # emptied by the node's degree, a partial table with a "-inf" entry, a
 # costed focus arc whose upper bound +inf is capped, four arcs at 2^62
@@ -122,6 +124,15 @@ EXTRAS = {
         "arcs": [_arc("e1", "a", "b", "-inf", 0), _arc("e2", "b", "c", "-inf", "+inf"),
                  _arc("e3", "c", "a", "-inf", "+inf")],
         "F": ["e1"], "base": {"type": "zero"}},
+    "extra-blocking-circuit-jump": {
+        "nodes": ["a", "b", "c"],
+        "arcs": [_arc("e", "a", "b", "-inf", 0), _arc("d", "b", "c", 0, 1)],
+        "F": ["e"],
+        "base": {"type": "table", "p": {"": 0, "a,b": 0, "c": 0, "a,b,c": 0}}},
+    "extra-blocking-circuit-upper-inf": {
+        "nodes": ["a", "b"],
+        "arcs": [_arc("e", "a", "b", "-inf", 0), _arc("r", "a", "b", 0, "+inf")],
+        "F": ["e"], "base": {"type": "zero"}},
     "extra-unbounded-costed-focus": {
         "nodes": ["a", "b"],
         "arcs": [_arc("e1", "a", "b", "-inf", 0, cost=1),

@@ -12,8 +12,6 @@ from .core import (
     Digraph,
     NEG_INF,
     POS_INF,
-    chain_classify,
-    chain_entering_count,
     cut_in_sum,
     cut_net,
     cut_out_sum,

@@ -11,7 +11,11 @@ is built by exact coordinate fixing; minimum-cost flows are computed by
 canceling negative cycles in the exchange auxiliary digraph, each moved
 by the largest step that stays feasible; an arc may cost one more
 on its last unit, which is how lupmin counts the arcs at their upper
-bound on the original digraph.  Each cycle search starts as Bellman-Ford
+bound on the original digraph.  That breakpoint is read in one place
+(`_unit_costs`): each flow arc of the auxiliary digraph carries its arc,
+direction and width, the unit steps that keep its unit cost, so a
+cycle's step is the least of its widths and of the exchange capacity of
+its exchange arcs.  Each cycle search starts as Bellman-Ford
 from an all-zero source; when it settles, there is no negative cycle and
 its distances are the integer dual node potentials, and only when it
 does not is a fewest-arc cycle searched for layer by layer.  An instance
@@ -36,6 +40,7 @@ from .core import (
     Digraph,
     ExtInt,
     POS_INF,
+    as_int,
     cut_net,
     is_finite,
     node_net_inflow,
@@ -140,7 +145,7 @@ class DualPotential:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(as_int(v, "potential") for v in self.values))
         if any(v < 0 for v in self.values):
             raise ValueError("potentials must be nonnegative")
         if self.values and min(self.values) != 0:
@@ -250,14 +255,20 @@ def exchange_capacity(base: BaseOracle, y: Sequence[int], s: int, t: int) -> Ext
 
 def _unit_costs(inst: Instance, x: Sequence[int], cost: Sequence[int],
                 saturating: frozenset):
-    """Per arc at flow x: (e, tail, head, cost of one more unit, cost of
-    the last unit), a cost None where the bound allows no such step.  An
-    arc in `saturating` costs one more on its last unit, from g - 1 to g."""
+    """Per arc at flow x: (e, tail, head, up, down), where `up` is (cost of
+    one more unit, width) and `down` (cost of the last unit, width), or None
+    where the bound allows no such step.  The width is the number of unit
+    steps that keep that unit cost.  An arc in `saturating` costs one more
+    on its last unit, from its breakpoint g - 1 to g."""
     b = inst.bounds
     for e, (u, v) in enumerate(inst.digraph.arcs):
-        g, extra = b.upper[e], e in saturating
-        up = cost[e] + (extra and x[e] == g - 1) if x[e] < g else None
-        down = cost[e] + (extra and x[e] == g) if x[e] > b.lower[e] else None
+        f, g, c = b.lower[e], b.upper[e], cost[e]
+        k = g - 1 if e in saturating else g  # a unit above k costs c + 1
+        up = down = None
+        if x[e] < g:
+            up = (c, k - x[e]) if x[e] < k else (c + 1, g - x[e])
+        if x[e] > f:
+            down = (c + 1, x[e] - k) if x[e] > k else (c, x[e] - f)
         yield e, u, v, up, down
 
 
@@ -266,23 +277,24 @@ def _aux_arcs(inst: Instance, x: Sequence[int], sums: np.ndarray,
     """Arcs of the exchange auxiliary digraph at flow x, whose net in-flows
     psi have the subset sums `sums`.
 
-    Entries are (tail, head, cost, tag); tags are ('up', e) for a unit
-    increase on arc e, ('down', e) for a unit decrease, and ('exch', s, t)
-    for moving a unit of net in-flow from t to s inside the base.  That
-    move hurts exactly the subsets containing t and avoiding s, so it is
+    Entries are (tail, head, cost, step).  A flow arc's step is (e, sign,
+    width): it moves arc e by `sign` (+1 up, -1 down) per unit, for at most
+    `width` units at that cost.  An exchange arc s -> t has step None: it
+    moves a unit of net in-flow from t to s inside the base.  That move
+    hurts exactly the subsets containing t and avoiding s, so it is
     allowed iff s lies in the meet of the tight sets containing t.
     """
     arcs = []
     for e, u, v, up, down in _unit_costs(inst, x, cost, saturating):
         if up is not None:
-            arcs.append((u, v, up, ("up", e)))
+            arcs.append((u, v, up[0], (e, 1, up[1])))
         if down is not None:
-            arcs.append((v, u, -down, ("down", e)))
+            arcs.append((v, u, -down[0], (e, -1, down[1])))
     meets = inst.base.meets(sums)
     for s in range(inst.base.n):
         for t, meet in enumerate(meets):
             if s != t and (meet >> s) & 1:
-                arcs.append((s, t, 0, ("exch", s, t)))
+                arcs.append((s, t, 0, None))
     return arcs
 
 
@@ -351,31 +363,21 @@ def _layered_cycle(n: int, arcs: list) -> list:
     raise CertificateError("Bellman-Ford still relaxed at pass n, but no negative cycle")
 
 
-def _bottleneck(inst: Instance, x: Sequence[int], sums: np.ndarray, cycle: list,
-                saturating: frozenset) -> int:
-    """The largest step along an aux cycle that keeps the flow feasible.
-
-    An up or down arc is as wide as its unit cost stays: an arc in
-    `saturating` rises to its breakpoint g - 1, or at g steps down one
-    unit.  The ('exch', s, t) arcs together move the net in-flows, whose
-    subset sums are `sums`, by +1 at s and -1 at t each, and that move is
-    capped as a whole by `BaseOracle.step_capacity`.
+def _bottleneck(base: BaseOracle, sums: np.ndarray, cycle: list) -> int:
+    """The largest step along an aux cycle that keeps the flow feasible:
+    the least width of its flow arcs, and the `BaseOracle.step_capacity`
+    of its exchange arcs s -> t, which together move the net in-flows,
+    whose subset sums are `sums`, by +1 at s and -1 at t each.
     """
-    b = inst.bounds
-    move = [0] * inst.base.n
+    move = [0] * base.n
     widths = []
-    for (_, _, _, tag) in cycle:
-        if tag[0] == "exch":
-            move[tag[1]] += 1
-            move[tag[2]] -= 1
-            continue
-        e = tag[1]
-        g, extra = b.upper[e], e in saturating
-        if tag[0] == "up":
-            widths.append(g - x[e] - (extra and x[e] < g - 1))
+    for (s, t, _, step) in cycle:
+        if step is None:
+            move[s] += 1
+            move[t] -= 1
         else:
-            widths.append(1 if extra and x[e] == g else x[e] - b.lower[e])
-    delta = min(widths + [inst.base.step_capacity(sums, move)])
+            widths.append(step[2])
+    delta = min(widths + [base.step_capacity(sums, move)])
     if delta is POS_INF:
         raise CertificateError("negative cycle of unbounded width")
     if delta < 1:
@@ -384,11 +386,10 @@ def _bottleneck(inst: Instance, x: Sequence[int], sums: np.ndarray, cycle: list,
 
 
 def _apply_cycle(x: list, cycle: list, delta: int) -> None:
-    for (_, _, _, tag) in cycle:
-        if tag[0] == "up":
-            x[tag[1]] += delta
-        elif tag[0] == "down":
-            x[tag[1]] -= delta
+    for (_, _, _, step) in cycle:
+        if step is not None:
+            e, sign, _ = step
+            x[e] += sign * delta
 
 
 def verify_optimality(inst: Instance, cost: Sequence[int], x: Sequence[int],
@@ -403,10 +404,10 @@ def verify_optimality(inst: Instance, cost: Sequence[int], x: Sequence[int],
     """
     for e, u, v, up, down in _unit_costs(inst, x, cost, saturating):
         delta = pi[v] - pi[u]
-        if up is not None and not delta <= up:
-            raise CertificateError(f"arc {e}: rise {delta} exceeds cost {up} with slack above")
-        if down is not None and not delta >= down:
-            raise CertificateError(f"arc {e}: rise {delta} below cost {down} with slack below")
+        if up is not None and not delta <= up[0]:
+            raise CertificateError(f"arc {e}: rise {delta} exceeds cost {up[0]} with slack above")
+        if down is not None and not delta >= down[0]:
+            raise CertificateError(f"arc {e}: rise {delta} below cost {down[0]} with slack below")
     for zmask in reversed(pi.level_sets()):  # outermost first
         if cut_net(inst.digraph, x, zmask) != inst.base.p(zmask):
             raise CertificateError(f"potential level set {zmask:b} not tight")
@@ -451,7 +452,7 @@ def min_cost_flow(inst: Instance, cost: Sequence[int],
         if isinstance(found, DualPotential):
             break
         # a fewest-arc cycle admits a unit step
-        delta = _bottleneck(inst, x, sums, found, saturating)
+        delta = _bottleneck(inst.base, sums, found)
         _apply_cycle(x, found, delta)
         if not membership(inst, x):
             raise CertificateError("augmentation left the feasible region")

@@ -29,7 +29,7 @@ from .core import (
 )
 from .baseflow import CertificateError, Infeasible, Instance, check_feasible, min_cost_flow
 from .decmin import solve_decmin
-from .existence import BlockingCircuit, finitize_bounds
+from .existence import BlockingCircuit, finitize_bounds, improve_along_circuit
 from .lupmin import lupmin_solve
 from .oracle import (
     BudgetExceeded,
@@ -388,6 +388,12 @@ def cmd_solve(args) -> int:
     try:
         finite = finitize_bounds(parsed.instance)
     except BlockingCircuit as exc:
+        # the verdict's certificate: the circuit improves a feasible flow
+        try:
+            improve_along_circuit(parsed.instance, parsed.instance.feasible_flow, exc.circuit)
+        except ValueError as bad:
+            raise CertificateError(
+                f"blocking circuit does not improve a feasible flow: {bad}") from bad
         _emit({"blocking_circuit": [
             {"tail": parsed.node_names[a.tail],
              "head": parsed.node_names[a.head],

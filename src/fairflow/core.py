@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cache, cached_property, total_ordering
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 MAX_NODES = 20
 
@@ -73,12 +73,13 @@ def is_finite(v: ExtInt) -> bool:
     return isinstance(v, int)
 
 
-def node_id(v) -> int:
-    """A node endpoint as an int: integers only, so 0.7 is not node 0."""
+def as_int(v, what: str = "node") -> int:
+    """v as an int: integers only (`operator.index`), so 0.7 is not node 0.
+    Anything else raises ValueError, naming v as `what`."""
     try:
         return operator.index(v)
     except TypeError:
-        raise ValueError(f"node {v!r} is not an integer") from None
+        raise ValueError(f"{what} {v!r} is not an integer") from None
 
 
 def mask_nodes(mask: int) -> Iterator[int]:
@@ -116,7 +117,7 @@ class Digraph:
     def __post_init__(self):
         if not (1 <= self.node_count <= MAX_NODES):
             raise ValueError(f"node_count must be in 1..{MAX_NODES}")
-        object.__setattr__(self, "arcs", tuple((node_id(t), node_id(h)) for t, h in self.arcs))
+        object.__setattr__(self, "arcs", tuple((as_int(t), as_int(h)) for t, h in self.arcs))
         for t, h in self.arcs:
             if not (0 <= t < self.node_count and 0 <= h < self.node_count):
                 raise ValueError(f"arc ({t},{h}) out of node range")
@@ -188,7 +189,7 @@ class Chain:
     members: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(int(m) for m in self.members))
+        object.__setattr__(self, "members", tuple(as_int(m, "chain member") for m in self.members))
         full = (1 << self.node_count) - 1
         prev = None
         for m in self.members:
@@ -203,6 +204,17 @@ class Chain:
 
     def __len__(self) -> int:
         return len(self.members)
+
+    def crossings(self, digraph: Digraph) -> tuple:
+        """Per arc t -> h, held(h) - held(t), where held(v) counts the
+        members holding v.  The members are nested, so a node is in every
+        member from the first one holding it on: a positive value is the
+        number of members the arc enters, a negative one minus the number
+        it leaves."""
+        if digraph.node_count != self.node_count:
+            raise ValueError("chain ground size mismatch")
+        held = [sum(m >> v & 1 for m in self.members) for v in range(self.node_count)]
+        return tuple(held[h] - held[t] for t, h in digraph.arcs)
 
 
 def cut_in_sum(digraph: Digraph, values: Sequence[ExtInt], zmask: int) -> ExtInt:
@@ -239,51 +251,6 @@ def node_net_inflow(digraph: Digraph, values: Sequence[int]) -> tuple:
         psi[h] += values[e]
         psi[t] -= values[e]
     return tuple(psi)
-
-
-@dataclass(frozen=True)
-class ArcChainRole:
-    """Classification of one arc against a subset family."""
-
-    kind: str  # "entering" | "leaving" | "neutral" | "mixed"
-    enters: int
-    leaves: int
-
-
-def chain_classify(digraph: Digraph, members, arc_id: int) -> ArcChainRole:
-    """Classify an arc against a chain (or any subset family).
-
-    For a valid chain an arc never both enters one member and leaves
-    another; such arcs are reported as "mixed", which tests assert is
-    unreachable for Chain inputs.
-    """
-    if isinstance(members, Chain):
-        members = members.members
-    t, h = digraph.arcs[arc_id]
-    enters = leaves = 0
-    for m in members:
-        hin = (m >> h) & 1
-        tin = (m >> t) & 1
-        if hin and not tin:
-            enters += 1
-        elif tin and not hin:
-            leaves += 1
-    if enters and leaves:
-        return ArcChainRole("mixed", enters, leaves)
-    if enters:
-        return ArcChainRole("entering", enters, 0)
-    if leaves:
-        return ArcChainRole("leaving", 0, leaves)
-    return ArcChainRole("neutral", 0, 0)
-
-
-def chain_entering_count(digraph: Digraph, chain: Chain, arc_ids: Iterable[int]) -> int:
-    """Number of listed arcs entering at least one chain member (each once)."""
-    count = 0
-    for e in arc_ids:
-        if chain_classify(digraph, chain, e).kind == "entering":
-            count += 1
-    return count
 
 
 def decmin_compare(u: Sequence[int], v: Sequence[int]) -> int:

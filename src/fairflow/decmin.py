@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .core import Bounds, CertificateError, Chain, chain_classify, is_finite
+from .core import Bounds, CertificateError, Chain, is_finite
 from .baseflow import (
     Infeasible,
     Instance,
@@ -154,9 +154,8 @@ def predecmin_phase(inst: Instance) -> Tuple[PhaseTrace, Instance]:
     res = lupmin_solve(inst, l_beta)
     if res.min_saturated == 0:
         raise ValueError("top value not minimal: lowering the top level stays feasible")
-    l_prime = frozenset(
-        e for e in l_beta
-        if chain_classify(inst.digraph, res.chain, e).kind == "entering")
+    cross = res.chain.crossings(inst.digraph)
+    l_prime = frozenset(e for e in l_beta if cross[e] > 0)
     if not l_prime:
         raise CertificateError("no chain-entering arc in the top level")
     for e in l_prime:

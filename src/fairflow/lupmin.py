@@ -5,10 +5,12 @@ whose cost is zero except on the last unit of every L-arc, from g - 1 to
 its upper bound g, which costs one (a two-slope convex cost on the
 original arcs, `min_cost_flow(..., saturating=L)`); read the dual chain
 off the upper level sets of the node potentials; and translate the chain
-into a narrowed bounding pair plus a face of the base polyhedron.  The
-recomputed dual value must equal the primal optimum, the number of
-saturated L-arcs, exactly; any mismatch raises instead of being papered
-over.
+into a narrowed bounding pair plus a face of the base polyhedron.  Each
+arc is read against the chain once, by the number of members it enters
+or leaves (`Chain.crossings`), for the dual value, the box and the arcs
+a phase pins.  The recomputed dual value must equal the primal optimum,
+the number of saturated L-arcs, exactly; any mismatch raises instead of
+being papered over.
 """
 
 from __future__ import annotations
@@ -16,13 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import (
-    Bounds,
-    Chain,
-    chain_classify,
-    chain_entering_count,
-    is_finite,
-)
+from .core import Bounds, Chain, is_finite
 from .baseflow import (
     CertificateError,
     DualPotential,
@@ -68,47 +64,44 @@ def extract_chain(pi: DualPotential, node_count: int) -> Chain:
 def derive_bounds(inst: Instance, L, chain: Chain) -> Bounds:
     """Narrowed bounding pair read off a feasible chain.
 
-    L-arcs: tight at the upper bound when entering two or more members,
-    pinched to width one when entering exactly one, tight at the lower
-    bound when leaving, and capped one below the upper bound when neutral.
-    Other arcs: tight at upper when entering, at lower when leaving,
-    untouched when neutral.
+    Each arc is read by its signed crossing count (`Chain.crossings`): the
+    number of members it enters, or minus the number it leaves.  L-arcs:
+    tight at the upper bound when entering two or more members, pinched to
+    width one when entering exactly one, tight at the lower bound when
+    leaving, and capped one below the upper bound when neutral.  Other
+    arcs: tight at upper when entering, at lower when leaving, untouched
+    when neutral.
     """
     L = frozenset(L)
-    d = inst.digraph
     b = inst.bounds
     lower = list(b.lower)
     upper = list(b.upper)
-    for e in range(d.arc_count):
-        role = chain_classify(d, chain, e)
-        if role.kind == "mixed":
-            raise ValueError("arc enters and leaves a nested chain; invalid chain")
+    for e, cross in enumerate(chain.crossings(inst.digraph)):
         lo, hi = b.lower[e], b.upper[e]
         if e in L:
-            if role.kind == "entering":
-                if role.enters >= 2:
-                    lower[e], upper[e] = hi, hi
-                else:
-                    lower[e], upper[e] = hi - 1, hi
-            elif role.kind == "leaving":
+            if cross >= 2:
+                lower[e], upper[e] = hi, hi
+            elif cross == 1:
+                lower[e], upper[e] = hi - 1, hi
+            elif cross < 0:
                 lower[e], upper[e] = lo, lo
             else:
                 lower[e], upper[e] = lo, hi - 1
-        else:
-            if role.kind == "entering":
-                if not is_finite(hi):
-                    raise ValueError(f"arc {e}: entering a feasible chain needs finite upper")
-                lower[e], upper[e] = hi, hi
-            elif role.kind == "leaving":
-                if not is_finite(lo):
-                    raise ValueError(f"arc {e}: leaving a feasible chain needs finite lower")
-                lower[e], upper[e] = lo, lo
+        elif cross > 0:
+            if not is_finite(hi):
+                raise ValueError(f"arc {e}: entering a feasible chain needs finite upper")
+            lower[e], upper[e] = hi, hi
+        elif cross < 0:
+            if not is_finite(lo):
+                raise ValueError(f"arc {e}: leaving a feasible chain needs finite lower")
+            lower[e], upper[e] = lo, lo
     return Bounds(tuple(lower), tuple(upper))
 
 
 def chain_value(inst: Instance, L, chain: Chain) -> int:
     """Dual value of a feasible chain: entering L-arcs minus total slack."""
-    total = chain_entering_count(inst.digraph, chain, sorted(L))
+    cross = chain.crossings(inst.digraph)
+    total = sum(1 for e in L if cross[e] > 0)
     for c in chain:
         slack = cut_slack(inst, c)
         if not is_finite(slack):

@@ -600,11 +600,10 @@ def ref_min_cost_flow(inst, cost):
         found = baseflow._min_arc_negative_cycle(n, baseflow._aux_arcs(inst, x, sums, cost))
         if isinstance(found, DualPotential):
             return tuple(x)
-        for (_, _, _, tag) in found:
-            if tag[0] == "up":
-                x[tag[1]] += 1
-            elif tag[0] == "down":
-                x[tag[1]] -= 1
+        for (_, _, _, step) in found:
+            if step is not None:
+                e, sign, _ = step
+                x[e] += sign
         if not baseflow.membership(inst, x):
             raise CertificateError("augmentation left the feasible region")
 
@@ -692,7 +691,7 @@ def random_aux_arcs(rng, n):
             b = nodes[(i + 1) % planted]
             arcs.append((a, b, phi[b] - phi[a] + r))
     rng.shuffle(arcs)
-    return [(a, b, c, (("up", "down", "exch")[i % 3], i))
+    return [(a, b, c, (i, (1, -1)[i % 2], i + 1) if i % 3 else None)
             for i, (a, b, c) in enumerate(arcs)], planted
 
 
@@ -715,7 +714,7 @@ class TestCycleSearch:
     def test_potentials_of_a_long_descending_path(self):
         # each pass settles one more node: n - 1 passes, then one quiet one
         n = 8
-        arcs = [(v, v + 1, -1, ("up", v)) for v in range(n - 1)]
+        arcs = [(v, v + 1, -1, (v, 1, 1)) for v in range(n - 1)]
         arcs.reverse()
         got = baseflow._min_arc_negative_cycle(n, arcs)
         assert got == ref_min_arc_negative_cycle(n, arcs)
@@ -800,8 +799,8 @@ class TestBottleneckAugmentation:
                                   wraps=baseflow._min_arc_negative_cycle) as searches, \
                 mock.patch.object(baseflow, "_bottleneck", wraps=baseflow._bottleneck) as widths:
             min_cost_flow(mincost_instance(10 ** 6, "points"), MINCOST_COST)
-        assert any(tag[0] == "exch" for call in widths.call_args_list
-                   for (_, _, _, tag) in call.args[3])
+        assert any(step is None for call in widths.call_args_list
+                   for (_, _, _, step) in call.args[2])
         assert searches.call_count == tables.call_count == 4
 
     def test_fewest_arc_cycles_below_six_nodes_take_their_bottleneck(self):
@@ -816,7 +815,7 @@ class TestBottleneckAugmentation:
         def spy_search(n, arcs):
             found = search(n, arcs)
             if not isinstance(found, DualPotential):
-                flags = [tag[0] == "exch" for (_, _, _, tag) in found]
+                flags = [step is None for (_, _, _, step) in found]
                 assert not any(a and b for a, b in zip(flags, flags[1:] + flags[:1]))
                 exchanges.append(sum(flags))
             return found
@@ -871,3 +870,11 @@ class TestDualPotential:
         with pytest.raises(ValueError):
             DualPotential((-1, 0))
         assert DualPotential((0, 3))[1] == 3
+
+    @pytest.mark.parametrize("values", [(0, 1.7), (0.0, 1), (0, "1")])
+    def test_non_integers_rejected(self, values):
+        with pytest.raises(ValueError, match="potential .* is not an integer"):
+            DualPotential(values)
+
+    def test_integer_like_values_read_by_index(self):
+        assert DualPotential((np.int64(0), 2)).values == (0, 2)

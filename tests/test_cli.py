@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from fairflow import cli
+from fairflow import cli, existence
 from fairflow.baseflow import Infeasible, Instance, find_feasible
 from fairflow.cli import (
     EXIT_INFEASIBLE,
@@ -23,7 +23,7 @@ from fairflow.cli import (
     parse_instance,
 )
 from fairflow.core import NEG_INF
-from fairflow.existence import build_jump_structure, has_blocking_dicircuit
+from fairflow.existence import BlockingCircuit, build_jump_structure, has_blocking_dicircuit
 from fairflow.oracle import check_pairs
 from fairflow.setfn import BaseOracle, SetFn
 
@@ -152,6 +152,32 @@ class TestSolve:
             for a in circuit]
         kinds = {(a["tail"], a["head"], a["kind"]) for a in doc["blocking_circuit"]}
         assert ("a", "b", "lower-inf") in kinds
+
+    @pytest.mark.parametrize("name, kind", [
+        ("extra-blocking-circuit-jump", "jump"),
+        ("extra-blocking-circuit-upper-inf", "upper-inf")], ids=["jump", "upper-inf"])
+    def test_blocking_circuit_of_each_arc_kind(self, capsys, tmp_path, name, kind):
+        src = tmp_path / f"{name}.json"
+        src.write_text(json.dumps(EXTRAS[name]))
+        code, out = run(capsys, "solve", str(src))
+        assert code == EXIT_NO_DECMIN
+        kinds = [a["kind"] for a in json.loads(out)["blocking_circuit"]]
+        assert kinds == ["lower-inf", kind]
+
+    @pytest.mark.parametrize("fault", ["escapes", "misses-focus"])
+    def test_blocking_circuit_that_does_not_improve_exits_5(self, capsys, monkeypatch, fault):
+        # the circuit is checked before it is printed: one that does not
+        # improve the instance's feasible flow is an engine fault
+        if fault == "escapes":
+            monkeypatch.setattr(existence, "membership", lambda inst, x: False)
+        else:
+            def misses_focus(inst):
+                raise BlockingCircuit(())
+            monkeypatch.setattr(cli, "finitize_bounds", misses_focus)
+        code = main(["solve", path("i4p.json")])
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_MISMATCH, "")
+        assert "blocking circuit does not improve a feasible flow" in err
 
     @pytest.mark.parametrize("name, code", [
         ("extra-unbounded-costed-focus", EXIT_OK),

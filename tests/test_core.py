@@ -6,21 +6,21 @@ import numpy as np
 import pytest
 
 from fairflow.core import (
-    ArcChainRole,
     Bounds,
     Chain,
     Digraph,
     NEG_INF,
     POS_INF,
-    chain_classify,
-    chain_entering_count,
     crossing_views,
     cut_in_sum,
     cut_net,
     decmin_compare,
     node_net_inflow,
 )
+from fairflow.oracle import all_chains
 from fairflow.orient import MixedGraph
+
+from conftest import all_small_digraphs
 
 
 class TestExtInt:
@@ -181,6 +181,14 @@ class TestChain:
         with pytest.raises(ValueError):
             Chain(2, (0,))
 
+    @pytest.mark.parametrize("members", [(1.9,), (0b001, 3.0)])
+    def test_non_integer_members_rejected(self, members):
+        with pytest.raises(ValueError, match="chain member .* is not an integer"):
+            Chain(3, members)
+
+    def test_integer_like_members_read_by_index(self):
+        assert Chain(3, (np.int64(1), 0b011)).members == (1, 3)
+
 
 class TestCutFlow:
     def test_zero_flow(self):
@@ -219,56 +227,46 @@ class TestCutFlow:
 
 
 class TestChainClassify:
+    """`Chain.crossings` classifies every arc against a chain: the number
+    of members it enters, or minus the number it leaves."""
+
     def test_entering_single(self):
-        d = Digraph(2, ((0, 1),))
-        role = chain_classify(d, Chain(2, (0b10,)), 0)
-        assert role == ArcChainRole("entering", 1, 0)
+        assert Chain(2, (0b10,)).crossings(Digraph(2, ((0, 1),))) == (1,)
 
     def test_entering_two(self):
-        d = Digraph(3, ((0, 1),))
-        role = chain_classify(d, Chain(3, (0b010, 0b110)), 0)
-        assert role.kind == "entering" and role.enters == 2
+        assert Chain(3, (0b010, 0b110)).crossings(Digraph(3, ((0, 1),))) == (2,)
 
     def test_leaving(self):
-        d = Digraph(2, ((1, 0),))
-        assert chain_classify(d, Chain(2, (0b10,)), 0).kind == "leaving"
+        assert Chain(2, (0b10,)).crossings(Digraph(2, ((1, 0),))) == (-1,)
 
     def test_mixed_only_for_non_nested(self):
-        d = Digraph(3, ((0, 1),))
-        role = chain_classify(d, [0b010, 0b001], 0)  # enters {b}, leaves {a}
-        assert role.kind == "mixed"
+        # arc a -> b enters {b} and leaves {a}, but no chain holds both
+        with pytest.raises(ValueError, match="not strictly nested"):
+            Chain(3, (0b010, 0b001))
 
     def test_chains_never_mixed(self):
-        rng = random.Random(3)
-        for _ in range(100):
-            n = rng.randint(2, 5)
-            arcs = [(u, v) for u in range(n) for v in range(n) if u != v]
-            d = Digraph(n, tuple(arcs))
-            members = []
-            mask = 0
-            for v in rng.sample(range(n), n - 1):
-                mask |= 1 << v
-                if rng.random() < 0.6:
-                    members.append(mask)
-            if not members:
-                continue
-            chain = Chain(n, tuple(members))
-            for e in d.arc_ids():
-                assert chain_classify(d, chain, e).kind != "mixed"
+        # against per-member counts, on every chain of every digraph with
+        # up to 4 nodes and 3 arcs
+        seen = set()
+        for d in all_small_digraphs(4, 3):
+            for chain in all_chains(d.node_count):
+                got = chain.crossings(d)
+                assert len(got) == d.arc_count
+                for (t, h), cross in zip(d.arcs, got):
+                    enters = sum(1 for m in chain if (m >> h) & 1 and not (m >> t) & 1)
+                    leaves = sum(1 for m in chain if (m >> t) & 1 and not (m >> h) & 1)
+                    assert not (enters and leaves)
+                    assert cross == enters - leaves
+                    seen.add(cross)
+        assert seen == set(range(-3, 4))
 
+    def test_parallel_arcs_counted_apart(self):
+        d = Digraph(3, ((0, 1), (0, 1), (1, 0), (2, 1)))
+        assert Chain(3, (0b010, 0b110)).crossings(d) == (2, 2, -2, 1)
 
-class TestChainEnteringCount:
-    def test_empty(self):
-        d = Digraph(2, ((0, 1),))
-        assert chain_entering_count(d, Chain(2, (0b10,)), []) == 0
-
-    def test_parallel_pair(self):
-        d = Digraph(2, ((0, 1), (0, 1)))
-        assert chain_entering_count(d, Chain(2, (0b10,)), [0, 1]) == 2
-
-    def test_counted_once(self):
-        d = Digraph(3, ((0, 1),))
-        assert chain_entering_count(d, Chain(3, (0b010, 0b110)), [0]) == 1
+    def test_ground_size_mismatch(self):
+        with pytest.raises(ValueError, match="chain ground size mismatch"):
+            Chain(2, (0b10,)).crossings(Digraph(3, ((0, 1),)))
 
 
 class TestDecminCompare:

@@ -426,7 +426,7 @@ def test_family_scans_match_reference(inst, rng):
     blocked = ref_blocked_exchange_pairs(tight_base, psi)
     arc_free = Instance(Digraph(n, ()), Bounds((), ()), tight_base)
     assert _aux_arcs(arc_free, (), subset_sums(psi), ()) == [
-        (s, t, 0, ("exch", s, t)) for s in range(n) for t in range(n)
+        (s, t, 0, None) for s in range(n) for t in range(n)
         if s != t and (s, t) not in blocked]
 
 

@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 
 from fairflow import baseflow, core, decmin, lupmin
-from fairflow.core import Bounds, Chain, Digraph, POS_INF, chain_classify, cut_net, node_net_inflow
+from fairflow.core import Bounds, Chain, Digraph, POS_INF, cut_net, node_net_inflow
 from fairflow.baseflow import (
     CertificateError,
     DualPotential,
@@ -61,23 +61,24 @@ def check_optimality_criteria(inst: Instance, L, chain: Chain,
     d = inst.digraph
     b = inst.bounds
     failed = None
-    for e in range(d.arc_count):
-        role = chain_classify(d, chain, e)
+    for e, (t, h) in enumerate(d.arcs):
+        enters = sum(1 for c in chain if (c >> h) & 1 and not (c >> t) & 1)
+        leaves = sum(1 for c in chain if (c >> t) & 1 and not (c >> h) & 1)
         lo, hi = b.lower[e], b.upper[e]
-        if role.kind == "leaving" and x[e] != lo:
+        if leaves and x[e] != lo:
             failed = "O1"
             break
-        if e not in L and role.kind == "entering" and x[e] != hi:
+        if e not in L and enters and x[e] != hi:
             failed = "O2"
             break
-        if e in L and role.kind == "entering":
-            if role.enters == 1 and not hi - 1 <= x[e] <= hi:
+        if e in L and enters:
+            if enters == 1 and not hi - 1 <= x[e] <= hi:
                 failed = "O3"
                 break
-            if role.enters >= 2 and x[e] != hi:
+            if enters >= 2 and x[e] != hi:
                 failed = "O4"
                 break
-        if e in L and role.kind == "neutral" and not lo <= x[e] <= hi - 1:
+        if e in L and not enters and not leaves and not lo <= x[e] <= hi - 1:
             failed = "O5"
             break
     if failed is None:
@@ -98,11 +99,16 @@ def check_optimality_criteria(inst: Instance, L, chain: Chain,
 
 def unit_arcs(inst, x, L):
     """The up and down aux arcs at x under zero costs with L saturating,
-    as (tag, cost, width) triples."""
+    as ((direction, arc id), cost, width) triples."""
     sums = subset_sums(node_net_inflow(inst.digraph, x))
     cost = (0,) * inst.digraph.arc_count
-    return [(arc[3], arc[2], baseflow._bottleneck(inst, x, sums, [arc], L))
-            for arc in baseflow._aux_arcs(inst, x, sums, cost, L) if arc[3][0] != "exch"]
+    out = []
+    for arc in baseflow._aux_arcs(inst, x, sums, cost, L):
+        if arc[3] is not None:
+            e, sign, _ = arc[3]
+            width = baseflow._bottleneck(inst.base, sums, [arc])
+            out.append((("up" if sign > 0 else "down", e), arc[2], width))
+    return out
 
 
 class TestAugment:
